@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    OPTION_KEYS,
     RunConfig,
     parse_config,
     parse_forms,
@@ -97,15 +98,12 @@ class _Run:
     def _cfg_field(self, key):
         if self.cfg is None:
             return None
-        if key in ("seed", "output", "samples", "margin", "measure", "map"):
-            return getattr(self.cfg, key)
-        if key == "eps":
-            return self.cfg.eps or None
-        if key == "trajectory":
-            return self.cfg.trajectory or None
-        return self.cfg.option(key)
+        if key in OPTION_KEYS:
+            return self.cfg.option(key)
+        return getattr(self.cfg, key)
 
-    def scalar(self, key, default=None, conv=None, required=False, record=True):
+    def scalar(self, key, default=None, conv=None, required=False):
+        """Resolve one value; experiment options are recorded for the config."""
         value = getattr(self.args, key.replace("-", "_"), None)
         if value is None:
             value = self._cfg_field(key)
@@ -122,8 +120,7 @@ class _Run:
                 raise
             except (TypeError, ValueError):
                 raise ParameterError("bad value for --%s: %r" % (key, value))
-        if record and key not in ("seed", "output", "samples", "margin",
-                                  "measure", "map", "eps", "trajectory"):
+        if key in OPTION_KEYS:
             self.options.append((key, _option_text(value)))
         return value
 
@@ -151,8 +148,8 @@ class _Run:
 
     def resolved_config(self, eps=(), samples=None, margin=None,
                         measure=None, map_decl=None, trajectory=()):
-        seed = self.scalar("seed", default=0, conv=int, record=False)
-        output = self.scalar("output", record=False)
+        seed = self.scalar("seed", default=0, conv=int)
+        output = self.scalar("output")
         return RunConfig(
             experiment=self.experiment,
             seed=int(seed),
@@ -216,10 +213,6 @@ def _ball(run: _Run) -> Ball:
     center = run.scalar("ball_center", required=True, conv=_float_list)
     radius = run.scalar("ball_radius", required=True, conv=float)
     return Ball(center, radius)
-
-
-def _eps_text(values) -> tuple:
-    return tuple(float(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def _cmd_di(args) -> int:
     Y_text = run.scalar("Y", required=True)
     family_records = run.family_records()
     horizon = run.scalar("horizon", required=True, conv=float)
-    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float, record=False)
+    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float)
     eps = run.eps_values()
     if len(eps) != 1:
         raise ParameterError("di takes exactly one eps value")
@@ -304,27 +297,33 @@ def _cmd_di(args) -> int:
     return run.finish(config, report.to_records(), lines)
 
 
-def _cmd_escape(args) -> int:
-    run = _Run(args, "escape")
-    map_decl = run.scalar("map", required=True, record=False)
-    measure_decl = run.scalar("measure", required=True, record=False)
+def _scan_inputs(args, experiment: str):
+    """(run, config, scan keyword arguments) shared by escape and decay."""
+    run = _Run(args, experiment)
+    map_decl = run.scalar("map", required=True)
+    measure_decl = run.scalar("measure", required=True)
     mapping = parse_map(map_decl)
     measure = parse_measure(measure_decl)
     ball = _ball(run)
     t_texts = run.repeated("t", required=True)
     weights = [parse_weight_vector(txt, 1, mapping.n) for txt in t_texts]
     eps = run.eps_values()
-    samples = run.scalar("samples", default=20_000, conv=int, record=False)
-    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float, record=False)
+    samples = run.scalar("samples", default=20_000, conv=int)
+    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float)
     depth = run.scalar("depth", default=20, conv=int)
-    config = run.resolved_config(eps=_eps_text(eps), samples=samples,
-                                 margin=margin, measure=measure_decl,
-                                 map_decl=map_decl)
+    config = run.resolved_config(eps=eps, samples=samples, margin=margin,
+                                 measure=measure_decl, map_decl=map_decl)
+    scan_args = dict(mapping=mapping, measure=measure, ball=ball, t_list=weights,
+                     eps_grid=eps, samples=samples, seed=config.seed, depth=depth,
+                     margin=margin, workers=args.workers)
+    return run, config, scan_args
+
+
+def _cmd_escape(args) -> int:
+    run, config, scan_args = _scan_inputs(args, "escape")
     if run.dry():
         return run.finish(config, [], [])
-    cells = escape_table(mapping, measure, ball, weights, eps,
-                         samples=samples, seed=config.seed, depth=depth,
-                         margin=margin, workers=args.workers)
+    cells = escape_table(**scan_args)
     records = [c.to_record() for c in cells]
     lines = ["t=%s eps=%g fraction=%.6g ci=%.2g" % (list(c.t), c.eps, c.fraction, c.ci)
              for c in cells]
@@ -332,26 +331,10 @@ def _cmd_escape(args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    run = _Run(args, "decay")
-    map_decl = run.scalar("map", required=True, record=False)
-    measure_decl = run.scalar("measure", required=True, record=False)
-    mapping = parse_map(map_decl)
-    measure = parse_measure(measure_decl)
-    ball = _ball(run)
-    t_texts = run.repeated("t", required=True)
-    weights = [parse_weight_vector(txt, 1, mapping.n) for txt in t_texts]
-    eps = run.eps_values()
-    samples = run.scalar("samples", default=20_000, conv=int, record=False)
-    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float, record=False)
-    depth = run.scalar("depth", default=20, conv=int)
-    config = run.resolved_config(eps=_eps_text(eps), samples=samples,
-                                 margin=margin, measure=measure_decl,
-                                 map_decl=map_decl)
+    run, config, scan_args = _scan_inputs(args, "decay")
     if run.dry():
         return run.finish(config, [], [])
-    scan = nondiv_decay_scan(mapping, measure, ball, weights, eps,
-                             samples=samples, seed=config.seed, depth=depth,
-                             margin=margin, workers=args.workers)
+    scan = nondiv_decay_scan(**scan_args)
     lines = [
         "pooled decay: alpha=%s c2=%s (zero cells excluded: %d)"
         % (scan.alpha, scan.c2, scan.excluded_zero_cells),
@@ -371,8 +354,8 @@ def _cmd_equidist(args) -> int:
     eps = run.eps_values()
     if len(eps) != 1:
         raise ParameterError("equidist takes exactly one eps value")
-    samples = run.scalar("samples", default=100_000, conv=int, record=False)
-    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float, record=False)
+    samples = run.scalar("samples", default=100_000, conv=int)
+    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float)
     config = run.resolved_config(eps=eps, samples=samples, margin=margin)
     if run.dry():
         return run.finish(config, [], [])
@@ -414,8 +397,8 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_good_test(args) -> int:
     run = _Run(args, "good-test")
-    map_decl = run.scalar("map", required=True, record=False)
-    measure_decl = run.scalar("measure", required=True, record=False)
+    map_decl = run.scalar("map", required=True)
+    measure_decl = run.scalar("measure", required=True)
     mapping = parse_map(map_decl)
     measure = parse_measure(measure_decl)
     ball = _ball(run)
@@ -424,9 +407,9 @@ def _cmd_good_test(args) -> int:
         raise ParameterError("--coord must be in 1..%d" % mapping.n)
     alpha = run.scalar("alpha", required=True, conv=float)
     eps = run.eps_values()
-    samples = run.scalar("samples", default=100_000, conv=int, record=False)
+    samples = run.scalar("samples", default=100_000, conv=int)
     depth = run.scalar("depth", default=20, conv=int)
-    config = run.resolved_config(eps=_eps_text(eps), samples=samples,
+    config = run.resolved_config(eps=eps, samples=samples,
                                  measure=measure_decl, map_decl=map_decl)
     if run.dry():
         return run.finish(config, [], [])
@@ -449,11 +432,11 @@ def _cmd_good_test(args) -> int:
 
 def _cmd_federer_test(args) -> int:
     run = _Run(args, "federer-test")
-    measure_decl = run.scalar("measure", required=True, record=False)
+    measure_decl = run.scalar("measure", required=True)
     measure = parse_measure(measure_decl)
     region = _ball(run)
     ball_count = run.scalar("ball_count", default=200, conv=int)
-    samples = run.scalar("samples", default=200_000, conv=int, record=False)
+    samples = run.scalar("samples", default=200_000, conv=int)
     depth = run.scalar("depth", default=20, conv=int)
     center_fraction = run.scalar("center_fraction", default=0.2, conv=float)
     radius_range = run.scalar("radius_range", default=(0.8, 1.0), conv=_float_list)
@@ -477,12 +460,12 @@ def _cmd_federer_test(args) -> int:
 
 def _cmd_nonplanar_test(args) -> int:
     run = _Run(args, "nonplanar-test")
-    map_decl = run.scalar("map", required=True, record=False)
-    measure_decl = run.scalar("measure", required=True, record=False)
+    map_decl = run.scalar("map", required=True)
+    measure_decl = run.scalar("measure", required=True)
     mapping = parse_map(map_decl)
     measure = parse_measure(measure_decl)
     ball = _ball(run)
-    samples = run.scalar("samples", default=20_000, conv=int, record=False)
+    samples = run.scalar("samples", default=20_000, conv=int)
     depth = run.scalar("depth", default=20, conv=int)
     config = run.resolved_config(samples=samples, measure=measure_decl,
                                  map_decl=map_decl)
@@ -597,33 +580,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_di)
 
-    p = subs.add_parser(
-        "escape", help="escape-measure table over (t, eps)",
-        description="CSV columns: experiment;seed;t;floor_t;norm_t;eps;fraction;ci;n;boundary_n")
-    p.add_argument("--map")
-    p.add_argument("--measure")
-    _add_ball(p)
-    p.add_argument("--t", action="append", help="weight vector; repeatable")
-    p.add_argument("--eps", nargs="+", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--margin", type=float)
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_cmd_escape)
-
-    p = subs.add_parser(
-        "decay", help="escape decay law: fractions, per-t slopes, pooled fit",
-        description="CSV columns: experiment;seed;t;floor_t;norm_t;eps;fraction;ci;n;boundary_n")
-    p.add_argument("--map")
-    p.add_argument("--measure")
-    _add_ball(p)
-    p.add_argument("--t", action="append")
-    p.add_argument("--eps", nargs="+", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--margin", type=float)
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_cmd_decay)
+    for name, help_text, handler in (
+        ("escape", "escape-measure table over (t, eps)", _cmd_escape),
+        ("decay", "escape decay law: fractions, per-t slopes, pooled fit", _cmd_decay),
+    ):
+        p = subs.add_parser(
+            name, help=help_text,
+            description="CSV columns: experiment;seed;t;floor_t;norm_t;eps;fraction;ci;n;"
+                        "boundary_n")
+        p.add_argument("--map")
+        p.add_argument("--measure")
+        _add_ball(p)
+        p.add_argument("--t", action="append", help="weight vector; repeatable")
+        p.add_argument("--eps", nargs="+", type=float)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--depth", type=int)
+        p.add_argument("--margin", type=float)
+        _add_common(p, sampling=True)
+        p.set_defaults(handler=handler)
 
     p = subs.add_parser(
         "equidist", help="flowed-translate vs invariant measure at k=2",

@@ -32,6 +32,7 @@ from .flows import (
     ExplicitList,
     LinearFormSystem,
     WeightVector,
+    _iter_q_chunks,
     flow_exponents,
     flowed_basis,
     golden_system,
@@ -39,8 +40,14 @@ from .flows import (
     random_forms,
     trajectory_lambda1,
 )
-from .lattice import DEFAULT_MARGIN, shortest_supnorm_k2_batch, shortest_with_region
-from .measures import Ball, MapSpec, MeasureSpec, sample
+from .lattice import (
+    DEFAULT_MARGIN,
+    ThickRegion,
+    shortest_supnorm_k2_batch,
+    shortest_with_region,
+    trichotomy,
+)
+from .measures import _Z95, Ball, MapSpec, MeasureSpec, sample
 
 _TAG_BALL_REJECT = 43
 _TAG_HAAR = 47
@@ -48,21 +55,21 @@ _TAG_TRANSLATE = 53
 _TAG_COUNTEREXAMPLE = 59
 
 SCAN_BUDGET = 10_000_000
-_Z95 = 1.959963984540054
 # target float count per (samples x q-chunk) slab, keeps slabs ~128 MB
 _SLAB_ELEMS = 1 << 24
 
 
 def _fraction_with_margin(lam: np.ndarray, eps: float, margin: float):
     """(fraction, half_width, hits, boundary_count) for the event lam < eps."""
-    boundary = np.abs(lam - eps) <= margin
-    hits = int(np.count_nonzero(lam < eps - margin))
-    n_eff = int(lam.size - np.count_nonzero(boundary))
+    region = trichotomy(lam, eps, margin)
+    hits = int(np.count_nonzero(region == ThickRegion.OUTSIDE))
+    boundary = int(np.count_nonzero(region == ThickRegion.BOUNDARY))
+    n_eff = lam.size - boundary
     if n_eff == 0:
-        return 0.0, 0.0, 0, int(lam.size)
+        return 0.0, 0.0, 0, boundary
     p = hits / n_eff
     hw = _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n_eff)
-    return p, hw, hits, int(np.count_nonzero(boundary))
+    return p, hw, hits, boundary
 
 
 def _collect_in_ball(
@@ -101,7 +108,6 @@ def _lambda1_rows_batch(
     rows: np.ndarray,
     t: WeightVector,
     cap: float,
-    budget: int = SCAN_BUDGET,
 ) -> np.ndarray:
     """Per-row shortest flowed-vector length for one-form systems.
 
@@ -121,19 +127,15 @@ def _lambda1_rows_batch(
     shrink = np.exp(exps[1:])
     bounds = np.floor(cap / shrink).astype(np.int64)
     total = int(np.prod(2 * bounds + 1, dtype=np.float64))
-    if total > budget:
+    if total > SCAN_BUDGET:
         raise CapacityError(
-            "q-grid needs %d points, over the scan budget of %d" % (total, budget)
+            "q-grid needs %d points, over the scan budget of %d" % (total, SCAN_BUDGET)
         )
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    shape = tuple(a.size for a in axes)
     n_samples = rows.shape[0]
     chunk = max(1, _SLAB_ELEMS // max(n_samples, 1))
     best = np.full(n_samples, cap + 1.0)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total))
-        multi = np.unravel_index(idx, shape)
-        Q = np.stack([axes[j][multi[j]] for j in range(len(axes))], axis=1)
+    for _, Q in _iter_q_chunks(axes, chunk):
         qpart = np.max(shrink[None, :] * np.abs(Q), axis=1)
         valid = qpart > 0.0  # excludes exactly q = 0
         if not np.any(valid):
@@ -179,18 +181,6 @@ class EscapeCell:
             "n": self.n,
             "boundary_n": self.boundary_n,
         }
-
-
-@dataclass(frozen=True)
-class EscapeReport:
-    """Escape fractions over a (t, eps) table for one map and measure."""
-
-    map_label: str
-    measure_label: str
-    cells: tuple
-
-    def to_records(self) -> list:
-        return [c.to_record() for c in self.cells]
 
 
 def _escape_cells(
@@ -466,14 +456,12 @@ def thick_fraction_k2(
     margin: float = DEFAULT_MARGIN,
 ):
     """Fraction of 2x2 bases whose lattice avoids vectors shorter than eps."""
-    lam = shortest_supnorm_k2_batch(matrices)
-    boundary = np.abs(lam - eps) <= margin
-    inside = lam > eps + margin
-    n_eff = int(lam.size - np.count_nonzero(boundary))
+    region = trichotomy(shortest_supnorm_k2_batch(matrices), eps, margin)
+    boundary = int(np.count_nonzero(region == ThickRegion.BOUNDARY))
+    n_eff = region.size - boundary
     if n_eff == 0:
-        return 0.0, 0, int(lam.size)
-    return (int(np.count_nonzero(inside)) / n_eff, n_eff,
-            int(np.count_nonzero(boundary)))
+        return 0.0, 0, boundary
+    return int(np.count_nonzero(region == ThickRegion.INSIDE)) / n_eff, n_eff, boundary
 
 
 def equidist_test_k2(

@@ -30,7 +30,9 @@ from .errors import CapacityError, ParameterError
 from .lattice import (
     DEFAULT_MARGIN,
     LatticeBasis,
-    shortest_with_region,
+    ThickRegion,
+    shortest_vector_supnorm,
+    trichotomy,
 )
 from . import rng as _rng
 
@@ -468,28 +470,21 @@ def _lattice_status(
     if Y.k == 2:
         flow_exponents(t)  # overflow guard
         lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
-        if lam >= eps + margin:
-            return Solvability.UNSOLVABLE, None
-        if not lam < eps - margin:
-            return Solvability.BOUNDARY, None
-        p, q = pq  # never the q=0 column: its norm e^t exceeds 1 > eps
-        witness = DirichletWitness.checked(Y, t, eps, weak_q=False, p=(p,), q=(q,))
-        return Solvability.SOLVABLE, witness
-    basis = flowed_basis(Y, t)
-    sv, _ = shortest_with_region(basis, eps, margin)
-    # re-anchor the winner's norm in exact arithmetic: at larger flow
-    # times the basis-times-coefficients product cancels catastrophically
-    a = sv.coeffs[: Y.m]
-    q = sv.coeffs[Y.m:]
-    lam = _exact_coeff_norm(Y, t, a, q)
-    if lam >= eps + margin:
+        # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
+        p, q = ((pq[0],), (pq[1],)) if pq else ((), ())
+    else:
+        sv = shortest_vector_supnorm(flowed_basis(Y, t))
+        # re-anchor the winner's norm in exact arithmetic: at larger flow
+        # times the basis-times-coefficients product cancels catastrophically
+        a, q = sv.coeffs[: Y.m], sv.coeffs[Y.m:]
+        lam = _exact_coeff_norm(Y, t, a, q)
+        p = tuple(-x for x in a)
+    region = trichotomy(lam, eps, margin)
+    if region is ThickRegion.INSIDE:
         return Solvability.UNSOLVABLE, None
-    if not lam < eps - margin:
+    if region is ThickRegion.BOUNDARY:
         return Solvability.BOUNDARY, None
-    witness = DirichletWitness.checked(
-        Y, t, eps, weak_q=False, p=tuple(-x for x in a), q=q
-    )
-    return Solvability.SOLVABLE, witness
+    return Solvability.SOLVABLE, DirichletWitness.checked(Y, t, eps, weak_q=False, p=p, q=q)
 
 
 def dirichlet_solvable_lattice(
@@ -535,9 +530,6 @@ class CentralRay:
             WeightVector.central(m, n, start + j * self.step) for j in range(self.count)
         )
 
-    def drifts_away_from_walls(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class WeightedRay:
@@ -567,9 +559,6 @@ class WeightedRay:
             for j in range(self.count)
         )
 
-    def drifts_away_from_walls(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class ExplicitList:
@@ -588,9 +577,6 @@ class ExplicitList:
                 raise ParameterError("family element for m=%d,n=%d used with m=%d,n=%d"
                                      % (w.m, w.n, m, n))
         return self.items
-
-    def drifts_away_from_walls(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -618,9 +604,6 @@ class DriftingGrid:
                     raise ParameterError("base element has wrong (m, n)")
                 out.append(w.scaled(f / w.floor))
         return tuple(out)
-
-    def drifts_away_from_walls(self) -> bool:
-        return True
 
 
 TrajectoryFamily = CentralRay | WeightedRay | ExplicitList | DriftingGrid
@@ -726,8 +709,7 @@ def trajectory_lambda1(
             flow_exponents(w)  # overflow guard
             lam, _ = shortest_forms_vector(Y.entry(0, 0), w.t[0], w.t[1])
         else:
-            basis = flowed_basis(Y, w)
-            sv, _ = shortest_with_region(basis, eps=1.0, margin=0.0)
+            sv = shortest_vector_supnorm(flowed_basis(Y, w))
             lam = _exact_coeff_norm(Y, w, sv.coeffs[: Y.m], sv.coeffs[Y.m:])
         out.append((w, lam))
     return tuple(out)
@@ -777,68 +759,3 @@ def ba_quality(Y: LinearFormSystem, r, s, q_max: int) -> float:
         best = min(best, float(np.min(left * right)))
     return best
 
-
-# ---------------------------------------------------------------------------
-# Vectorized batch trichotomy (shared t and eps, many systems)
-# ---------------------------------------------------------------------------
-
-BATCH_SOLVABLE = 1
-BATCH_UNSOLVABLE = 0
-BATCH_BOUNDARY = 2
-
-
-def solvable_batch(
-    Y_stack: np.ndarray,
-    t: WeightVector,
-    eps: float,
-    margin: float = DEFAULT_MARGIN,
-    budget: int = DIRECT_BUDGET,
-) -> np.ndarray:
-    """Strict-system trichotomy for a stack of systems at one (t, eps).
-
-    Input shape (N, m, n); output int8 codes BATCH_SOLVABLE /
-    BATCH_UNSOLVABLE / BATCH_BOUNDARY.  Direct enumeration over the
-    q-box of radius (eps + margin) * e^{t_{m+j}}: every q outside the
-    box forces a coordinate above eps + margin, so the box minimum
-    decides the trichotomy exactly like the per-lattice route.  Used by
-    the Monte Carlo sweeps where one enumeration per sample would be
-    too slow; cross-checked against dirichlet_solvable_lattice in the
-    tests.
-    """
-    if not (0 < eps < 1):
-        raise ParameterError("batch route requires 0 < eps < 1")
-    stack = np.asarray(Y_stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != t.m or stack.shape[2] != t.n:
-        raise ParameterError("expected shape (N, %d, %d), got %r"
-                             % (t.m, t.n, stack.shape))
-    exps = flow_exponents(t)
-    grow = np.exp(exps[: t.m])         # e^{t_i}
-    shrink = np.exp(exps[t.m:])        # e^{-t_j}
-    bounds = [math.floor((eps + margin) / sh) for sh in shrink]
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
-    if total > budget:
-        raise CapacityError("batch enumeration needs %d candidates, budget %d"
-                            % (total, budget))
-    N = stack.shape[0]
-    if total == 1:
-        # no admissible nonzero q at all: nothing beats eps + margin
-        return np.full(N, BATCH_UNSOLVABLE, dtype=np.int8)
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    run_min = np.full(N, np.inf)
-    q_chunk = max(64, (1 << 23) // max(N * t.m, 1))
-    for _, Qi in _iter_q_chunks(axes, chunk=q_chunk):
-        Qc = Qi[np.any(Qi != 0, axis=1)].astype(float)  # (c, n)
-        if Qc.shape[0] == 0:
-            continue
-        q_norm = np.max(np.abs(Qc) * shrink[None, :], axis=1)      # (c,)
-        R = np.einsum("imn,cn->imc", stack, Qc)                    # (N, m, c)
-        dist = np.abs(R - np.rint(R))
-        form_norm = np.max(dist * grow[None, :, None], axis=1)     # (N, c)
-        norm = np.maximum(form_norm, q_norm[None, :])
-        run_min = np.minimum(run_min, norm.min(axis=1))
-    codes = np.full(N, BATCH_BOUNDARY, dtype=np.int8)
-    codes[run_min >= eps + margin] = BATCH_UNSOLVABLE
-    codes[run_min < eps - margin] = BATCH_SOLVABLE
-    return codes

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ NODE_CAP = 10_000_000
 MAX_DIM = 6
 
 _REDUCE_ITER_CAP = 20_000
+_LLL_DELTA = 0.99
+_K2_MAX_ITER = 200
 _TAG_UNIMODULAR = 11
 
 
@@ -107,7 +109,6 @@ class ShortestVectorResult:
     coeffs: tuple[int, ...]
     image: np.ndarray
     length: float
-    boundary: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +130,11 @@ class ThickRegion(enum.Enum):
     INSIDE = "inside"
     OUTSIDE = "outside"
     BOUNDARY = "boundary"
+
+
+# indexed by 1 + (inside test) - (outside test), see trichotomy
+_REGIONS = np.array([ThickRegion.OUTSIDE, ThickRegion.BOUNDARY, ThickRegion.INSIDE],
+                    dtype=object)
 
 
 def integer_det(M) -> int:
@@ -174,7 +180,7 @@ def _gram_schmidt(B):
     return Bstar, mu, norms2
 
 
-def reduce_basis(basis: LatticeBasis, delta: float = 0.99) -> BasisReduction:
+def reduce_basis(basis: LatticeBasis) -> BasisReduction:
     """LLL-style reduction of the columns, tracking the integer transform.
 
     The float basis is only a preconditioner for enumeration, but the
@@ -212,7 +218,7 @@ def reduce_basis(basis: LatticeBasis, delta: float = 0.99) -> BasisReduction:
             if r != 0:
                 add_col(i, j, -int(r))
                 _, mu, norms2 = _gram_schmidt(B[:, : i + 1])
-        if norms2[i] >= (delta - mu[i, i - 1] ** 2) * norms2[i - 1]:
+        if norms2[i] >= (_LLL_DELTA - mu[i, i - 1] ** 2) * norms2[i - 1]:
             i += 1
         else:
             swap_cols(i, i - 1)
@@ -320,17 +326,9 @@ def _enumerate_shortest(B, U, node_cap):
 
 def shortest_vector_supnorm(
     basis: LatticeBasis,
-    margin: float = 0.0,
     node_cap: int = NODE_CAP,
 ) -> ShortestVectorResult:
-    """Globally minimal nonzero lattice vector in the sup norm.
-
-    ``margin`` is the decision margin a caller will use when comparing
-    the length against a threshold; it only affects the ``boundary``
-    flag downstream (see :func:`classify_thick`), never the minimum.
-    """
-    if margin < 0:
-        raise ParameterError("margin must be >= 0")
+    """Globally minimal nonzero lattice vector in the sup norm."""
     red = reduce_basis(basis)
     coeffs, _ = _enumerate_shortest(red.reduced.columns, red.transform, node_cap)
     image = basis.columns @ np.array(coeffs, dtype=float)
@@ -339,20 +337,29 @@ def shortest_vector_supnorm(
                                 image=image, length=length)
 
 
+def trichotomy(lam, eps: float, margin: float):
+    """The one decision rule placing shortest-vector lengths against eps.
+
+    OUTSIDE iff lam < eps - margin (a nonzero vector shorter than eps),
+    INSIDE iff lam >= eps + margin (the eps-thick part), BOUNDARY
+    otherwise, NaN included.  A scalar ``lam`` gives one ThickRegion, an
+    array gives an object array of them.  Callers must treat BOUNDARY as
+    indeterminate, never coerce it.
+    """
+    if eps <= 0:
+        raise ParameterError("eps must be positive, got %r" % (eps,))
+    if margin < 0:
+        raise ParameterError("margin must be >= 0")
+    lam = np.asarray(lam, dtype=float)
+    return _REGIONS[1 + (lam >= eps + margin).astype(np.intp) - (lam < eps - margin)]
+
+
 def classify_thick(
     basis: LatticeBasis,
     eps: float,
     margin: float = DEFAULT_MARGIN,
 ) -> ThickRegion:
-    """Trichotomy: does the lattice avoid all nonzero vectors shorter than eps?
-
-    INSIDE means the shortest vector has length >= eps + margin (the
-    lattice sits in the eps-thick part), OUTSIDE means it is shorter
-    than eps - margin, BOUNDARY anything in between.  Callers must
-    treat BOUNDARY as indeterminate, never coerce it.
-    """
-    if eps <= 0:
-        raise ParameterError("eps must be positive, got %r" % (eps,))
+    """Trichotomy: does the lattice avoid all nonzero vectors shorter than eps?"""
     _, region = shortest_with_region(basis, eps, margin)
     return region
 
@@ -362,17 +369,9 @@ def shortest_with_region(
     eps: float,
     margin: float = DEFAULT_MARGIN,
 ) -> tuple[ShortestVectorResult, ThickRegion]:
-    """classify_thick plus the witnessing shortest vector (flagged if borderline)."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive, got %r" % (eps,))
-    if margin < 0:
-        raise ParameterError("margin must be >= 0")
-    sv = shortest_vector_supnorm(basis, margin=margin)
-    if sv.length >= eps + margin:
-        return sv, ThickRegion.INSIDE
-    if sv.length < eps - margin:
-        return sv, ThickRegion.OUTSIDE
-    return replace(sv, boundary=True), ThickRegion.BOUNDARY
+    """classify_thick plus the witnessing shortest vector."""
+    sv = shortest_vector_supnorm(basis)
+    return sv, trichotomy(sv.length, eps, margin)
 
 
 def random_unimodular(seed: int, k: int, spread: float = 1.0) -> LatticeBasis:
@@ -430,7 +429,7 @@ _K2_STENCIL = np.array(
 )
 
 
-def shortest_supnorm_k2_batch(bases: np.ndarray, max_iter: int = 200) -> np.ndarray:
+def shortest_supnorm_k2_batch(bases: np.ndarray) -> np.ndarray:
     """Sup-norm first minimum for a stack of 2x2 bases, shape (N, 2, 2).
 
     After the Euclidean two-vector reduction the sup-norm minimizer has
@@ -442,7 +441,7 @@ def shortest_supnorm_k2_batch(bases: np.ndarray, max_iter: int = 200) -> np.ndar
         raise ParameterError("expected shape (N, 2, 2), got %r" % (B.shape,))
     u = B[:, :, 0].copy()
     v = B[:, :, 1].copy()
-    for _ in range(max_iter):
+    for _ in range(_K2_MAX_ITER):
         uu = np.einsum("ij,ij->i", u, u)
         uv = np.einsum("ij,ij->i", u, v)
         r = np.rint(uv / uu)
@@ -456,7 +455,8 @@ def shortest_supnorm_k2_batch(bases: np.ndarray, max_iter: int = 200) -> np.ndar
             break
         u[swap], v[swap] = v[swap].copy(), u[swap].copy()
     else:
-        raise DegenerateBasisError("2-D reduction did not converge in %d passes" % max_iter)
+        raise DegenerateBasisError("2-D reduction did not converge in %d passes"
+                                   % _K2_MAX_ITER)
     # candidates: stencil coefficients applied to the reduced pair
     cand = (_K2_STENCIL[:, 0][None, :, None] * u[:, None, :]
             + _K2_STENCIL[:, 1][None, :, None] * v[:, None, :])

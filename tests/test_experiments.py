@@ -77,8 +77,9 @@ def test_batch_kernel_excludes_origin():
 def test_batch_kernel_budget_and_validation():
     t = WeightVector(1, 2, (6.0, 3.0, 3.0))
     rows = np.zeros((3, 2))
+    # cap * e^9 ~ 4051 per axis: about 6.6e7 grid points, over SCAN_BUDGET
     with pytest.raises(CapacityError):
-        _lambda1_rows_batch(rows, t, cap=0.5, budget=10)
+        _lambda1_rows_batch(rows, WeightVector(1, 2, (18.0, 9.0, 9.0)), cap=0.5)
     with pytest.raises(ParameterError):
         _lambda1_rows_batch(rows, WeightVector(2, 1, (1.0, 2.0, 3.0)), cap=0.5)
     with pytest.raises(ParameterError):

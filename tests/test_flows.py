@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from dirichlet_lab.errors import CapacityError, ParameterError
+from dirichlet_lab.experiments import _lambda1_rows_batch
 from dirichlet_lab.flows import (
-    BATCH_BOUNDARY,
-    BATCH_SOLVABLE,
-    BATCH_UNSOLVABLE,
     CentralRay,
     DirichletWitness,
     DriftingGrid,
@@ -34,10 +32,10 @@ from dirichlet_lab.flows import (
     liouville_system,
     random_forms,
     shortest_forms_vector,
-    solvable_batch,
     trajectory_lambda1,
     witness_holds,
 )
+from dirichlet_lab.lattice import DEFAULT_MARGIN, ThickRegion, trichotomy
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,6 @@ def test_central_ray_generation():
     assert norms == [1.0, 2.0, 3.0, 4.0, 5.0]
     fam2 = CentralRay(step=0.5, count=3, start=2.0)
     assert [w.norm for w in fam2.weights(1, 1)] == [2.0, 2.5, 3.0]
-    assert fam.drifts_away_from_walls()
 
 
 def test_weighted_ray_generation():
@@ -295,7 +292,6 @@ def test_weighted_ray_generation():
 
 def test_explicit_list_checks_shapes():
     fam = ExplicitList((WeightVector(1, 1, (1.0, 1.0)),))
-    assert not fam.drifts_away_from_walls()
     with pytest.raises(ParameterError):
         fam.weights(1, 2)
 
@@ -306,7 +302,6 @@ def test_drifting_grid_scales_to_floors():
     ws = fam.weights(1, 2)
     assert [w.floor for w in ws] == [1.0, 3.0]
     assert ws[1].t == pytest.approx((6.0, 3.0, 3.0))
-    assert fam.drifts_away_from_walls()
     with pytest.raises(ParameterError):
         DriftingGrid(base=base, floors=(3.0, 1.0))
 
@@ -403,27 +398,23 @@ def test_ba_quality_budget():
 
 
 # ---------------------------------------------------------------------------
-# batch trichotomy
+# batch q-grid kernel against the lattice route
 # ---------------------------------------------------------------------------
 
 
 def test_batch_matches_lattice_route():
-    m, n = 1, 2
+    # the float q-grid scan plus the shared decision rule must reproduce
+    # the per-system lattice route, labels included
     t = WeightVector(1, 2, (2.0, 1.0, 1.0))
     eps = 0.4
-    stack = np.stack([random_forms(6000 + i, m, n).Y for i in range(60)])
-    codes = solvable_batch(stack, t, eps)
+    rows = np.stack([random_forms(6000 + i, 1, 2).Y[0] for i in range(60)])
+    regions = trichotomy(_lambda1_rows_batch(rows, t, eps + DEFAULT_MARGIN), eps,
+                         DEFAULT_MARGIN)
+    label = {
+        ThickRegion.OUTSIDE: Solvability.SOLVABLE,
+        ThickRegion.INSIDE: Solvability.UNSOLVABLE,
+        ThickRegion.BOUNDARY: Solvability.BOUNDARY,
+    }
     for i in range(60):
-        status = dirichlet_solvable_lattice(LinearFormSystem(stack[i]), t, eps)
-        expected = {
-            Solvability.SOLVABLE: BATCH_SOLVABLE,
-            Solvability.UNSOLVABLE: BATCH_UNSOLVABLE,
-            Solvability.BOUNDARY: BATCH_BOUNDARY,
-        }[status]
-        assert codes[i] == expected, "sample %d" % i
-
-
-def test_batch_rejects_bad_shape():
-    t = WeightVector(1, 1, (1.0, 1.0))
-    with pytest.raises(ParameterError):
-        solvable_batch(np.zeros((4, 2, 2)), t, 0.5)
+        status = dirichlet_solvable_lattice(LinearFormSystem(rows[i:i + 1]), t, eps)
+        assert label[regions[i]] is status, "sample %d" % i

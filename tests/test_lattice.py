@@ -14,6 +14,7 @@ from dirichlet_lab.lattice import (
     shortest_supnorm_k2_batch,
     shortest_vector_supnorm,
     shortest_with_region,
+    trichotomy,
 )
 
 from oracles import brute_force_shortest_supnorm
@@ -127,8 +128,22 @@ def test_classify_thick_boundary_band():
     basis = LatticeBasis(np.eye(2))
     sv, region = shortest_with_region(basis, eps=1.0, margin=1e-9)
     assert region is ThickRegion.BOUNDARY
-    assert sv.boundary
+    assert sv.length == 1.0
     assert classify_thick(basis, eps=1.0 - 1e-6) is ThickRegion.INSIDE
+
+
+def test_trichotomy_edges():
+    eps, margin = 0.5, 1e-9
+    lo, hi = eps - margin, eps + margin
+    below = np.nextafter(lo, -np.inf)
+    expected = [ThickRegion.OUTSIDE, ThickRegion.BOUNDARY, ThickRegion.BOUNDARY,
+                ThickRegion.INSIDE]
+    lams = [below, lo, eps, hi]
+    assert [trichotomy(lam, eps, margin) for lam in lams] == expected
+    assert list(trichotomy(np.array(lams), eps, margin)) == expected
+    assert trichotomy(np.nan, eps, margin) is ThickRegion.BOUNDARY
+    with pytest.raises(ParameterError):
+        trichotomy(0.3, eps, -1e-9)
 
 
 def test_node_cap_raises_capacity_error():
