@@ -5,12 +5,15 @@ and classification runs (trajectory, di), the sampling experiments
 (escape, decay, equidist, counterexample), and the measure testers
 (good-test, federer-test, nonplanar-test).
 
-Every subcommand accepts --config FILE (values there fill in whatever
-flags omit), --dry-run (validate and show the plan, compute nothing),
-and --output DIR.  Runs write report.jsonl / report.csv /
-config.resolved into the run directory; the default parent directory is
-$DIRICHLET_LAB_OUTDIR or ./runs.  Exit codes: 0 success, 2 bad
-arguments, 3 capacity exceeded.
+Each subcommand declares its parameters once, in an ordered table
+(``_COMMANDS``) that gives the parser its flags.  Every value comes from
+its flag, else the --config FILE key of the same name (``-`` becomes
+``_``; ``--family`` is ``trajectory``), else its default, and is
+recorded in table order.  Handlers validate, then compute; --dry-run
+stops after validation and prints the plan.  Runs write report.jsonl /
+report.csv / config.resolved into --output, else
+$DIRICHLET_LAB_OUTDIR/<experiment>, else ./runs/<experiment>.  Exit
+codes: 0 success, 2 bad arguments, 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,126 +74,12 @@ def _constant_source(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# parameter tables and the one resolver
 # ---------------------------------------------------------------------------
 
 
 def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ParameterError("expected a number list, got %r" % text)
-
-
-class _Run:
-    """Resolved parameters: CLI flag beats config file beats default."""
-
-    def __init__(self, args: argparse.Namespace, experiment: str):
-        self.args = args
-        self.experiment = experiment
-        self.cfg = None
-        if getattr(args, "config", None):
-            self.cfg = parse_config(Path(args.config).read_text())
-            if self.cfg.experiment != experiment:
-                raise ParameterError(
-                    "config is for experiment %r, not %r"
-                    % (self.cfg.experiment, experiment))
-        self.options: list = []
-
-    def _cfg_field(self, key):
-        if self.cfg is None:
-            return None
-        if key in OPTION_KEYS:
-            return self.cfg.option(key)
-        return getattr(self.cfg, key)
-
-    def scalar(self, key, default=None, conv=None, required=False):
-        """Resolve one value; experiment options are recorded for the config."""
-        value = getattr(self.args, key.replace("-", "_"), None)
-        if value is None:
-            value = self._cfg_field(key)
-        if value is None:
-            value = default
-        if value is None:
-            if required:
-                raise ParameterError("missing required parameter --%s" % key)
-            return None
-        if conv is not None and isinstance(value, str):
-            try:
-                value = conv(value)
-            except ParameterError:
-                raise
-            except (TypeError, ValueError):
-                raise ParameterError("bad value for --%s: %r" % (key, value))
-        if key in OPTION_KEYS:
-            self.options.append((key, _option_text(value)))
-        return value
-
-    def repeated(self, key, required=False):
-        value = getattr(self.args, key.replace("-", "_"), None)
-        if not value:
-            value = (self.cfg.option_list(key) if self.cfg else ()) or None
-        if not value:
-            if required:
-                raise ParameterError("missing required parameter --%s" % key)
-            return ()
-        for item in value:
-            self.options.append((key, str(item)))
-        return tuple(value)
-
-    def eps_values(self, required=True):
-        value = getattr(self.args, "eps", None)
-        if value is None and self.cfg is not None and self.cfg.eps:
-            value = self.cfg.eps
-        if value is None:
-            if required:
-                raise ParameterError("missing required parameter --eps")
-            return ()
-        return tuple(float(v) for v in value)
-
-    def resolved_config(self, eps=(), samples=None, margin=None,
-                        measure=None, map_decl=None, trajectory=()):
-        seed = self.scalar("seed", default=0, conv=int)
-        output = self.scalar("output")
-        return RunConfig(
-            experiment=self.experiment,
-            seed=int(seed),
-            output=output,
-            eps=eps,
-            samples=samples,
-            margin=margin,
-            measure=measure,
-            map=map_decl,
-            trajectory=trajectory,
-            options=tuple(self.options),
-        )
-
-    def finish(self, config: RunConfig, records, summary_lines) -> int:
-        from .reports import write_report
-
-        run_dir = Path(config.output) if config.output else (
-            Path(os.environ.get(_ENV_OUTDIR, "runs")) / self.experiment)
-        if self.args.dry_run:
-            print("dry-run: plan resolved, nothing computed or written")
-            print("would write: %s" % (run_dir / "report.jsonl"))
-            sys.stdout.write(config.to_text())
-            return 0
-        for line in summary_lines:
-            print(line)
-        write_report(run_dir, config, records)
-        print("wrote %s" % (run_dir / "report.jsonl"))
-        return 0
-
-    def dry(self) -> bool:
-        return bool(self.args.dry_run)
-
-    def family_records(self) -> tuple:
-        value = getattr(self.args, "family", None)
-        if not value:
-            value = (self.cfg.trajectory if self.cfg else ()) or None
-        if not value:
-            raise ParameterError("missing required parameter --family")
-        return tuple(value)
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_bool(text: str) -> bool:
@@ -196,7 +87,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if text in ("false", "0", "no"):
         return False
-    raise ParameterError("expected true/false, got %r" % text)
+    raise ValueError(text)
 
 
 def _option_text(value) -> str:
@@ -209,36 +100,126 @@ def _option_text(value) -> str:
     return str(value)
 
 
-def _ball(run: _Run) -> Ball:
-    center = run.scalar("ball_center", required=True, conv=_float_list)
-    radius = run.scalar("ball_radius", required=True, conv=float)
-    return Ball(center, radius)
+class _Param(NamedTuple):
+    """One subcommand parameter: config key, conversion, default, flag."""
+
+    key: str
+    conv: Callable | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    kind: str = "one"  # "list": --eps a b; "append": repeat the flag; "switch": no value
+    flag: str | None = None  # only where the flag name differs from the key
+
+    @property
+    def name(self) -> str:
+        return self.flag or self.key
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.kind == "switch":
+            extra = dict(action="store_true", default=None)
+        else:
+            extra = dict(type=self.conv, nargs="+" if self.kind == "list" else None,
+                         action="append" if self.kind == "append" else None)
+        parser.add_argument("--" + self.name.replace("_", "-"), help=self.help, **extra)
+
+    def resolve(self, flag_value, cfg: RunConfig | None):
+        """Flag beats config file beats default; config text is converted."""
+        if cfg is None:
+            from_cfg = None
+        elif self.key not in OPTION_KEYS:
+            from_cfg = getattr(cfg, self.key)
+        elif self.kind == "append":
+            from_cfg = cfg.option_list(self.key)
+        else:
+            from_cfg = cfg.option(self.key)
+        for value in (flag_value, from_cfg, self.default):
+            if value is not None and value != ():
+                break
+        else:
+            if self.required:
+                raise ParameterError("missing required parameter --%s" % self.name)
+            return None
+        if self.conv is not None and isinstance(value, str):
+            try:
+                value = self.conv(value)
+            except ValueError:
+                raise ParameterError("bad value for --%s: %r" % (self.name, value))
+        return tuple(value) if self.kind in ("list", "append") else value
+
+
+class _Command(NamedTuple):
+    help: str
+    description: str | None
+    sampling: bool  # takes --workers
+    handler: Callable  # generator: validates, yields, computes, yields (records, lines)
+    params: tuple
+
+
+_COMMON = (
+    _Param("seed", int, 0, help="RNG seed (default 0)"),
+    _Param("output", help="run directory (default $%s/<experiment>)" % _ENV_OUTDIR),
+)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Resolve the subcommand's table, validate, then print the plan or run and report."""
+    from .reports import write_report
+
+    experiment = args.command
+    command = _COMMANDS[experiment]
+    cfg = None
+    if args.config:
+        cfg = parse_config(Path(args.config).read_text())
+        if cfg.experiment != experiment:
+            raise ParameterError(
+                "config is for experiment %r, not %r" % (cfg.experiment, experiment))
+    values, fields, options = {"workers": getattr(args, "workers", 1)}, {}, []
+    for param in command.params + _COMMON:
+        value = values[param.key] = param.resolve(getattr(args, param.name), cfg)
+        if param.key not in OPTION_KEYS:
+            fields[param.key] = value
+        elif value is not None:
+            items = value if param.kind == "append" else (value,)
+            options.extend((param.key, _option_text(item)) for item in items)
+    config = RunConfig(experiment=experiment, options=tuple(options), **fields)
+    steps = command.handler(SimpleNamespace(**values))
+    next(steps)  # inputs valid
+    run_dir = Path(config.output) if config.output else (
+        Path(os.environ.get(_ENV_OUTDIR, "runs")) / experiment)
+    if args.dry_run:
+        print("dry-run: plan resolved, nothing computed or written")
+        print("would write: %s" % (run_dir / "report.jsonl"))
+        sys.stdout.write(config.to_text())
+        return 0
+    records, lines = next(steps)
+    for line in lines:
+        print(line)
+    write_report(run_dir, config, records)
+    print("wrote %s" % (run_dir / "report.jsonl"))
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: validate the inputs, yield, compute, yield the result
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
-    run = _Run(args, "check")
-    m = run.scalar("m", default=1, conv=int)
-    n = run.scalar("n", default=1, conv=int)
-    Y_text = run.scalar("Y", required=True)
-    t_text = run.scalar("t", required=True)
-    weak_q = bool(run.scalar("weak_q", default=False, conv=_parse_bool))
-    eps = run.eps_values()
-    if len(eps) != 1:
-        raise ParameterError("check takes exactly one eps value")
-    Y = parse_forms(Y_text, m, n)
-    t = parse_weight_vector(t_text, m, n)
-    config = run.resolved_config(eps=eps)
-    if run.dry():
-        return run.finish(config, [], [])
-    witness = dirichlet_solvable_direct(Y, t, eps[0], weak_q=weak_q)
+def _one_eps(v, experiment: str) -> float:
+    if len(v.eps) != 1:
+        raise ParameterError("%s takes exactly one eps value" % experiment)
+    return v.eps[0]
+
+
+def _cmd_check(v):
+    eps = _one_eps(v, "check")
+    Y = parse_forms(v.Y, v.m, v.n)
+    t = parse_weight_vector(v.t, v.m, v.n)
+    yield
+    witness = dirichlet_solvable_direct(Y, t, eps, weak_q=v.weak_q)
     record = {
-        "experiment": "check", "m": m, "n": n, "Y": Y_text,
-        "t": list(t.t), "eps": eps[0], "weak_q": weak_q,
+        "experiment": "check", "m": v.m, "n": v.n, "Y": v.Y,
+        "t": list(t.t), "eps": eps, "weak_q": v.weak_q,
         "solvable": witness is not None,
         "witness_p": list(witness.p) if witness else None,
         "witness_q": list(witness.q) if witness else None,
@@ -247,20 +228,13 @@ def _cmd_check(args) -> int:
         line = "unsolvable"
     else:
         line = "solvable p=%s q=%s" % (list(witness.p), list(witness.q))
-    return run.finish(config, [record], [line])
+    yield [record], [line]
 
 
-def _cmd_trajectory(args) -> int:
-    run = _Run(args, "trajectory")
-    m = run.scalar("m", default=1, conv=int)
-    n = run.scalar("n", default=1, conv=int)
-    Y_text = run.scalar("Y", required=True)
-    family_records = run.family_records()
-    Y = parse_forms(Y_text, m, n)
-    family = parse_trajectory(family_records, m, n)
-    config = run.resolved_config(trajectory=tuple(family_records))
-    if run.dry():
-        return run.finish(config, [], [])
+def _cmd_trajectory(v):
+    Y = parse_forms(v.Y, v.m, v.n)
+    family = parse_trajectory(v.trajectory, v.m, v.n)
+    yield
     series = trajectory_lambda1(Y, family)
     records = [
         {"t": list(w.t), "norm": w.norm, "floor": w.floor, "lambda1": lam}
@@ -269,71 +243,45 @@ def _cmd_trajectory(args) -> int:
     lines = ["t=%s lambda1=%.6g" % (list(w.t), lam) for w, lam in series[:10]]
     if len(series) > 10:
         lines.append("... (%d points total)" % len(series))
-    return run.finish(config, records, lines)
+    yield records, lines
 
 
-def _cmd_di(args) -> int:
-    run = _Run(args, "di")
-    m = run.scalar("m", default=1, conv=int)
-    n = run.scalar("n", default=1, conv=int)
-    Y_text = run.scalar("Y", required=True)
-    family_records = run.family_records()
-    horizon = run.scalar("horizon", required=True, conv=float)
-    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float)
-    eps = run.eps_values()
-    if len(eps) != 1:
-        raise ParameterError("di takes exactly one eps value")
-    Y = parse_forms(Y_text, m, n)
-    family = parse_trajectory(family_records, m, n)
-    config = run.resolved_config(eps=eps, margin=margin,
-                                 trajectory=tuple(family_records))
-    if run.dry():
-        return run.finish(config, [], [])
-    report = di_classify(Y, family, eps[0], horizon, margin=margin)
+def _cmd_di(v):
+    eps = _one_eps(v, "di")
+    Y = parse_forms(v.Y, v.m, v.n)
+    family = parse_trajectory(v.trajectory, v.m, v.n)
+    yield
+    report = di_classify(Y, family, eps, v.horizon, margin=v.margin)
     lines = [
         "verdict: %s" % report.verdict.value,
         "last not-solvable norm: %s" % (report.last_not_solvable_norm,),
     ]
-    return run.finish(config, report.to_records(), lines)
+    yield report.to_records(), lines
 
 
-def _scan_inputs(args, experiment: str):
-    """(run, config, scan keyword arguments) shared by escape and decay."""
-    run = _Run(args, experiment)
-    map_decl = run.scalar("map", required=True)
-    measure_decl = run.scalar("measure", required=True)
-    mapping = parse_map(map_decl)
-    measure = parse_measure(measure_decl)
-    ball = _ball(run)
-    t_texts = run.repeated("t", required=True)
-    weights = [parse_weight_vector(txt, 1, mapping.n) for txt in t_texts]
-    eps = run.eps_values()
-    samples = run.scalar("samples", default=20_000, conv=int)
-    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float)
-    depth = run.scalar("depth", default=20, conv=int)
-    config = run.resolved_config(eps=eps, samples=samples, margin=margin,
-                                 measure=measure_decl, map_decl=map_decl)
-    scan_args = dict(mapping=mapping, measure=measure, ball=ball, t_list=weights,
-                     eps_grid=eps, samples=samples, seed=config.seed, depth=depth,
-                     margin=margin, workers=args.workers)
-    return run, config, scan_args
+def _scan_inputs(v) -> dict:
+    """Keyword arguments of escape_table / nondiv_decay_scan."""
+    mapping = parse_map(v.map)
+    measure = parse_measure(v.measure)
+    ball = Ball(v.ball_center, v.ball_radius)
+    weights = [parse_weight_vector(txt, 1, mapping.n) for txt in v.t]
+    return dict(mapping=mapping, measure=measure, ball=ball, t_list=weights,
+                eps_grid=v.eps, samples=v.samples, seed=v.seed, depth=v.depth,
+                margin=v.margin, workers=v.workers)
 
 
-def _cmd_escape(args) -> int:
-    run, config, scan_args = _scan_inputs(args, "escape")
-    if run.dry():
-        return run.finish(config, [], [])
+def _cmd_escape(v):
+    scan_args = _scan_inputs(v)
+    yield
     cells = escape_table(**scan_args)
-    records = [c.to_record() for c in cells]
     lines = ["t=%s eps=%g fraction=%.6g ci=%.2g" % (list(c.t), c.eps, c.fraction, c.ci)
              for c in cells]
-    return run.finish(config, records, lines)
+    yield [c.to_record() for c in cells], lines
 
 
-def _cmd_decay(args) -> int:
-    run, config, scan_args = _scan_inputs(args, "decay")
-    if run.dry():
-        return run.finish(config, [], [])
+def _cmd_decay(v):
+    scan_args = _scan_inputs(v)
+    yield
     scan = nondiv_decay_scan(**scan_args)
     lines = [
         "pooled decay: alpha=%s c2=%s (zero cells excluded: %d)"
@@ -341,201 +289,235 @@ def _cmd_decay(args) -> int:
         "per-eps max fraction: %s" % (list(scan.column_max),),
         "per-eps span over t:  %s" % (list(scan.column_span),),
     ]
-    return run.finish(config, scan.to_records(), lines)
+    yield scan.to_records(), lines
 
 
-def _cmd_equidist(args) -> int:
-    run = _Run(args, "equidist")
-    interval = run.scalar("interval", required=True, conv=_float_list)
-    if len(interval) != 2:
+def _cmd_equidist(v):
+    if len(v.interval) != 2:
         raise ParameterError("--interval takes two numbers lo,hi")
-    y0 = run.scalar("y0", default=0.0, conv=float)
-    flow_time = run.scalar("flow_time", required=True, conv=float)
-    eps = run.eps_values()
-    if len(eps) != 1:
-        raise ParameterError("equidist takes exactly one eps value")
-    samples = run.scalar("samples", default=100_000, conv=int)
-    margin = run.scalar("margin", default=DEFAULT_MARGIN, conv=float)
-    config = run.resolved_config(eps=eps, samples=samples, margin=margin)
-    if run.dry():
-        return run.finish(config, [], [])
-    report = equidist_test_k2(interval, y0, flow_time, eps[0],
-                              samples=samples, seed=config.seed,
-                              margin=margin, workers=args.workers)
+    eps = _one_eps(v, "equidist")
+    yield
+    report = equidist_test_k2(v.interval, v.y0, v.flow_time, eps,
+                              samples=v.samples, seed=v.seed,
+                              margin=v.margin, workers=v.workers)
     lines = [
         "translate=%.6g haar=%.6g discrepancy=%+.6g"
         % (report.translate_estimate, report.haar_estimate, report.discrepancy),
     ]
-    return run.finish(config, [report.to_record()], lines)
+    yield [report.to_record()], lines
 
 
-def _cmd_counterexample(args) -> int:
-    run = _Run(args, "counterexample")
-    eps = run.eps_values()
-    if len(eps) != 1:
-        raise ParameterError("counterexample takes exactly one eps value")
-    u = run.scalar("u", required=True, conv=float)
-    s_values = run.scalar("s", required=True, conv=_float_list)
-    systems = run.scalar("systems", default=100, conv=int)
-    config = run.resolved_config(eps=eps)
+def _cmd_counterexample(v):
+    eps = _one_eps(v, "counterexample")
     # surface the window violation before any heavy work, dry-run included
-    if not (1.0 / eps[0] ** 2 < math.exp(u) < 2.0 * eps[0]):
+    if not (1.0 / eps ** 2 < math.exp(v.u) < 2.0 * eps):
         raise ParameterError(
             "empty parameter window: need 1/eps^2 < e^u < 2*eps, got "
             "1/eps^2=%g, e^u=%g, 2*eps=%g"
-            % (1.0 / eps[0] ** 2, math.exp(u), 2.0 * eps[0]))
-    if run.dry():
-        return run.finish(config, [], [])
-    record = no_drift_counterexample(eps[0], u, s_values, systems=systems,
-                                     seed=config.seed)
+            % (1.0 / eps ** 2, math.exp(v.u), 2.0 * eps))
+    yield
+    record = no_drift_counterexample(eps, v.u, v.s, systems=v.systems, seed=v.seed)
     lines = [
         "cases: %d  all_pass: %s  max lambda1: %.6g"
         % (len(record.cases), record.all_pass, record.max_lambda1),
     ]
-    return run.finish(config, record.to_records(), lines)
+    yield record.to_records(), lines
 
 
-def _cmd_good_test(args) -> int:
-    run = _Run(args, "good-test")
-    map_decl = run.scalar("map", required=True)
-    measure_decl = run.scalar("measure", required=True)
-    mapping = parse_map(map_decl)
-    measure = parse_measure(measure_decl)
-    ball = _ball(run)
-    coord = run.scalar("coord", default=1, conv=int)
-    if not 1 <= coord <= mapping.n:
+def _cmd_good_test(v):
+    mapping = parse_map(v.map)
+    measure = parse_measure(v.measure)
+    ball = Ball(v.ball_center, v.ball_radius)
+    if not 1 <= v.coord <= mapping.n:
         raise ParameterError("--coord must be in 1..%d" % mapping.n)
-    alpha = run.scalar("alpha", required=True, conv=float)
-    eps = run.eps_values()
-    samples = run.scalar("samples", default=100_000, conv=int)
-    depth = run.scalar("depth", default=20, conv=int)
-    config = run.resolved_config(eps=eps, samples=samples,
-                                 measure=measure_decl, map_decl=map_decl)
-    if run.dry():
-        return run.finish(config, [], [])
+    yield
 
     def f(x):
-        return mapping.evaluate(np.asarray(x, dtype=float))[:, coord - 1]
+        return mapping.evaluate(np.asarray(x, dtype=float))[:, v.coord - 1]
 
-    est = cgood_empirical(f, measure, ball, alpha, eps, samples=samples,
-                          seed=config.seed, depth=depth, workers=args.workers)
+    est = cgood_empirical(f, measure, ball, v.alpha, v.eps, samples=v.samples,
+                          seed=v.seed, depth=v.depth, workers=v.workers)
     records = [
-        {"experiment": "good-test", "seed": config.seed, "coord": coord,
+        {"experiment": "good-test", "seed": v.seed, "coord": v.coord,
          "alpha": est.alpha, "eps": e, "fraction": fr, "half_width": hw,
          "sup_norm": est.sup_norm, "C": est.C, "degenerate": est.degenerate}
         for e, fr, hw in zip(est.eps_grid, est.fractions, est.half_widths)
     ]
     lines = ["C=%.6g alpha=%g sup=%.6g degenerate=%s"
              % (est.C, est.alpha, est.sup_norm, est.degenerate)]
-    return run.finish(config, records, lines)
+    yield records, lines
 
 
-def _cmd_federer_test(args) -> int:
-    run = _Run(args, "federer-test")
-    measure_decl = run.scalar("measure", required=True)
-    measure = parse_measure(measure_decl)
-    region = _ball(run)
-    ball_count = run.scalar("ball_count", default=200, conv=int)
-    samples = run.scalar("samples", default=200_000, conv=int)
-    depth = run.scalar("depth", default=20, conv=int)
-    center_fraction = run.scalar("center_fraction", default=0.2, conv=float)
-    radius_range = run.scalar("radius_range", default=(0.8, 1.0), conv=_float_list)
-    config = run.resolved_config(samples=samples, measure=measure_decl)
-    if run.dry():
-        return run.finish(config, [], [])
-    est = federer_empirical(measure, region, ball_count=ball_count,
-                            samples=samples, seed=config.seed, depth=depth,
-                            center_fraction=center_fraction,
-                            radius_range=tuple(radius_range),
-                            workers=args.workers)
-    record = {"experiment": "federer-test", "seed": config.seed,
+def _cmd_federer_test(v):
+    measure = parse_measure(v.measure)
+    region = Ball(v.ball_center, v.ball_radius)
+    yield
+    est = federer_empirical(measure, region, ball_count=v.ball_count,
+                            samples=v.samples, seed=v.seed, depth=v.depth,
+                            center_fraction=v.center_fraction,
+                            radius_range=v.radius_range, workers=v.workers)
+    record = {"experiment": "federer-test", "seed": v.seed,
               "ratio": est.ratio, "half_width": est.half_width,
               "balls_used": est.balls_used,
               "worst_center": list(est.worst_center),
               "worst_radius": est.worst_radius}
     lines = ["max nu(3B)/nu(B) = %.6g (half-width %.2g, %d balls)"
              % (est.ratio, est.half_width, est.balls_used)]
-    return run.finish(config, [record], lines)
+    yield [record], lines
 
 
-def _cmd_nonplanar_test(args) -> int:
-    run = _Run(args, "nonplanar-test")
-    map_decl = run.scalar("map", required=True)
-    measure_decl = run.scalar("measure", required=True)
-    mapping = parse_map(map_decl)
-    measure = parse_measure(measure_decl)
-    ball = _ball(run)
-    samples = run.scalar("samples", default=20_000, conv=int)
-    depth = run.scalar("depth", default=20, conv=int)
-    config = run.resolved_config(samples=samples, measure=measure_decl,
-                                 map_decl=map_decl)
-    if run.dry():
-        return run.finish(config, [], [])
-    result = nonplanar_test(mapping, measure, ball, samples=samples,
-                            seed=config.seed, depth=depth,
-                            workers=args.workers)
-    record = {"experiment": "nonplanar-test", "seed": config.seed,
+def _cmd_nonplanar_test(v):
+    mapping = parse_map(v.map)
+    measure = parse_measure(v.measure)
+    ball = Ball(v.ball_center, v.ball_radius)
+    yield
+    result = nonplanar_test(mapping, measure, ball, samples=v.samples,
+                            seed=v.seed, depth=v.depth, workers=v.workers)
+    record = {"experiment": "nonplanar-test", "seed": v.seed,
               "nonplanar": result.nonplanar, "sigma_min": result.sigma_min,
               "points_used": result.points_used}
     lines = ["nonplanar=%s sigma_min=%.3g (%d points)"
              % (result.nonplanar, result.sigma_min, result.points_used)]
-    return run.finish(config, [record], lines)
+    yield [record], lines
 
 
-def _cmd_ba(args) -> int:
-    run = _Run(args, "ba")
-    m = run.scalar("m", default=1, conv=int)
-    n = run.scalar("n", default=1, conv=int)
-    Y_text = run.scalar("Y", required=True)
-    r = run.scalar("r", required=True, conv=_float_list)
-    s = run.scalar("s", required=True, conv=_float_list)
-    q_max = run.scalar("q_max", required=True, conv=int)
-    Y = parse_forms(Y_text, m, n)
-    config = run.resolved_config()
-    if run.dry():
-        return run.finish(config, [], [])
-    value = ba_quality(Y, r, s, q_max)
-    record = {"experiment": "ba", "m": m, "n": n, "Y": Y_text,
-              "r": list(r), "s": list(s), "q_max": q_max, "quality": value}
-    return run.finish(config, [record], ["ba quality = %.6g" % value])
+def _cmd_ba(v):
+    Y = parse_forms(v.Y, v.m, v.n)
+    yield
+    value = ba_quality(Y, v.r, v.s, v.q_max)
+    record = {"experiment": "ba", "m": v.m, "n": v.n, "Y": v.Y,
+              "r": list(v.r), "s": list(v.s), "q_max": v.q_max, "quality": value}
+    yield [record], ["ba quality = %.6g" % value]
 
 
-def _cmd_constants(args) -> int:
-    run = _Run(args, "constants")
-    max_n = run.scalar("max_n", default=4, conv=int)
-    config = run.resolved_config()
-    if run.dry():
-        return run.finish(config, [], [])
-    registry = epsilon0_registry(max_n)
+def _cmd_constants(v):
+    yield
     records = [
         {"name": name, "value": value, "source": _constant_source(name)}
-        for name, value in registry.items()
+        for name, value in epsilon0_registry(v.max_n).items()
     ]
     width = max(len(r["name"]) for r in records)
     lines = ["%-*s  %-12.6g  %s" % (width, r["name"], r["value"], r["source"])
              for r in records]
-    return run.finish(config, records, lines)
+    yield records, lines
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the tables: one per subcommand, in resolution (and config.resolved) order
 # ---------------------------------------------------------------------------
 
+_FORMS = (
+    _Param("m", int, 1),
+    _Param("n", int, 1),
+    _Param("Y", required=True, help="form rows: entries ','-separated, rows ';'-separated"),
+)
+_FAMILY = _Param("trajectory", required=True, kind="append", flag="family",
+                 help="'ray central t=..', 'ray r=.. s=.. t=..', or repeated 'explicit ..'")
+_EPS = _Param("eps", float, required=True, kind="list")
+_MARGIN = _Param("margin", float, DEFAULT_MARGIN)
+_DEPTH = _Param("depth", int, 20)
+_MAP = _Param("map", required=True)
+_MEASURE = _Param("measure", required=True)
 
-def _add_common(sub, sampling=False):
-    sub.add_argument("--config", help="config file supplying defaults")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sub.add_argument("--output", help="run directory (default $%s/<experiment>)" % _ENV_OUTDIR)
-    sub.add_argument("--dry-run", action="store_true",
-                     help="validate and print the resolved plan; compute nothing")
-    if sampling:
-        sub.add_argument("--workers", type=int, default=1,
-                         help="sampling threads; any N gives identical output")
+
+def _ball_params(noun: str = "ball") -> tuple:
+    return (_Param("ball_center", _float_list, required=True,
+                   help="%s center, comma-separated" % noun),
+            _Param("ball_radius", float, required=True, help="%s radius" % noun))
 
 
-def _add_ball(sub, noun="ball"):
-    sub.add_argument("--ball-center", help="%s center, comma-separated" % noun)
-    sub.add_argument("--ball-radius", help="%s radius" % noun)
+_SCAN = (_MAP, _MEASURE) + _ball_params() + (
+    _Param("t", required=True, kind="append", help="weight vector; repeatable"),
+    _EPS, _Param("samples", int, 20_000), _MARGIN, _DEPTH,
+)
+_SCAN_COLUMNS = "CSV columns: experiment;seed;t;floor_t;norm_t;eps;fraction;ci;n;boundary_n"
+
+_COMMANDS = {
+    "check": _Command(
+        "single system query: is (eps, t) solvable?", None, False, _cmd_check,
+        _FORMS + (
+            _Param("t", required=True, help="weight vector, m+n comma-separated entries"),
+            _Param("weak_q", _parse_bool, False, kind="switch",
+                   help="allow |q|^{s_j} <= eps e^{t_j} with equality"),
+            _EPS,
+        )),
+    "trajectory": _Command(
+        "shortest-vector profile along a weight family",
+        "CSV columns: t;norm;floor;lambda1", False, _cmd_trajectory,
+        _FORMS + (_FAMILY,)),
+    "di": _Command(
+        "eps-improvability classification up to a horizon",
+        "CSV columns: t;norm;floor;solvable;witness_p;witness_q", False, _cmd_di,
+        _FORMS + (
+            _FAMILY,
+            _Param("horizon", float, required=True, help="largest weight norm examined"),
+            _MARGIN, _EPS,
+        )),
+    "escape": _Command("escape-measure table over (t, eps)", _SCAN_COLUMNS, True,
+                       _cmd_escape, _SCAN),
+    "decay": _Command("escape decay law: fractions, per-t slopes, pooled fit",
+                      _SCAN_COLUMNS, True, _cmd_decay, _SCAN),
+    "equidist": _Command(
+        "flowed-translate vs invariant measure at k=2",
+        "CSV columns: experiment;y0;interval;t;eps;translate_estimate;"
+        "haar_estimate;discrepancy;translate_n;translate_boundary_n;"
+        "haar_n;haar_boundary_n", True, _cmd_equidist,
+        (
+            _Param("interval", _float_list, required=True, help="lo,hi"),
+            _Param("y0", float, 0.0),
+            _Param("flow_time", float, required=True),
+            _EPS, _Param("samples", int, 100_000), _MARGIN,
+        )),
+    "counterexample": _Command(
+        "frozen-coordinate construction, m=2 n=1",
+        "CSV columns: experiment;eps;u;system_index;s;primitive_ok;"
+        "lambda1;lambda1_below_eps;near_vector_distance;near_vector_q", False,
+        _cmd_counterexample,
+        (
+            _EPS,
+            _Param("u", float, required=True,
+                   help="frozen first weight; needs 1/eps^2 < e^u < 2*eps"),
+            _Param("s", _float_list, required=True,
+                   help="comma-separated list of drifting parameters"),
+            _Param("systems", int, 100),
+        )),
+    "good-test": _Command(
+        "(C, alpha)-good estimate for one map coordinate",
+        "CSV columns: experiment;seed;coord;alpha;eps;fraction;"
+        "half_width;sup_norm;C;degenerate", True, _cmd_good_test,
+        (_MAP, _MEASURE) + _ball_params() + (
+            _Param("coord", int, 1, help="1-based map coordinate (default 1)"),
+            _Param("alpha", float, required=True),
+            _EPS._replace(help="sublevel grid"),
+            _Param("samples", int, 100_000), _DEPTH,
+        )),
+    "federer-test": _Command(
+        "empirical doubling ratio nu(3B)/nu(B)",
+        "CSV columns: experiment;seed;ratio;half_width;balls_used;"
+        "worst_center;worst_radius", True, _cmd_federer_test,
+        (_MEASURE,) + _ball_params("region") + (
+            _Param("ball_count", int, 200),
+            _Param("samples", int, 200_000), _DEPTH,
+            _Param("center_fraction", float, 0.2),
+            _Param("radius_range", _float_list, (0.8, 1.0), help="lo,hi inside (0, 1]"),
+        )),
+    "nonplanar-test": _Command(
+        "affine-independence rank test for (1, f)",
+        "CSV columns: experiment;seed;nonplanar;sigma_min;points_used", True,
+        _cmd_nonplanar_test,
+        (_MAP, _MEASURE) + _ball_params() + (_Param("samples", int, 20_000), _DEPTH)),
+    "ba": _Command(
+        "badly-approximable quality inf over a q box",
+        "CSV columns: experiment;m;n;Y;r;s;q_max;quality", False, _cmd_ba,
+        _FORMS + (
+            _Param("r", _float_list, required=True, help="comma-separated form weights"),
+            _Param("s", _float_list, required=True, help="comma-separated variable weights"),
+            _Param("q_max", int, required=True),
+        )),
+    "constants": _Command(
+        "named small-eps thresholds with sources", "CSV columns: name;value;source",
+        False, _cmd_constants, (_Param("max_n", int, 4),)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,145 +526,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Improvable Dirichlet systems: solvers, flows, and experiments.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("check", help="single system query: is (eps, t) solvable?")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--Y", help="form rows: entries ','-separated, rows ';'-separated")
-    p.add_argument("--t", help="weight vector, m+n comma-separated entries")
-    p.add_argument("--eps", nargs="+", type=float)
-    p.add_argument("--weak-q", action="store_true", default=None,
-                   help="allow |q|^{s_j} <= eps e^{t_j} with equality")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = subs.add_parser(
-        "trajectory", help="shortest-vector profile along a weight family",
-        description="CSV columns: t;norm;floor;lambda1")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--Y")
-    p.add_argument("--family", action="append",
-                   help="'ray central t=..', 'ray r=.. s=.. t=..', or repeated 'explicit ..'")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_trajectory)
-
-    p = subs.add_parser(
-        "di", help="eps-improvability classification up to a horizon",
-        description="CSV columns: t;norm;floor;solvable;witness_p;witness_q")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--Y")
-    p.add_argument("--family", action="append")
-    p.add_argument("--eps", nargs="+", type=float)
-    p.add_argument("--horizon", type=float, help="largest weight norm examined")
-    p.add_argument("--margin", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_di)
-
-    for name, help_text, handler in (
-        ("escape", "escape-measure table over (t, eps)", _cmd_escape),
-        ("decay", "escape decay law: fractions, per-t slopes, pooled fit", _cmd_decay),
-    ):
-        p = subs.add_parser(
-            name, help=help_text,
-            description="CSV columns: experiment;seed;t;floor_t;norm_t;eps;fraction;ci;n;"
-                        "boundary_n")
-        p.add_argument("--map")
-        p.add_argument("--measure")
-        _add_ball(p)
-        p.add_argument("--t", action="append", help="weight vector; repeatable")
-        p.add_argument("--eps", nargs="+", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--margin", type=float)
-        _add_common(p, sampling=True)
-        p.set_defaults(handler=handler)
-
-    p = subs.add_parser(
-        "equidist", help="flowed-translate vs invariant measure at k=2",
-        description="CSV columns: experiment;y0;interval;t;eps;translate_estimate;"
-                    "haar_estimate;discrepancy;translate_n;translate_boundary_n;"
-                    "haar_n;haar_boundary_n")
-    p.add_argument("--interval", help="lo,hi")
-    p.add_argument("--y0", type=float)
-    p.add_argument("--flow-time", type=float)
-    p.add_argument("--eps", nargs="+", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--margin", type=float)
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_cmd_equidist)
-
-    p = subs.add_parser(
-        "counterexample", help="frozen-coordinate construction, m=2 n=1",
-        description="CSV columns: experiment;eps;u;system_index;s;primitive_ok;"
-                    "lambda1;lambda1_below_eps;near_vector_distance;near_vector_q")
-    p.add_argument("--eps", nargs="+", type=float)
-    p.add_argument("--u", type=float, help="frozen first weight; needs 1/eps^2 < e^u < 2*eps")
-    p.add_argument("--s", help="comma-separated list of drifting parameters")
-    p.add_argument("--systems", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_counterexample)
-
-    p = subs.add_parser(
-        "good-test", help="(C, alpha)-good estimate for one map coordinate",
-        description="CSV columns: experiment;seed;coord;alpha;eps;fraction;"
-                    "half_width;sup_norm;C;degenerate")
-    p.add_argument("--map")
-    p.add_argument("--coord", type=int, help="1-based map coordinate (default 1)")
-    p.add_argument("--measure")
-    _add_ball(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps", nargs="+", type=float, help="sublevel grid")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--depth", type=int)
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_cmd_good_test)
-
-    p = subs.add_parser(
-        "federer-test", help="empirical doubling ratio nu(3B)/nu(B)",
-        description="CSV columns: experiment;seed;ratio;half_width;balls_used;"
-                    "worst_center;worst_radius")
-    p.add_argument("--measure")
-    _add_ball(p, noun="region")
-    p.add_argument("--ball-count", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--center-fraction", type=float)
-    p.add_argument("--radius-range", help="lo,hi inside (0, 1]")
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_cmd_federer_test)
-
-    p = subs.add_parser(
-        "nonplanar-test", help="affine-independence rank test for (1, f)",
-        description="CSV columns: experiment;seed;nonplanar;sigma_min;points_used")
-    p.add_argument("--map")
-    p.add_argument("--measure")
-    _add_ball(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--depth", type=int)
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_cmd_nonplanar_test)
-
-    p = subs.add_parser(
-        "ba", help="badly-approximable quality inf over a q box",
-        description="CSV columns: experiment;m;n;Y;r;s;q_max;quality")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--Y")
-    p.add_argument("--r", help="comma-separated form weights")
-    p.add_argument("--s", help="comma-separated variable weights")
-    p.add_argument("--q-max", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ba)
-
-    p = subs.add_parser(
-        "constants", help="named small-eps thresholds with sources",
-        description="CSV columns: name;value;source")
-    p.add_argument("--max-n", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_constants)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help, description=command.description)
+        for param in command.params:
+            param.add_to(sub)
+        sub.add_argument("--config", help="config file supplying defaults")
+        for param in _COMMON:
+            param.add_to(sub)
+        sub.add_argument("--dry-run", action="store_true",
+                         help="validate and print the resolved plan; compute nothing")
+        if command.sampling:
+            sub.add_argument("--workers", type=int, default=1,
+                             help="sampling threads; any N gives identical output")
     return parser
 
 
@@ -693,7 +548,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        return _run(args)
     except CapacityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

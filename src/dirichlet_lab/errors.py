@@ -24,7 +24,3 @@ class CapacityError(RuntimeError):
     The message always names the budget that was hit, so callers can
     report it without guessing.
     """
-
-
-class ConfigError(ParameterError):
-    """Malformed run-configuration text or unknown key."""

@@ -49,10 +49,8 @@ from .lattice import (
 )
 from .measures import _Z95, Ball, MapSpec, MeasureSpec, sample
 
-_TAG_BALL_REJECT = 43
 _TAG_HAAR = 47
 _TAG_TRANSLATE = 53
-_TAG_COUNTEREXAMPLE = 59
 
 SCAN_BUDGET = 10_000_000
 # target float count per (samples x q-chunk) slab, keeps slabs ~128 MB
@@ -199,6 +197,8 @@ def _escape_cells(
     grid = tuple(float(e) for e in eps_grid)
     if not grid or any(not (0.0 < e < 1.0) for e in grid):
         raise ParameterError("eps values must lie in (0, 1)")
+    if samples < 1:
+        raise ParameterError("samples must be >= 1, got %r" % (samples,))
     pts = _collect_in_ball(measure, ball, samples, seed, depth, workers=workers)
     rows = mapping.evaluate(pts)
     cap = max(grid) + 64.0 * margin
@@ -489,8 +489,9 @@ def equidist_test_k2(
     if flow_time <= 0:
         raise ParameterError("flow_time must be positive")
     t = WeightVector(1, 1, (float(flow_time), float(flow_time)))
-    grow = math.exp(t.t[0])
-    shrink = math.exp(-t.t[1])
+    exps = flow_exponents(t)
+    grow = math.exp(exps[0])
+    shrink = math.exp(exps[1])
 
     def draw(gen, c):
         return gen.uniform(lo, hi, size=c)

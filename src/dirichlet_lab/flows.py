@@ -43,8 +43,6 @@ FLOW_OVERFLOW_GUARD = 300.0
 
 _TAG_FORMS = 23
 
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def liouville_sum(terms: int = 5) -> Fraction:
     """Partial sums of 10^(-j!), an extremely well approximable number.
@@ -461,24 +459,27 @@ def shortest_forms_vector(y: float | Fraction, t_left: float, t_right: float
     return best, best_pq
 
 
+def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:
+    """(lambda1, p, q) of the flowed forms lattice and its shortest vector."""
+    if Y.k == 2:
+        flow_exponents(t)  # overflow guard
+        lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
+        # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
+        return (lam, (pq[0],), (pq[1],)) if pq else (lam, (), ())
+    sv = shortest_vector_supnorm(flowed_basis(Y, t))
+    # re-anchor the winner's norm in exact arithmetic: at larger flow
+    # times the basis-times-coefficients product cancels catastrophically
+    a, q = sv.coeffs[: Y.m], sv.coeffs[Y.m:]
+    return _exact_coeff_norm(Y, t, a, q), tuple(-x for x in a), q
+
+
 def _lattice_status(
     Y: LinearFormSystem,
     t: WeightVector,
     eps: float,
     margin: float,
 ) -> tuple[Solvability, DirichletWitness | None]:
-    if Y.k == 2:
-        flow_exponents(t)  # overflow guard
-        lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
-        # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
-        p, q = ((pq[0],), (pq[1],)) if pq else ((), ())
-    else:
-        sv = shortest_vector_supnorm(flowed_basis(Y, t))
-        # re-anchor the winner's norm in exact arithmetic: at larger flow
-        # times the basis-times-coefficients product cancels catastrophically
-        a, q = sv.coeffs[: Y.m], sv.coeffs[Y.m:]
-        lam = _exact_coeff_norm(Y, t, a, q)
-        p = tuple(-x for x in a)
+    lam, p, q = _forms_lambda1(Y, t)
     region = trichotomy(lam, eps, margin)
     if region is ThickRegion.INSIDE:
         return Solvability.UNSOLVABLE, None
@@ -703,16 +704,7 @@ def trajectory_lambda1(
     family: TrajectoryFamily,
 ) -> tuple[tuple[WeightVector, float], ...]:
     """Shortest-vector length along the family, in generation order."""
-    out = []
-    for w in family.weights(Y.m, Y.n):
-        if Y.k == 2:
-            flow_exponents(w)  # overflow guard
-            lam, _ = shortest_forms_vector(Y.entry(0, 0), w.t[0], w.t[1])
-        else:
-            sv = shortest_vector_supnorm(flowed_basis(Y, w))
-            lam = _exact_coeff_norm(Y, w, sv.coeffs[: Y.m], sv.coeffs[Y.m:])
-        out.append((w, lam))
-    return tuple(out)
+    return tuple((w, _forms_lambda1(Y, w)[0]) for w in family.weights(Y.m, Y.n))
 
 
 # ---------------------------------------------------------------------------

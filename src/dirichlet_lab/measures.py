@@ -499,6 +499,8 @@ def federer_empirical(
     """
     if ball_count < 1:
         raise ParameterError("ball_count must be >= 1")
+    if len(radius_range) != 2:
+        raise ParameterError("radius_range takes two numbers lo, hi")
     lo_r, hi_r = radius_range
     if not (0.0 < lo_r <= hi_r <= 1.0):
         raise ParameterError("radius_range must satisfy 0 < lo <= hi <= 1")

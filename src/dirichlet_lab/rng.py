@@ -16,6 +16,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Fixed once and for all: changing it changes every sampled stream.
 BLOCK = 4096
 
@@ -25,7 +27,7 @@ _T = TypeVar("_T")
 def stream(seed: int, block_index: int = 0, tag: int = 0) -> np.random.Generator:
     """Independent generator for one block of one logical stream."""
     if seed < 0:
-        raise ValueError("seed must be nonnegative, got %r" % (seed,))
+        raise ParameterError("seed must be nonnegative, got %r" % (seed,))
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, block_index))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -42,7 +44,7 @@ def map_blocks(
     per-block work is vectorized numpy which releases the GIL.
     """
     if workers < 1:
-        raise ValueError("workers must be >= 1, got %r" % (workers,))
+        raise ParameterError("workers must be >= 1, got %r" % (workers,))
     if workers == 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -52,7 +54,7 @@ def map_blocks(
 def blocked_counts(total: int, block: int = BLOCK) -> list[tuple[int, int]]:
     """Split ``total`` items into (block_index, count) pieces of size ``block``."""
     if total < 0:
-        raise ValueError("total must be nonnegative")
+        raise ParameterError("total must be nonnegative")
     pieces = []
     b = 0
     left = total

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -386,3 +387,238 @@ def test_cli_equidist_and_ba(rundir, capsys):
     assert "ba quality = " in out
     rows = _jsonl_records(rundir / "runs" / "ba" / "report.jsonl")
     assert 0.44 <= rows[0]["quality"] <= 0.45
+
+
+_ESCAPE_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
+                 "--ball-center", "0.5", "--ball-radius", "0.75", "--t", "6,3,3",
+                 "--eps", "0.4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--seed", "-1"],
+    ["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--workers", "0"],
+    ["escape"] + _ESCAPE_FLAGS + ["--samples", "0"],
+    ["decay"] + _ESCAPE_FLAGS + ["--samples", "-3"],
+    ["equidist", "--interval", "0,1", "--flow-time", "800", "--eps", "0.5",
+     "--samples", "100"],
+    ["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center", "0.5",
+     "--ball-radius", "0.5", "--samples", "100", "--radius-range", "0.5"],
+], ids=["negative-seed", "zero-workers", "escape-zero-samples",
+        "decay-negative-samples", "flow-time-overflow", "one-number-radius-range"])
+def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (rundir / "runs").exists()
+
+
+# Per subcommand: flags, and the config.resolved text of the plan that
+# --dry-run prints for them (with --seed 7 --output out).  Option order is
+# the order of the subcommand's parameter table; omitted flags pin defaults.
+_PLANS = {
+    'check': (
+        '--m 1 --n 2 --Y 0.41421356,1.73205081 --t 4,2,2 --eps 0.5 --weak-q',
+        """\
+[run]
+experiment = check
+seed = 7
+output = out
+eps = 0.5
+m = 1
+n = 2
+Y = 0.41421356,1.73205081
+t = 4,2,2
+weak_q = true
+"""),
+    'trajectory': (
+        '--Y 1/3 --family "ray central t=1:1:4"',
+        """\
+[run]
+experiment = trajectory
+seed = 7
+output = out
+trajectory = ray central t=1:1:4
+m = 1
+n = 1
+Y = 1/3
+"""),
+    'di': (
+        '--m 1 --n 1 --Y 1/3 --family "explicit 1 1" --family "explicit 2 2" --eps 0.5 --horizon 2 --margin 1e-7',
+        """\
+[run]
+experiment = di
+seed = 7
+output = out
+eps = 0.5
+margin = 1e-07
+trajectory = explicit 1 1
+trajectory = explicit 2 2
+m = 1
+n = 1
+Y = 1/3
+horizon = 2.0
+"""),
+    'escape': (
+        '--map "veronese n=2" --measure "lebesgue d=1 box=0,1" --ball-center 0.5 --ball-radius 0.75 --t 6,3,3 --t 4,2,2 --eps 0.4 0.1 --samples 500 --margin 1e-8 --depth 12',
+        """\
+[run]
+experiment = escape
+seed = 7
+output = out
+eps = 0.4 0.1
+samples = 500
+margin = 1e-08
+measure = lebesgue d=1 box=0,1
+map = veronese n=2
+ball_center = 0.5
+ball_radius = 0.75
+t = 6,3,3
+t = 4,2,2
+depth = 12
+"""),
+    'decay': (
+        '--map "veronese n=2" --measure "lebesgue d=1 box=0,1" --ball-center 0.5 --ball-radius 2 --t 2,1,1 --eps 0.2',
+        """\
+[run]
+experiment = decay
+seed = 7
+output = out
+eps = 0.2
+samples = 20000
+margin = 1e-09
+measure = lebesgue d=1 box=0,1
+map = veronese n=2
+ball_center = 0.5
+ball_radius = 2.0
+t = 2,1,1
+depth = 20
+"""),
+    'equidist': (
+        '--interval 0,1 --flow-time 3 --eps 0.5 --samples 2000',
+        """\
+[run]
+experiment = equidist
+seed = 7
+output = out
+eps = 0.5
+samples = 2000
+margin = 1e-09
+interval = 0.0 1.0
+y0 = 0.0
+flow_time = 3.0
+"""),
+    'counterexample': (
+        '--eps 0.9 --u 0.4054651 --s 3,4',
+        """\
+[run]
+experiment = counterexample
+seed = 7
+output = out
+eps = 0.9
+u = 0.4054651
+s = 3.0 4.0
+systems = 100
+"""),
+    'good-test': (
+        '--map "veronese n=2" --coord 2 --measure "lebesgue d=1 box=0,1" --ball-center 0.5 --ball-radius 0.5 --alpha 0.5 --eps 0.01 0.1 --samples 2000',
+        """\
+[run]
+experiment = good-test
+seed = 7
+output = out
+eps = 0.01 0.1
+samples = 2000
+measure = lebesgue d=1 box=0,1
+map = veronese n=2
+ball_center = 0.5
+ball_radius = 0.5
+coord = 2
+alpha = 0.5
+depth = 20
+"""),
+    'federer-test': (
+        '--measure "ifs ratios=1/3,1/3 trans=0,2/3" --ball-center 0.25 --ball-radius 0.25 --samples 5000 --center-fraction 0.3 --depth 15',
+        """\
+[run]
+experiment = federer-test
+seed = 7
+output = out
+samples = 5000
+measure = ifs ratios=1/3,1/3 trans=0,2/3
+ball_center = 0.25
+ball_radius = 0.25
+ball_count = 200
+depth = 15
+center_fraction = 0.3
+radius_range = 0.8 1.0
+"""),
+    'nonplanar-test': (
+        '--map "veronese n=2" --measure "lebesgue d=1 box=0,1" --ball-center 0.5 --ball-radius 0.5',
+        """\
+[run]
+experiment = nonplanar-test
+seed = 7
+output = out
+samples = 20000
+measure = lebesgue d=1 box=0,1
+map = veronese n=2
+ball_center = 0.5
+ball_radius = 0.5
+depth = 20
+"""),
+    'ba': (
+        '--m 1 --n 1 --Y 0.6180339887498949 --r 1 --s 1 --q-max 200',
+        """\
+[run]
+experiment = ba
+seed = 7
+output = out
+m = 1
+n = 1
+Y = 0.6180339887498949
+r = 1.0
+s = 1.0
+q_max = 200
+"""),
+    'constants': (
+        '',
+        """\
+[run]
+experiment = constants
+seed = 7
+output = out
+max_n = 4
+"""),
+}
+
+
+def _config_from_flags(command: str, argv: list) -> str:
+    """The equivalent config file: each key is its flag with '-' -> '_'
+    ('--family' is 'trajectory'), written in reverse order of first use."""
+    groups: dict = {}
+    for tok in argv:
+        if tok.startswith("--"):
+            values = []
+            key = "trajectory" if tok == "--family" else tok[2:].replace("-", "_")
+            groups.setdefault(key, []).append(values)
+        else:
+            values.append(tok)
+    lines = ["[run]", "experiment = %s" % command]
+    for key in reversed(list(groups)):
+        lines.extend("%s = %s" % (key, " ".join(v) or "true") for v in groups[key])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", list(_PLANS))
+def test_cli_plan_pinned_for_flags_and_config(rundir, capsys, command):
+    flags, body = _PLANS[command]
+    argv = shlex.split(flags) + ["--seed", "7", "--output", "out"]
+    expected = ("dry-run: plan resolved, nothing computed or written\n"
+                "would write: out/report.jsonl\n" + body)
+    assert main([command] + argv + ["--dry-run"]) == 0
+    assert capsys.readouterr().out == expected
+    (rundir / "plan.cfg").write_text(_config_from_flags(command, argv))
+    assert main([command, "--config", "plan.cfg", "--dry-run"]) == 0
+    assert capsys.readouterr().out == expected
+    assert not (rundir / "out").exists()
+    assert main([command, "--help"]) == 0
+    capsys.readouterr()
