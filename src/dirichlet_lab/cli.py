@@ -6,20 +6,21 @@ and classification runs (trajectory, di), the sampling experiments
 (good-test, federer-test, nonplanar-test).
 
 Each subcommand declares its parameters once, in an ordered table
-(``_COMMANDS``) that gives the parser its flags.  Every value comes from
-its flag, else the --config FILE key of the same name (``-`` becomes
-``_``; ``--family`` is ``trajectory``), else its default, and is
-recorded in table order.  Handlers validate, then compute; --dry-run
-stops after validation and prints the plan.  Runs write report.jsonl /
-report.csv / config.resolved into --output, else
-$DIRICHLET_LAB_OUTDIR/<experiment>, else ./runs/<experiment>.  Exit
-codes: 0 success, 2 bad arguments, 3 capacity exceeded.
+(``_COMMANDS``) that gives the parser its flags and the config file its
+keys.  Every value comes from its flag, else the --config FILE key of
+the same name (``-`` becomes ``_``; ``--family`` is ``trajectory``),
+else its default, and is recorded in table order.  A config key the
+table lacks, or a repeated key whose flag does not repeat, is an error.
+Handlers validate, then compute; --dry-run stops after validation and
+prints the plan.  Runs write report.jsonl / report.csv / config.resolved
+into --output, else $DIRICHLET_LAB_OUTDIR/<experiment>, else
+./runs/<experiment>.  Exit codes: 0 success, 2 bad arguments, 3
+capacity exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import (
-    OPTION_KEYS,
     RunConfig,
     parse_config,
     parse_forms,
@@ -40,6 +40,7 @@ from .config import (
 )
 from .errors import CapacityError, ParameterError
 from .experiments import (
+    _counterexample_window,
     equidist_test_k2,
     escape_table,
     no_drift_counterexample,
@@ -54,6 +55,7 @@ from .measures import (
     federer_empirical,
     nonplanar_test,
 )
+from .rng import _check_seed, _check_workers
 
 _ENV_OUTDIR = "DIRICHLET_LAB_OUTDIR"
 
@@ -124,28 +126,31 @@ class _Param(NamedTuple):
         parser.add_argument("--" + self.name.replace("_", "-"), help=self.help, **extra)
 
     def resolve(self, flag_value, cfg: RunConfig | None):
-        """Flag beats config file beats default; config text is converted."""
-        if cfg is None:
-            from_cfg = None
-        elif self.key not in OPTION_KEYS:
-            from_cfg = getattr(cfg, self.key)
-        elif self.kind == "append":
-            from_cfg = cfg.option_list(self.key)
+        """Flag beats config file beats default; config text goes through conv.
+
+        An empty config value counts as absent.
+        """
+        texts = [text for text in cfg.values(self.key) if text] if cfg else []
+        if flag_value is not None:
+            value = flag_value
+        elif texts:
+            value = [self._convert(text) for text in texts]
+            value = value if self.kind == "append" else value[0]
+        elif self.default is not None:
+            value = self.default
+        elif self.required:
+            raise ParameterError("missing required parameter --%s" % self.name)
         else:
-            from_cfg = cfg.option(self.key)
-        for value in (flag_value, from_cfg, self.default):
-            if value is not None and value != ():
-                break
-        else:
-            if self.required:
-                raise ParameterError("missing required parameter --%s" % self.name)
             return None
-        if self.conv is not None and isinstance(value, str):
-            try:
-                value = self.conv(value)
-            except ValueError:
-                raise ParameterError("bad value for --%s: %r" % (self.name, value))
         return tuple(value) if self.kind in ("list", "append") else value
+
+    def _convert(self, text: str):
+        try:
+            if self.kind == "list":
+                return tuple(map(self.conv, text.split()))
+            return text if self.conv is None else self.conv(text)
+        except ValueError:
+            raise ParameterError("bad value for --%s: %r" % (self.name, text))
 
 
 class _Command(NamedTuple):
@@ -162,30 +167,41 @@ _COMMON = (
 )
 
 
+def _read_config(path: str, experiment: str, params: tuple) -> RunConfig:
+    """The config file, once every key is one the subcommand reads."""
+    cfg = parse_config(Path(path).read_text())
+    if cfg.experiment != experiment:
+        raise ParameterError(
+            "config is for experiment %r, not %r" % (cfg.experiment, experiment))
+    kinds = {param.key: param.kind for param in params}
+    for key, _ in cfg.entries:
+        if key not in kinds:
+            raise ParameterError("unknown config key %r for %s" % (key, experiment))
+        if kinds[key] != "append" and len(cfg.values(key)) > 1:
+            raise ParameterError("config key %r given more than once" % key)
+    return cfg
+
+
 def _run(args: argparse.Namespace) -> int:
     """Resolve the subcommand's table, validate, then print the plan or run and report."""
     from .reports import write_report
 
     experiment = args.command
     command = _COMMANDS[experiment]
-    cfg = None
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text())
-        if cfg.experiment != experiment:
-            raise ParameterError(
-                "config is for experiment %r, not %r" % (cfg.experiment, experiment))
-    values, fields, options = {"workers": getattr(args, "workers", 1)}, {}, []
-    for param in command.params + _COMMON:
+    params = command.params + _COMMON
+    cfg = _read_config(args.config, experiment, params) if args.config else None
+    values, entries = {"workers": getattr(args, "workers", 1)}, []
+    for param in params:
         value = values[param.key] = param.resolve(getattr(args, param.name), cfg)
-        if param.key not in OPTION_KEYS:
-            fields[param.key] = value
-        elif value is not None:
+        if value is not None:
             items = value if param.kind == "append" else (value,)
-            options.extend((param.key, _option_text(item)) for item in items)
-    config = RunConfig(experiment=experiment, options=tuple(options), **fields)
+            entries.extend((param.key, _option_text(item)) for item in items)
+    config = RunConfig(experiment, entries)
+    _check_seed(values["seed"])
+    _check_workers(values["workers"])
     steps = command.handler(SimpleNamespace(**values))
     next(steps)  # inputs valid
-    run_dir = Path(config.output) if config.output else (
+    run_dir = Path(values["output"]) if values["output"] else (
         Path(os.environ.get(_ENV_OUTDIR, "runs")) / experiment)
     if args.dry_run:
         print("dry-run: plan resolved, nothing computed or written")
@@ -309,12 +325,7 @@ def _cmd_equidist(v):
 
 def _cmd_counterexample(v):
     eps = _one_eps(v, "counterexample")
-    # surface the window violation before any heavy work, dry-run included
-    if not (1.0 / eps ** 2 < math.exp(v.u) < 2.0 * eps):
-        raise ParameterError(
-            "empty parameter window: need 1/eps^2 < e^u < 2*eps, got "
-            "1/eps^2=%g, e^u=%g, 2*eps=%g"
-            % (1.0 / eps ** 2, math.exp(v.u), 2.0 * eps))
+    _counterexample_window(eps, v.u)  # before any heavy work, dry-run included
     yield
     record = no_drift_counterexample(eps, v.u, v.s, systems=v.systems, seed=v.seed)
     lines = [

@@ -1,12 +1,13 @@
 """Run configuration: a small sectioned key=value text format.
 
 One section, ``[run]``.  Comments start with ``#``.  Values are the text
-after the first ``=``; list-valued keys split that text on whitespace.
-Repeatable keys (``trajectory``, and experiment options like ``Y`` and
-``t``) appear once per line in file order.  Declaration strings for
-measures, maps, and trajectory families are stored verbatim so a parsed
-config serializes back to the same declarations; dedicated parsers below
-turn them into library objects on demand.
+after the first ``=``, kept verbatim as (key, text) lines in file order.
+This module checks only the format: which keys a subcommand reads, how
+each converts, and which may repeat (one line per value) is declared
+once, in that subcommand's parameter table in ``cli``.  Declaration
+strings for measures, maps, and trajectory families are stored verbatim
+so a parsed config serializes back to the same declarations; dedicated
+parsers below turn them into library objects on demand.
 
 Measure/map/trajectory declaration grammars:
 
@@ -27,7 +28,7 @@ token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -41,89 +42,35 @@ from .flows import (
 )
 from .measures import LebesgueBox, MapSpec, MeasureSpec, SelfSimilarIFS
 
-# keys with a single scalar value
-_SCALAR_KEYS = ("experiment", "seed", "output", "samples", "margin",
-                "measure", "map")
-# keys whose value is a whitespace list parsed later
-_LIST_KEYS = ("eps",)
-# repeatable keys, kept one line per occurrence
-_REPEAT_KEYS = ("trajectory",)
-# per-experiment knobs, stored verbatim as (key, value) pairs in order
-OPTION_KEYS = (
-    "m", "n", "Y", "t", "r", "s", "u", "y0", "flow_time", "interval",
-    "ball_center", "ball_radius", "alpha", "coord", "depth", "q_max",
-    "systems", "ball_count", "center_fraction", "radius_range",
-    "horizon", "weak_q", "max_n",
-)
-_REPEAT_OPTIONS = ("Y", "t")
+# keys a run writes first, in this order (report format 1); the rest follow
+# in the order the run resolved them
+_HEAD_KEYS = ("seed", "output", "eps", "samples", "margin", "measure", "map",
+              "trajectory")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs, round-trippable through to_text/parse."""
+    """An experiment name and its (key, text) lines, round-trippable."""
 
     experiment: str
-    seed: int = 0
-    output: str | None = None
-    eps: tuple[float, ...] = ()
-    samples: int | None = None
-    margin: float | None = None
-    measure: str | None = None
-    map: str | None = None
-    trajectory: tuple[str, ...] = ()
-    options: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    entries: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.experiment:
             raise ParameterError("experiment name must be nonempty")
-        object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
-        object.__setattr__(self, "trajectory", tuple(self.trajectory))
-        object.__setattr__(self, "options", tuple(
-            (str(k), str(v)) for k, v in self.options
+        object.__setattr__(self, "entries", tuple(
+            (str(k), str(v)) for k, v in self.entries
         ))
-        for key, _ in self.options:
-            if key not in OPTION_KEYS:
-                raise ParameterError("unknown option key %r" % key)
-        seen = set()
-        for key, _ in self.options:
-            if key in seen and key not in _REPEAT_OPTIONS:
-                raise ParameterError("option %r given more than once" % key)
-            seen.add(key)
 
-    # -- access helpers ---------------------------------------------------
-
-    def option(self, key: str, default: str | None = None) -> str | None:
-        if key not in OPTION_KEYS:
-            raise ParameterError("unknown option key %r" % key)
-        for k, v in self.options:
-            if k == key:
-                return v
-        return default
-
-    def option_list(self, key: str) -> tuple[str, ...]:
-        return tuple(v for k, v in self.options if k == key)
-
-    # -- serialization ----------------------------------------------------
+    def values(self, key: str) -> tuple[str, ...]:
+        """The texts given for ``key``, in order; () when absent."""
+        return tuple(v for k, v in self.entries if k == key)
 
     def to_text(self) -> str:
-        lines = ["[run]", "experiment = %s" % self.experiment,
-                 "seed = %d" % self.seed]
-        if self.output is not None:
-            lines.append("output = %s" % self.output)
-        if self.eps:
-            lines.append("eps = %s" % " ".join(repr(e) for e in self.eps))
-        if self.samples is not None:
-            lines.append("samples = %d" % self.samples)
-        if self.margin is not None:
-            lines.append("margin = %r" % self.margin)
-        if self.measure is not None:
-            lines.append("measure = %s" % self.measure)
-        if self.map is not None:
-            lines.append("map = %s" % self.map)
-        for record in self.trajectory:
-            lines.append("trajectory = %s" % record)
-        for key, value in self.options:
-            lines.append("%s = %s" % (key, value))
+        head = [e for key in _HEAD_KEYS for e in self.entries if e[0] == key]
+        rest = [e for e in self.entries if e[0] not in _HEAD_KEYS]
+        lines = ["[run]", "experiment = %s" % self.experiment]
+        lines.extend("%s = %s" % entry for entry in head + rest)
         return "\n".join(lines) + "\n"
 
 
@@ -133,10 +80,9 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the sectioned key=value format; unknown keys are errors."""
-    scalars: dict = {}
-    repeats: dict = {"trajectory": []}
-    options: list = []
+    """Parse the sectioned key=value format; only the format is checked."""
+    experiment = None
+    entries = []
     in_run = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -153,56 +99,16 @@ def parse_config(text: str) -> RunConfig:
         if not in_run:
             raise ParameterError("line %d: key before [run] section" % lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _REPEAT_KEYS:
-            repeats[key].append(value)
-        elif key in _SCALAR_KEYS or key in _LIST_KEYS:
-            if key in scalars:
-                raise ParameterError("line %d: duplicate key %r" % (lineno, key))
-            scalars[key] = value
-        elif key in OPTION_KEYS:
-            if key not in _REPEAT_OPTIONS and any(k == key for k, _ in options):
-                raise ParameterError("line %d: duplicate key %r" % (lineno, key))
-            options.append((key, value))
+        key, value = key.strip(), value.strip()
+        if key != "experiment":
+            entries.append((key, value))
+        elif experiment is not None:
+            raise ParameterError("line %d: duplicate key %r" % (lineno, key))
         else:
-            raise ParameterError("line %d: unknown config key %r" % (lineno, key))
-    if "experiment" not in scalars:
+            experiment = value
+    if experiment is None:
         raise ParameterError("config is missing the experiment key")
-    try:
-        seed = int(scalars.get("seed", "0"))
-    except ValueError:
-        raise ParameterError("seed must be an integer, got %r" % scalars["seed"])
-    eps: tuple = ()
-    if "eps" in scalars:
-        try:
-            eps = tuple(float(tok) for tok in scalars["eps"].split())
-        except ValueError:
-            raise ParameterError("eps must be numbers, got %r" % scalars["eps"])
-    samples = None
-    if "samples" in scalars:
-        try:
-            samples = int(scalars["samples"])
-        except ValueError:
-            raise ParameterError("samples must be an integer, got %r" % scalars["samples"])
-    margin = None
-    if "margin" in scalars:
-        try:
-            margin = float(scalars["margin"])
-        except ValueError:
-            raise ParameterError("margin must be a number, got %r" % scalars["margin"])
-    return RunConfig(
-        experiment=scalars["experiment"],
-        seed=seed,
-        output=scalars.get("output"),
-        eps=eps,
-        samples=samples,
-        margin=margin,
-        measure=scalars.get("measure"),
-        map=scalars.get("map"),
-        trajectory=tuple(repeats["trajectory"]),
-        options=tuple(options),
-    )
+    return RunConfig(experiment, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,22 @@ class CounterexampleRecord:
         ]
 
 
+def _counterexample_window(eps: float, u: float) -> float:
+    """e^u, once 0 < eps < 1 and 1/eps^2 < e^u < 2 eps are checked."""
+    if not (0.0 < eps < 1.0):
+        raise ParameterError("eps must lie in (0, 1)")
+    try:
+        eu = math.exp(u)
+    except OverflowError:
+        eu = math.inf
+    if not (1.0 / eps ** 2 < eu < 2.0 * eps):
+        raise ParameterError(
+            "empty parameter window: need 1/eps^2 < e^u < 2*eps, got "
+            "1/eps^2=%g, e^u=%g, 2*eps=%g" % (1.0 / eps ** 2, eu, 2.0 * eps)
+        )
+    return eu
+
+
 def no_drift_counterexample(
     eps: float,
     u: float,
@@ -588,14 +604,7 @@ def no_drift_counterexample(
     lattice vector of length < eps — and that implication is asserted
     on every case.
     """
-    if not (0.0 < eps < 1.0):
-        raise ParameterError("eps must lie in (0, 1)")
-    eu = math.exp(u)
-    if not (1.0 / eps ** 2 < eu < 2.0 * eps):
-        raise ParameterError(
-            "empty parameter window: need 1/eps^2 < e^u < 2*eps, got "
-            "1/eps^2=%g, e^u=%g, 2*eps=%g" % (1.0 / eps ** 2, eu, 2.0 * eps)
-        )
+    eu = _counterexample_window(eps, u)
     s_list = tuple(float(s) for s in s_list)
     if not s_list or any(s <= 0 for s in s_list):
         raise ParameterError("s values must be positive")

@@ -24,10 +24,19 @@ BLOCK = 4096
 _T = TypeVar("_T")
 
 
-def stream(seed: int, block_index: int = 0, tag: int = 0) -> np.random.Generator:
-    """Independent generator for one block of one logical stream."""
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ParameterError("seed must be nonnegative, got %r" % (seed,))
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ParameterError("workers must be >= 1, got %r" % (workers,))
+
+
+def stream(seed: int, block_index: int = 0, tag: int = 0) -> np.random.Generator:
+    """Independent generator for one block of one logical stream."""
+    _check_seed(seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, block_index))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -43,8 +52,7 @@ def map_blocks(
     keyed through :func:`stream`).  Threads are enough here: the heavy
     per-block work is vectorized numpy which releases the GIL.
     """
-    if workers < 1:
-        raise ParameterError("workers must be >= 1, got %r" % (workers,))
+    _check_workers(workers)
     if workers == 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

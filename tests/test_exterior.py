@@ -130,9 +130,11 @@ def test_flow_action_matches_exterior_matrix_oracle():
 
 def test_flow_action_overflow_guard():
     t = one_form_weights((200.0, 150.0))
-    w = ExteriorVector.unit(3, (0,))
-    with pytest.raises(ParameterError):
-        flow_action(t, w)
+    with pytest.raises(ParameterError, match="overflow guard"):
+        flow_action(t, ExteriorVector.unit(3, (0,)))
+    # the certificate would compute finite values here without the guard
+    with pytest.raises(ParameterError, match="overflow guard"):
+        big_coefficient_certificate(ExteriorVector.unit(3, (1, 2)), t)
 
 
 # -- shear action -----------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,23 +31,23 @@ from dirichlet_lab.reports import FORMAT_VERSION, render_csv, render_jsonl, writ
 
 
 def test_config_round_trip():
-    cfg = RunConfig(
-        experiment="escape",
-        seed=5,
-        output="runs/x",
-        eps=(0.4, 0.1),
-        samples=2000,
-        margin=1e-9,
-        measure="lebesgue d=1 box=0,1",
-        map="veronese n=2",
-        trajectory=("ray central t=1:1:5",),
-        options=(("ball_center", "0.5 0.375"), ("ball_radius", "2.0"),
-                 ("t", "6,3,3"), ("t", "8,4,4")),
-    )
+    cfg = RunConfig("escape", (
+        ("seed", "5"), ("output", "runs/x"), ("eps", "0.4 0.1"),
+        ("samples", "2000"), ("margin", "1e-09"),
+        ("measure", "lebesgue d=1 box=0,1"), ("map", "veronese n=2"),
+        ("trajectory", "ray central t=1:1:5"),
+        ("ball_center", "0.5 0.375"), ("ball_radius", "2.0"),
+        ("t", "6,3,3"), ("t", "8,4,4"),
+    ))
     text = cfg.to_text()
     assert parse_config(text) == cfg
     # serialization is canonical: parsing and re-serializing is stable
     assert parse_config(text).to_text() == text
+    # head keys come first in their fixed order, the rest in given order
+    shuffled = RunConfig("escape", cfg.entries[8:] + cfg.entries[7::-1])
+    assert shuffled.to_text() == text
+    assert cfg.values("t") == ("6,3,3", "8,4,4")
+    assert cfg.values("depth") == ()
 
 
 def test_config_comments_and_blank_lines():
@@ -58,17 +60,14 @@ seed = 3
 Y = 0.5
 """)
     assert cfg.experiment == "check"
-    assert cfg.seed == 3
-    assert cfg.option("Y") == "0.5"
+    assert cfg.entries == (("seed", "3"), ("Y", "0.5"))
 
 
 @pytest.mark.parametrize("text,fragment", [
-    ("[run]\nfoo = 1\nexperiment = check\n", "unknown config key"),
     ("[other]\nexperiment = check\n", "unknown section"),
     ("experiment = check\n", "before [run]"),
     ("[run]\nseed = 1\n", "missing the experiment"),
     ("[run]\nexperiment = a\nexperiment = b\n", "duplicate key"),
-    ("[run]\nexperiment = check\nseed = abc\n", "seed must be an integer"),
     ("[run]\nexperiment = check\njust-a-token\n", "expected key = value"),
 ])
 def test_config_parse_errors(text, fragment):
@@ -77,12 +76,14 @@ def test_config_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_config_duplicate_scalar_option_rejected():
-    with pytest.raises(ParameterError):
-        parse_config("[run]\nexperiment = x\nu = 1\nu = 2\n")
-    # but Y and t repeat freely
-    cfg = parse_config("[run]\nexperiment = x\nt = 1 1\nt = 2 2\n")
-    assert cfg.option_list("t") == ("1 1", "2 2")
+def test_config_duplicate_scalar_option_rejected(rundir, capsys):
+    # the format keeps every line; the subcommand decides what may repeat
+    cfg = parse_config("[run]\nexperiment = counterexample\nu = 1\nu = 2\n")
+    assert cfg.values("u") == ("1", "2")
+    (rundir / "cx.cfg").write_text(
+        "[run]\nexperiment = counterexample\neps = 0.9\nu = 0.4\nu = 0.5\ns = 3\n")
+    assert main(["counterexample", "--config", "cx.cfg", "--dry-run"]) == 2
+    assert "config key 'u' given more than once" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_parse_forms_and_weights():
 
 
 def _config():
-    return RunConfig(experiment="escape", seed=1, eps=(0.5,), samples=10)
+    return RunConfig("escape", (("seed", "1"), ("eps", "0.5"), ("samples", "10")))
 
 
 def test_jsonl_layout_and_determinism():
@@ -277,11 +278,12 @@ def test_cli_trajectory_and_di_row_shapes(rundir):
 
 
 def test_cli_counterexample_window_message(rundir, capsys):
-    code = main(["counterexample", "--eps", "0.6", "--u", "0.405",
-                 "--s", "3,4"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "empty parameter window: need 1/eps^2 < e^u < 2*eps" in err
+    argv = ["counterexample", "--eps", "0.6", "--u", "0.405", "--s", "3,4"]
+    for extra in ([], ["--dry-run"]):
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert "empty parameter window: need 1/eps^2 < e^u < 2*eps" in err
+    assert not (rundir / "runs").exists()
 
 
 def test_cli_counterexample_runs(rundir, capsys):
@@ -346,13 +348,13 @@ t = 6,3,3
     assert code == 0
     resolved = (rundir / "runs" / "escape" / "config.resolved").read_text()
     cfg = parse_config(resolved)
-    assert cfg.seed == 5 and cfg.samples == 200
+    assert cfg.values("seed") == ("5",) and cfg.values("samples") == ("200",)
     # flag overrides the file
     code = main(["escape", "--config", str(cfg_path), "--samples", "100",
                  "--output", str(rundir / "runs" / "esc2")])
     assert code == 0
     cfg2 = parse_config((rundir / "runs" / "esc2" / "config.resolved").read_text())
-    assert cfg2.samples == 100
+    assert cfg2.values("samples") == ("100",)
     # wrong experiment in the file
     assert main(["decay", "--config", str(cfg_path)]) == 2
     capsys.readouterr()
@@ -403,12 +405,51 @@ _ESCAPE_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
      "--samples", "100"],
     ["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center", "0.5",
      "--ball-radius", "0.5", "--samples", "100", "--radius-range", "0.5"],
+    ["escape"] + _ESCAPE_FLAGS + ["--seed", "-1", "--dry-run"],
+    ["escape"] + _ESCAPE_FLAGS + ["--workers", "0", "--dry-run"],
+    ["counterexample", "--eps", "0.9", "--u", "1000", "--s", "3", "--dry-run"],
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
-        "decay-negative-samples", "flow-time-overflow", "one-number-radius-range"])
+        "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
+        "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (rundir / "runs").exists()
+
+
+_CHECK_CFG = "[run]\nexperiment = check\nY = 0.5\nt = 1,1\neps = 0.3\n"
+
+
+@pytest.mark.parametrize("extra,fragment", [
+    ("foo = 1", "unknown config key 'foo' for check"),
+    ("seed = abc", "bad value for --seed: 'abc'"),
+    ("t = 9,9", "config key 't' given more than once"),
+    ("Y = 0.25", "config key 'Y' given more than once"),
+    ("samples = 10", "unknown config key 'samples' for check"),
+    ("trajectory = explicit 1 1", "unknown config key 'trajectory' for check"),
+    ("workers = 2", "unknown config key 'workers' for check"),
+], ids=["unknown-key", "seed-not-integer", "repeated-t", "repeated-Y",
+        "samples-not-read", "trajectory-not-read", "workers-not-a-key"])
+def test_cli_config_key_the_run_cannot_use_is_an_error(rundir, capsys, extra, fragment):
+    (rundir / "check.cfg").write_text(_CHECK_CFG + extra + "\n")
+    assert main(["check", "--config", "check.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not (rundir / "runs").exists()
+    # without the extra line the same file runs
+    (rundir / "check.cfg").write_text(_CHECK_CFG)
+    assert main(["check", "--config", "check.cfg"]) == 0
+    capsys.readouterr()
+
+
+def test_readme_config_example_is_a_valid_plan(rundir, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(examples) == 1
+    (rundir / "readme.cfg").write_text(examples[0])
+    assert main(["escape", "--config", "readme.cfg", "--dry-run"]) == 0
+    # both t lines of the example are read, in order
+    assert "t = 6,3,3\nt = 8,4,4\n" in capsys.readouterr().out
 
 
 # Per subcommand: flags, and the config.resolved text of the plan that
@@ -617,6 +658,10 @@ def test_cli_plan_pinned_for_flags_and_config(rundir, capsys, command):
     assert main([command] + argv + ["--dry-run"]) == 0
     assert capsys.readouterr().out == expected
     (rundir / "plan.cfg").write_text(_config_from_flags(command, argv))
+    assert main([command, "--config", "plan.cfg", "--dry-run"]) == 0
+    assert capsys.readouterr().out == expected
+    # the plan a run writes is itself a config file that gives the same plan
+    (rundir / "plan.cfg").write_text(body)
     assert main([command, "--config", "plan.cfg", "--dry-run"]) == 0
     assert capsys.readouterr().out == expected
     assert not (rundir / "out").exists()
