@@ -41,6 +41,7 @@ from .config import (
 from .errors import CapacityError, ParameterError
 from .experiments import (
     _counterexample_window,
+    _escape_grid,
     equidist_test_k2,
     escape_table,
     no_drift_counterexample,
@@ -276,14 +277,14 @@ def _cmd_di(v):
 
 
 def _scan_inputs(v) -> dict:
-    """Keyword arguments of escape_table / nondiv_decay_scan."""
+    """Keyword arguments of escape_table / nondiv_decay_scan, checked up front."""
     mapping = parse_map(v.map)
     measure = parse_measure(v.measure)
     ball = Ball(v.ball_center, v.ball_radius)
     weights = [parse_weight_vector(txt, 1, mapping.n) for txt in v.t]
     return dict(mapping=mapping, measure=measure, ball=ball, t_list=weights,
-                eps_grid=v.eps, samples=v.samples, seed=v.seed, depth=v.depth,
-                margin=v.margin, workers=v.workers)
+                eps_grid=_escape_grid(v.eps, v.samples), samples=v.samples,
+                seed=v.seed, depth=v.depth, margin=v.margin, workers=v.workers)
 
 
 def _cmd_escape(v):

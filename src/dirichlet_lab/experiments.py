@@ -81,24 +81,18 @@ def _collect_in_ball(
 ) -> np.ndarray:
     """First ``count`` support samples inside the ball, in stream order."""
     kept = []
-    have = 0
-    drawn = 0
+    have = drawn = 0
     block = max(count, _rng.BLOCK)
     while have < count:
         if drawn >= max_factor * count:
-            raise EmptySupportError(
-                "ball caught %d of %d needed samples after %d draws"
-                % (have, count, drawn)
-            )
-        # deterministic prefix property: extending a sample run never
-        # changes the earlier points, so acceptance order is stable
-        pts = sample(measure, seed, drawn + block, depth=depth, workers=workers)[drawn:]
+            raise EmptySupportError("ball caught %d of %d needed samples after %d draws"
+                                    % (have, count, drawn))
+        # each pass draws only its own window of the stream, which equals
+        # the same slice of one long run, so acceptance order is stable
+        pts = sample(measure, seed, block, depth=depth, workers=workers, start=drawn)
         drawn += block
-        mask = ball.contains(pts)
-        taken = pts[mask]
-        if taken.shape[0]:
-            kept.append(taken)
-            have += taken.shape[0]
+        kept.append(pts[ball.contains(pts)])
+        have += kept[-1].shape[0]
     return np.concatenate(kept, axis=0)[:count]
 
 
@@ -181,6 +175,16 @@ class EscapeCell:
         }
 
 
+def _escape_grid(eps_grid, samples: int) -> tuple:
+    """The eps grid as floats, once every eps is in (0, 1) and samples >= 1."""
+    grid = tuple(float(e) for e in eps_grid)
+    if not grid or any(not (0.0 < e < 1.0) for e in grid):
+        raise ParameterError("eps values must lie in (0, 1)")
+    if samples < 1:
+        raise ParameterError("samples must be >= 1, got %r" % (samples,))
+    return grid
+
+
 def _escape_cells(
     mapping: MapSpec,
     measure: MeasureSpec,
@@ -194,11 +198,7 @@ def _escape_cells(
     experiment: str,
     workers: int = 1,
 ) -> list:
-    grid = tuple(float(e) for e in eps_grid)
-    if not grid or any(not (0.0 < e < 1.0) for e in grid):
-        raise ParameterError("eps values must lie in (0, 1)")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1, got %r" % (samples,))
+    grid = _escape_grid(eps_grid, samples)
     pts = _collect_in_ball(measure, ball, samples, seed, depth, workers=workers)
     rows = mapping.evaluate(pts)
     cap = max(grid) + 64.0 * margin

@@ -295,19 +295,23 @@ def sample(
     count: int,
     depth: int = DEFAULT_IFS_DEPTH,
     workers: int = 1,
+    start: int = 0,
 ) -> np.ndarray:
-    """count deterministic samples, shape (count, ambient_dim)."""
+    """Stream positions start .. start + count - 1, shape (count, ambient_dim)."""
     if count < 1:
         raise ParameterError("count must be >= 1")
+    if isinstance(measure, Pushforward):
+        base_pts = sample(measure.base, seed, count, depth=depth, workers=workers, start=start)
+        return measure.mapping.evaluate(base_pts)
     if isinstance(measure, LebesgueBox):
         lo = np.array(measure.lower)
         hi = np.array(measure.upper)
+        tag = _TAG_BOX
 
-        def draw_box(gen, c):
+        def draw(gen, c):
             return gen.uniform(lo, hi, size=(c, lo.size))
 
-        return _rng.sample_batched(draw_box, count, seed, tag=_TAG_BOX, workers=workers)
-    if isinstance(measure, SelfSimilarIFS):
+    elif isinstance(measure, SelfSimilarIFS):
         if depth < 1:
             raise ParameterError("depth must be >= 1")
         ratios = np.array(measure.ratios)
@@ -316,8 +320,9 @@ def sample(
         # start at the fixed point of the deepest digit's map so an
         # eventually-constant address lands exactly on the attractor
         fixed = trans / (1.0 - ratios)[:, None]
+        tag = _TAG_IFS_ADDRESS
 
-        def draw_ifs(gen, c):
+        def draw(gen, c):
             digits = gen.choice(len(ratios), size=(c, depth), p=probs)
             x = fixed[digits[:, depth - 1]]
             for level in range(depth - 2, -1, -1):
@@ -325,11 +330,9 @@ def sample(
                 x = ratios[a][:, None] * x + trans[a]
             return x
 
-        return _rng.sample_batched(draw_ifs, count, seed, tag=_TAG_IFS_ADDRESS, workers=workers)
-    if isinstance(measure, Pushforward):
-        base_pts = sample(measure.base, seed, count, depth=depth, workers=workers)
-        return measure.mapping.evaluate(base_pts)
-    raise ParameterError("unknown measure spec %r" % (measure,))
+    else:
+        raise ParameterError("unknown measure spec %r" % (measure,))
+    return _rng.sample_batched(draw, count, seed, tag=tag, workers=workers, start=start)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ Every stochastic routine in this package draws from streams keyed by
 block gets its own independent generator, and block outputs are merged
 in block order.  Worker count therefore never changes which stream
 produced which sample: running with 1 worker or 8 gives bit-identical
-results.  Rejection-style sampling must also filter in block order so
-the accepted subsequence is reproducible.
+results.  A block's rows do not depend on how many of them are drawn, so
+any window of a stream can be drawn on its own and equals the same slice
+of a longer run; rejection-style sampling draws each pass as its own
+window and filters in stream order, so the accepted subsequence is
+reproducible.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -59,41 +62,34 @@ def map_blocks(
         return list(pool.map(fn, range(n_blocks)))
 
 
-def blocked_counts(total: int, block: int = BLOCK) -> list[tuple[int, int]]:
-    """Split ``total`` items into (block_index, count) pieces of size ``block``."""
-    if total < 0:
-        raise ParameterError("total must be nonnegative")
-    pieces = []
-    b = 0
-    left = total
-    while left > 0:
-        take = min(block, left)
-        pieces.append((b, take))
-        left -= take
-        b += 1
-    return pieces
-
-
 def sample_batched(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     total: int,
     seed: int,
     tag: int = 0,
     workers: int = 1,
+    start: int = 0,
 ) -> np.ndarray:
-    """Draw ``total`` samples in deterministic blocks and concatenate.
+    """Stream positions ``start .. start + total - 1``, concatenated.
 
     ``draw(rng, count)`` returns an array whose first axis has length
-    ``count``.
+    ``count`` and whose rows do not depend on ``count``.  Position ``i``
+    lives in block ``i // BLOCK``; only the blocks that overlap the window
+    are drawn, each up to the window's end, and sliced from its start.
     """
-    pieces = blocked_counts(total)
-    if not pieces:
-        probe = draw(stream(seed, 0, tag), 0)
-        return probe
+    if total < 0:
+        raise ParameterError("total must be nonnegative")
+    if start < 0:
+        raise ParameterError("start must be nonnegative")
+    if total == 0:
+        return draw(stream(seed, 0, tag), 0)
+    stop = start + total
+    first = start // BLOCK
 
     def one(i: int) -> np.ndarray:
-        b, count = pieces[i]
-        return draw(stream(seed, b, tag), count)
+        lo = (first + i) * BLOCK
+        rows = draw(stream(seed, first + i, tag), min(lo + BLOCK, stop) - lo)
+        return rows[max(start - lo, 0):]
 
-    parts = map_blocks(one, len(pieces), workers=workers)
+    parts = map_blocks(one, (stop - 1) // BLOCK + 1 - first, workers=workers)
     return np.concatenate(parts, axis=0)

@@ -1,5 +1,6 @@
 """Tests for the experiment drivers in dirichlet_lab.experiments."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from dirichlet_lab import experiments
 from dirichlet_lab.errors import CapacityError, EmptySupportError, ParameterError
 from dirichlet_lab.experiments import (
     CounterexampleRecord,
@@ -26,10 +28,14 @@ from dirichlet_lab.experiments import (
 )
 from dirichlet_lab.flows import LinearFormSystem, WeightVector, flowed_basis, random_forms
 from dirichlet_lab.lattice import shortest_vector_supnorm
-from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS
+from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS, sample
+from dirichlet_lab.rng import BLOCK
 
 V2 = MapSpec.veronese(2)
 LEB01 = LebesgueBox((0.0,), (1.0,))
+CANTOR = SelfSimilarIFS.cantor_middle_thirds()
+# a Cantor point's radius-0.01 ball: about one draw in 22 lands in it
+CANTOR_BALL = Ball((0.7407407,), 0.01)
 BALL_V2 = Ball((0.5, 0.375), 2.0)
 
 # affine curve x -> (x, 2x+1); q = (-2, 1) collapses the form exactly,
@@ -100,10 +106,50 @@ def test_collect_in_ball_deterministic_and_inside():
 
 
 def test_collect_in_ball_empty_support():
-    cantor = SelfSimilarIFS.cantor_middle_thirds()
-    with pytest.raises(EmptySupportError):
-        _collect_in_ball(cantor, Ball((0.5,), 0.05), 100, seed=0, depth=20,
-                         max_factor=20)
+    gap = Ball((0.5,), 0.05)  # inside the removed middle third
+    with pytest.raises(EmptySupportError,
+                       match="^ball caught 0 of 100 needed samples after 4096 draws$"):
+        _collect_in_ball(CANTOR, gap, 100, seed=0, depth=20, max_factor=20)
+    with pytest.raises(EmptySupportError,
+                       match="^ball caught 0 of 100 needed samples after 102400 draws$"):
+        _collect_in_ball(CANTOR, gap, 100, seed=0, depth=20)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collect_in_ball_is_the_in_ball_prefix_of_one_run(workers):
+    # count 5000 makes each pass 5000 draws, so passes straddle blocks
+    got = _collect_in_ball(CANTOR, CANTOR_BALL, 5000, seed=0, depth=20, workers=workers)
+    once = sample(CANTOR, 0, 200_000, depth=20)
+    inside = once[CANTOR_BALL.contains(once)]
+    assert inside.shape[0] >= 5000
+    np.testing.assert_array_equal(got, inside[:5000])
+
+
+def test_collect_in_ball_draws_each_position_once(monkeypatch):
+    counts = []
+
+    def counting_sample(*args, **kwargs):
+        pts = sample(*args, **kwargs)
+        counts.append(pts.shape[0])
+        return pts
+
+    monkeypatch.setattr(experiments, "sample", counting_sample)
+    _collect_in_ball(CANTOR, CANTOR_BALL, 5000, seed=0, depth=20)
+    block = max(5000, BLOCK)
+    assert len(counts) > 1
+    assert sum(counts) == len(counts) * block
+
+
+@pytest.mark.parametrize("points,digest", [
+    (lambda: _collect_in_ball(CANTOR, CANTOR_BALL, 5000, seed=0, depth=20),
+     "2fb610509dacd9b9270224d2312b893f2fa1ad53fecc935dcf9a368babc6abda"),
+    (lambda: sample(LebesgueBox((0,), (1,)), 3, 10000),
+     "0e2403e30578dec7d2b03a52c9136ea988ea63ea0999bafa29063b4f52ca22b1"),
+], ids=["collect", "box"])
+def test_stream_order_is_pinned(points, digest):
+    # sampled points, not reports: any change to block keying, block
+    # length or window slicing moves these digests
+    assert hashlib.sha256(points().tobytes()).hexdigest() == digest
 
 
 def test_escape_nearly_everything_for_eps_near_one():

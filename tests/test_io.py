@@ -408,9 +408,12 @@ _ESCAPE_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
     ["escape"] + _ESCAPE_FLAGS + ["--seed", "-1", "--dry-run"],
     ["escape"] + _ESCAPE_FLAGS + ["--workers", "0", "--dry-run"],
     ["counterexample", "--eps", "0.9", "--u", "1000", "--s", "3", "--dry-run"],
+    ["escape"] + _ESCAPE_FLAGS + ["--samples", "0", "--dry-run"],
+    ["decay"] + _ESCAPE_FLAGS[:-1] + ["1.5", "--samples", "50", "--dry-run"],
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
-        "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u"])
+        "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
+        "escape-zero-samples-dry-run", "decay-bad-eps-dry-run"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")

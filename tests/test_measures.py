@@ -100,6 +100,21 @@ def test_cantor_samples_lie_on_the_attractor():
     assert max(cantor_distance(float(x)) for x in pts) <= 1e-9
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("measure", [LEB01, CANTOR, Pushforward(MapSpec.veronese(2), CANTOR)],
+                         ids=["box", "cantor", "pushforward"])
+def test_window_equals_the_slice_of_a_longer_run(measure, workers):
+    # windows that start and end on, just before, just after and across
+    # the 4096-point block edges
+    for start in (0, 1, 4095, 4096, 5000):
+        for count in (1, 4096, 9000):
+            window = sample(measure, 11, count, workers=workers, start=start)
+            whole = sample(measure, 11, start + count, workers=workers)
+            np.testing.assert_array_equal(window, whole[start:])
+    with pytest.raises(ParameterError, match="start must be nonnegative"):
+        sample(measure, 11, 3, start=-1)
+
+
 def test_pushforward_sampling_commutes_with_the_map():
     v2 = MapSpec.veronese(2)
     pf = Pushforward(v2, LEB01)
