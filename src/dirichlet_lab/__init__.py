@@ -12,7 +12,6 @@ from .lattice import (
     LatticeBasis,
     ShortestVectorResult,
     ThickRegion,
-    classify_thick,
     random_unimodular,
     reduce_basis,
     shortest_supnorm_k2_batch,
@@ -25,7 +24,6 @@ from .flows import (
     DIRecord,
     DIReport,
     DirichletWitness,
-    DriftingGrid,
     ExplicitList,
     LinearFormSystem,
     Solvability,
@@ -48,36 +46,29 @@ from .flows import (
 from .exterior import (
     CoefficientCertificate,
     ExteriorVector,
-    RationalSubspace,
     affine_pairing,
     big_coefficient_certificate,
     flow_action,
     index_sets,
     shear_action,
-    subspace_covolume,
     weight_exponent,
 )
 from .measures import (
     Ball,
     CGoodEstimate,
     FedererEstimate,
-    GoodnessParams,
     LebesgueBox,
     MapSpec,
     NonplanarResult,
     Pushforward,
     SelfSimilarIFS,
-    SupNormEstimate,
     cgood_empirical,
     drv_manifolds,
     epsilon0_registry,
     federer_empirical,
-    nondegeneracy_order,
     nondivergence_veronese,
     nonplanar_test,
     sample,
-    sublevel_measure_bound,
-    sup_norm_on_support,
 )
 from .experiments import (
     CounterexampleCase,
@@ -92,7 +83,6 @@ from .experiments import (
     RandomInput,
     RationalInput,
     equidist_test_k2,
-    escape_measure,
     escape_table,
     haar_sample_k2,
     no_drift_counterexample,

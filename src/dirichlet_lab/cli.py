@@ -41,16 +41,26 @@ from .config import (
 from .errors import CapacityError, ParameterError
 from .experiments import (
     _counterexample_window,
+    _equidist_weights,
     _escape_grid,
     equidist_test_k2,
     escape_table,
     no_drift_counterexample,
     nondiv_decay_scan,
 )
-from .flows import ba_quality, di_classify, dirichlet_solvable_direct, trajectory_lambda1
+from .flows import (
+    _ba_weights,
+    ba_quality,
+    di_classify,
+    dirichlet_solvable_direct,
+    trajectory_lambda1,
+)
 from .lattice import DEFAULT_MARGIN
 from .measures import (
+    DEFAULT_IFS_DEPTH,
     Ball,
+    _cgood_grid,
+    _federer_radii,
     cgood_empirical,
     epsilon0_registry,
     federer_empirical,
@@ -300,11 +310,17 @@ def _cmd_decay(v):
     scan_args = _scan_inputs(v)
     yield
     scan = nondiv_decay_scan(**scan_args)
+    # the fit must decay at least as fast as nondivergence guarantees;
+    # None when either exponent is missing (no fit, or a constant map)
+    passed = (None if scan.alpha is None or scan.alpha_theory is None
+              else scan.alpha >= scan.alpha_theory)
     lines = [
         "pooled decay: alpha=%s c2=%s (zero cells excluded: %d)"
         % (scan.alpha, scan.c2, scan.excluded_zero_cells),
         "per-eps max fraction: %s" % (list(scan.column_max),),
         "per-eps span over t:  %s" % (list(scan.column_span),),
+        "nondivergence: alpha_theory=%s pass=%s"
+        % (scan.alpha_theory, passed),
     ]
     yield scan.to_records(), lines
 
@@ -313,6 +329,7 @@ def _cmd_equidist(v):
     if len(v.interval) != 2:
         raise ParameterError("--interval takes two numbers lo,hi")
     eps = _one_eps(v, "equidist")
+    _equidist_weights(v.interval, v.flow_time, eps, v.samples)
     yield
     report = equidist_test_k2(v.interval, v.y0, v.flow_time, eps,
                               samples=v.samples, seed=v.seed,
@@ -342,6 +359,7 @@ def _cmd_good_test(v):
     ball = Ball(v.ball_center, v.ball_radius)
     if not 1 <= v.coord <= mapping.n:
         raise ParameterError("--coord must be in 1..%d" % mapping.n)
+    _cgood_grid(v.alpha, v.eps)
     yield
 
     def f(x):
@@ -363,6 +381,7 @@ def _cmd_good_test(v):
 def _cmd_federer_test(v):
     measure = parse_measure(v.measure)
     region = Ball(v.ball_center, v.ball_radius)
+    _federer_radii(v.ball_count, v.radius_range)
     yield
     est = federer_empirical(measure, region, ball_count=v.ball_count,
                             samples=v.samples, seed=v.seed, depth=v.depth,
@@ -395,6 +414,7 @@ def _cmd_nonplanar_test(v):
 
 def _cmd_ba(v):
     Y = parse_forms(v.Y, v.m, v.n)
+    _ba_weights(Y, v.r, v.s, v.q_max)
     yield
     value = ba_quality(Y, v.r, v.s, v.q_max)
     record = {"experiment": "ba", "m": v.m, "n": v.n, "Y": v.Y,
@@ -427,7 +447,7 @@ _FAMILY = _Param("trajectory", required=True, kind="append", flag="family",
                  help="'ray central t=..', 'ray r=.. s=.. t=..', or repeated 'explicit ..'")
 _EPS = _Param("eps", float, required=True, kind="list")
 _MARGIN = _Param("margin", float, DEFAULT_MARGIN)
-_DEPTH = _Param("depth", int, 20)
+_DEPTH = _Param("depth", int, DEFAULT_IFS_DEPTH)
 _MAP = _Param("map", required=True)
 _MEASURE = _Param("measure", required=True)
 

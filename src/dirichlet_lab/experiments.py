@@ -47,7 +47,14 @@ from .lattice import (
     shortest_with_region,
     trichotomy,
 )
-from .measures import _Z95, Ball, MapSpec, MeasureSpec, sample
+from .measures import (
+    DEFAULT_IFS_DEPTH,
+    Ball,
+    MapSpec,
+    MeasureSpec,
+    _binomial_half_width,
+    sample,
+)
 
 _TAG_HAAR = 47
 _TAG_TRANSLATE = 53
@@ -66,8 +73,7 @@ def _fraction_with_margin(lam: np.ndarray, eps: float, margin: float):
     if n_eff == 0:
         return 0.0, 0.0, 0, boundary
     p = hits / n_eff
-    hw = _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n_eff)
-    return p, hw, hits, boundary
+    return p, _binomial_half_width(p, n_eff), hits, boundary
 
 
 def _collect_in_ball(
@@ -224,28 +230,6 @@ def _escape_cells(
     return cells
 
 
-def escape_measure(
-    mapping: MapSpec,
-    measure: MeasureSpec,
-    ball: Ball,
-    t: WeightVector,
-    eps: float,
-    samples: int = 20_000,
-    seed: int = 0,
-    depth: int = 20,
-    margin: float = DEFAULT_MARGIN,
-    workers: int = 1,
-) -> EscapeCell:
-    """Fraction of nu|_B pushed out of the eps-thick part by the t-flow.
-
-    A sampled x escapes when the flowed lattice of the single-form
-    system mapping(x) has a nonzero vector shorter than eps.
-    """
-    cells = _escape_cells(mapping, measure, ball, (t,), (eps,), samples,
-                          seed, depth, margin, "escape", workers)
-    return cells[0]
-
-
 def escape_table(
     mapping: MapSpec,
     measure: MeasureSpec,
@@ -254,7 +238,7 @@ def escape_table(
     eps_grid,
     samples: int = 20_000,
     seed: int = 0,
-    depth: int = 20,
+    depth: int = DEFAULT_IFS_DEPTH,
     margin: float = DEFAULT_MARGIN,
     workers: int = 1,
 ) -> tuple:
@@ -271,6 +255,7 @@ class DecayScan:
     slopes: dict          # t tuple -> per-t fitted slope (or None)
     alpha: float | None   # pooled slope of log fraction vs log eps
     c2: float | None      # exp(pooled intercept)
+    alpha_theory: float | None  # nondivergence exponent 1/(d l); None at degree 0
     eps_grid: tuple
     column_max: tuple     # per-eps max fraction over t
     column_span: tuple    # per-eps max - min fraction over t
@@ -288,7 +273,7 @@ def nondiv_decay_scan(
     eps_grid,
     samples: int = 20_000,
     seed: int = 0,
-    depth: int = 20,
+    depth: int = DEFAULT_IFS_DEPTH,
     margin: float = DEFAULT_MARGIN,
     workers: int = 1,
 ) -> DecayScan:
@@ -298,6 +283,12 @@ def nondiv_decay_scan(
     excluded and counted.  The pooled fit reports (c2, alpha) with
     fraction <= c2 * eps^alpha as the empirical law; the per-eps column
     max and span quantify uniformity in t.
+
+    alpha_theory is the exponent of Kleinbock-Margulis quantitative
+    nondivergence for a polynomial map of degree l in d variables: the
+    escape fraction is at most C' (eps/rho)^{1/(d l)}, so a fitted alpha
+    below 1/(d l) contradicts the theorem the improvability results
+    rest on.
     """
     t_list = tuple(t_list)
     if not t_list:
@@ -339,7 +330,9 @@ def nondiv_decay_scan(
         col = [c.fraction for c in cells if c.eps == eps]
         col_max.append(max(col))
         col_span.append(max(col) - min(col))
-    return DecayScan(tuple(cells), slopes, alpha, c2, grid,
+    degree = mapping.degree
+    alpha_theory = 1.0 / (mapping.d * degree) if degree else None
+    return DecayScan(tuple(cells), slopes, alpha, c2, alpha_theory, grid,
                      tuple(col_max), tuple(col_span), excluded)
 
 
@@ -359,9 +352,6 @@ class HaarSampleK2:
     matrices: np.ndarray
     y_max: float
     truncated_mass: float
-
-    def __len__(self) -> int:
-        return int(self.matrices.shape[0])
 
 
 def haar_sample_k2(seed: int, count: int, y_max: float = 1.0e3) -> HaarSampleK2:
@@ -464,6 +454,22 @@ def thick_fraction_k2(
     return int(np.count_nonzero(region == ThickRegion.INSIDE)) / n_eff, n_eff, boundary
 
 
+def _equidist_weights(interval, flow_time: float, eps: float, samples: int) -> tuple:
+    """((lo, hi), flow weights), once every equidist_test_k2 input is checked."""
+    lo, hi = (float(interval[0]), float(interval[1]))
+    if not lo < hi:
+        raise ParameterError("interval needs lo < hi")
+    if not (0.0 < eps < 1.0):
+        raise ParameterError("eps must lie in (0, 1)")
+    if flow_time <= 0:
+        raise ParameterError("flow_time must be positive")
+    if samples < 1:
+        raise ParameterError("samples must be >= 1, got %r" % (samples,))
+    t = WeightVector(1, 1, (float(flow_time), float(flow_time)))
+    flow_exponents(t)  # the overflow guard
+    return (lo, hi), t
+
+
 def equidist_test_k2(
     interval: tuple,
     y0: float,
@@ -481,14 +487,7 @@ def equidist_test_k2(
     whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part; the
     reference comes from haar_sample_k2 with the same sample budget.
     """
-    lo, hi = (float(interval[0]), float(interval[1]))
-    if not lo < hi:
-        raise ParameterError("interval needs lo < hi")
-    if not (0.0 < eps < 1.0):
-        raise ParameterError("eps must lie in (0, 1)")
-    if flow_time <= 0:
-        raise ParameterError("flow_time must be positive")
-    t = WeightVector(1, 1, (float(flow_time), float(flow_time)))
+    (lo, hi), t = _equidist_weights(interval, flow_time, eps, samples)
     exps = flow_exponents(t)
     grow = math.exp(exps[0])
     shrink = math.exp(exps[1])

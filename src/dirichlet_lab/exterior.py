@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -109,41 +108,6 @@ class ExteriorVector:
         I = _check_index_set(I, self.k)
         return float(self.coeffs[index_sets(self.k, self.grade).index(I)])
 
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0.0))
-
-    def to_text(self) -> str:
-        lines = []
-        for I, w in zip(index_sets(self.k, self.grade), self.coeffs):
-            lines.append("I={%s} w=%.17g" % (",".join(str(i) for i in I), w))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExteriorVector":
-        entries = {}
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if not (line.startswith("I={") and " w=" in line):
-                raise ParameterError("bad exterior line: %r" % line)
-            body, wpart = line.split(" w=", 1)
-            inner = body[len("I={"):]
-            if not inner.endswith("}"):
-                raise ParameterError("bad exterior line: %r" % line)
-            I = tuple(int(s) for s in inner[:-1].split(",") if s != "")
-            entries[I] = float(wpart)
-        if not entries:
-            raise ParameterError("no coefficients in text")
-        sizes = {len(I) for I in entries}
-        if len(sizes) != 1:
-            raise ParameterError("mixed index-set sizes in text")
-        grade = sizes.pop()
-        k = 1 + max(max(I) for I in entries)
-        if len(entries) != len(index_sets(k, grade)):
-            raise ParameterError("text must list every index set exactly once")
-        return cls.from_map(k, grade, entries)
-
 
 def flow_action(t: WeightVector, w: ExteriorVector) -> ExteriorVector:
     """Diagonal-flow action: each coefficient scales by e^{t_I}."""
@@ -190,180 +154,6 @@ def affine_pairing(w: ExteriorVector, t: WeightVector, I, y) -> float:
     """<g_t tau(y) w, e_I>: affine in y for fixed w, t, I."""
     moved = flow_action(t, shear_action(y, w))
     return moved.coefficient(I)
-
-
-# ---------------------------------------------------------------------------
-# rational subspaces and covolume
-# ---------------------------------------------------------------------------
-
-
-def _identity_int(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _diagonalize_with_left_inverse(M) -> tuple[list[list[int]], int]:
-    """Reduce an integer matrix to diagonal form by unimodular row/column
-    operations; returns (Pinv, rank) where the first `rank` columns of the
-    unimodular Pinv are a basis of the saturation of the column span.
-
-    Invariant: span_Z(original M) = Pinv @ span_Z(current A), so once A is
-    diagonal the real column span of M is spanned by the first `rank`
-    columns of Pinv, and unimodularity of Pinv makes that an integral
-    basis of Z^k intersected with the span.
-    """
-    A = [[int(x) for x in row] for row in M]
-    k = len(A)
-    r = len(A[0]) if k else 0
-    Pinv = _identity_int(k)
-
-    def swap_rows(i, l):
-        A[i], A[l] = A[l], A[i]
-        for row in Pinv:
-            row[i], row[l] = row[l], row[i]
-
-    def add_row(i, l, q):
-        # A <- E A with E = I + q e_i e_l^T, so Pinv <- Pinv E^{-1},
-        # which subtracts q * col_i from col_l of Pinv.
-        for j in range(r):
-            A[i][j] += q * A[l][j]
-        for row in Pinv:
-            row[l] -= q * row[i]
-
-    d = 0
-    while d < min(k, r):
-        piv = next(((i, j) for i in range(d, k) for j in range(d, r)
-                    if A[i][j] != 0), None)
-        if piv is None:
-            break
-        if piv[0] != d:
-            swap_rows(d, piv[0])
-        if piv[1] != d:
-            for row in A:
-                row[d], row[piv[1]] = row[piv[1]], row[d]
-        while True:
-            for i in range(d + 1, k):
-                while A[i][d] != 0:
-                    add_row(i, d, -(A[i][d] // A[d][d]))
-                    if A[i][d] != 0:
-                        swap_rows(d, i)
-            for j in range(d + 1, r):
-                while A[d][j] != 0:
-                    q = A[d][j] // A[d][d]
-                    for row in A:
-                        row[j] -= q * row[d]
-                    if A[d][j] != 0:
-                        for row in A:
-                            row[d], row[j] = row[j], row[d]
-            if all(A[i][d] == 0 for i in range(d + 1, k)) and \
-               all(A[d][j] == 0 for j in range(d + 1, r)):
-                break
-        d += 1
-    return Pinv, d
-
-def _solve_integer_combination(basis_cols, target) -> list[int] | None:
-    """Exact solve B c = target for integer c; None if no integral solution."""
-    k = len(basis_cols[0])
-    j = len(basis_cols)
-    aug = [[Fraction(basis_cols[col][row]) for col in range(j)]
-           + [Fraction(int(target[row]))] for row in range(k)]
-    row = 0
-    pivots = []
-    for col in range(j):
-        sel = next((i for i in range(row, k) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(k):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == k:
-            break
-    if any(aug[i][j] != 0 for i in range(row, k)):
-        return None
-    c = [Fraction(0)] * j
-    for i, col in enumerate(pivots):
-        c[col] = aug[i][j]
-    if any(x.denominator != 1 for x in c):
-        return None
-    return [int(x) for x in c]
-
-
-@dataclass(frozen=True, eq=False)
-class RationalSubspace:
-    """Proper nonzero rational subspace of R^k, held by a saturated basis.
-
-    Construction takes integer generators (columns not required to be
-    independent or primitive) and replaces them with a basis of the
-    full intersection lattice Z^k cap span(generators), so covolume
-    computations never see an index > 1 sublattice.
-    """
-
-    k: int
-    dim: int
-    basis: np.ndarray  # k x dim integer columns, saturated
-
-    def __init__(self, generators):
-        rows = np.asarray(list(generators), dtype=object)
-        if rows.ndim != 2 or rows.shape[1] < 2:
-            raise ParameterError("generators must be vectors of length k >= 2")
-        G = rows.T  # columns generate the subspace
-        k, r = G.shape
-        if k > MAX_DIM:
-            raise ParameterError("k must be at most %d" % MAX_DIM)
-        for row in G:
-            for x in row:
-                if not isinstance(x, (int, np.integer)):
-                    raise ParameterError("generators must be integers")
-        Pinv, rank = _diagonalize_with_left_inverse(G.tolist())
-        if rank == 0:
-            raise ParameterError("generators span the zero subspace")
-        if rank == k:
-            raise ParameterError("subspace must be proper (dimension < k)")
-        basis = np.array([[Pinv[i][j] for j in range(rank)] for i in range(k)],
-                         dtype=object)
-        # index-one check: every generator must be an integer combination
-        cols = [tuple(int(basis[i, j]) for i in range(k)) for j in range(rank)]
-        for col in range(r):
-            if _solve_integer_combination(cols, [G[i, col] for i in range(k)]) is None:
-                raise ParameterError("saturation failed to absorb a generator")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "dim", rank)
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-
-    def basis_float(self) -> np.ndarray:
-        return self.basis.astype(float)
-
-    def wedge(self) -> ExteriorVector:
-        """Coordinates of b_1 ^ ... ^ b_dim as a grade-dim vector."""
-        B = self.basis_float()
-        sets = index_sets(self.k, self.dim)
-        coeffs = np.array([np.linalg.det(B[list(I), :]) for I in sets])
-        # minors of an integer matrix: snap to the nearest integer
-        coeffs = np.rint(coeffs)
-        return ExteriorVector(self.k, self.dim, coeffs)
-
-
-def subspace_covolume(g, V: RationalSubspace) -> float:
-    """Euclidean norm of the wedge of g applied to a saturated basis of V.
-
-    Independent of the choice of saturated basis (they differ by a
-    determinant +-1 change of coordinates).
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (V.k, V.k):
-        raise ParameterError("g must be %d x %d" % (V.k, V.k))
-    U = g @ V.basis_float()
-    gram = U.T @ U
-    det = float(np.linalg.det(gram))
-    if det < 0:
-        det = 0.0
-    return math.sqrt(det)
 
 
 # ---------------------------------------------------------------------------

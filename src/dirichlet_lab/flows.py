@@ -107,11 +107,6 @@ class WeightVector:
         """max_i t_i."""
         return max(self.t)
 
-    def scaled(self, c: float) -> "WeightVector":
-        if c <= 0:
-            raise ParameterError("scale factor must be positive")
-        return WeightVector(self.m, self.n, tuple(c * x for x in self.t))
-
     @classmethod
     def central(cls, m: int, n: int, scale: float) -> "WeightVector":
         """Point on the central ray: (scale/m,...,scale/m, scale/n,...,scale/n)."""
@@ -580,34 +575,7 @@ class ExplicitList:
         return self.items
 
 
-@dataclass(frozen=True)
-class DriftingGrid:
-    """Base directions rescaled so min_i t_i walks up a declared floor ladder."""
-
-    base: tuple[WeightVector, ...]
-    floors: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "floors", tuple(float(f) for f in self.floors))
-        if not self.base or not self.floors:
-            raise ParameterError("base and floors must be nonempty")
-        if any(f <= 0 for f in self.floors):
-            raise ParameterError("floors must be positive")
-        if list(self.floors) != sorted(set(self.floors)):
-            raise ParameterError("floors must be strictly increasing")
-
-    def weights(self, m: int, n: int) -> tuple[WeightVector, ...]:
-        out = []
-        for f in self.floors:
-            for w in self.base:
-                if (w.m, w.n) != (m, n):
-                    raise ParameterError("base element has wrong (m, n)")
-                out.append(w.scaled(f / w.floor))
-        return tuple(out)
-
-
-TrajectoryFamily = CentralRay | WeightedRay | ExplicitList | DriftingGrid
+TrajectoryFamily = CentralRay | WeightedRay | ExplicitList
 
 
 # ---------------------------------------------------------------------------
@@ -712,16 +680,8 @@ def trajectory_lambda1(
 # ---------------------------------------------------------------------------
 
 
-def ba_quality(Y: LinearFormSystem, r, s, q_max: int) -> float:
-    """inf over 0 < |q|_sup <= q_max of max_i {Y_i q}^{1/r_i} * max_j |q_j|^{1/s_j}.
-
-    {x} is the fractional part (one-sided approximation from above),
-    and q runs over the canonical half grid whose first nonzero
-    coordinate is positive.  The value is nonincreasing in q_max; a
-    positive infimum over all q is the badly-approximable property for
-    the weights (r, s).  For the golden ratio with r = s = (1) this
-    converges onto the classical 1/sqrt(5).
-    """
+def _ba_weights(Y: LinearFormSystem, r, s, q_max: int) -> tuple:
+    """(r, s) as floats, once they fit Y, q_max >= 1 and the scan fits BA_BUDGET."""
     r = tuple(float(x) for x in r)
     s = tuple(float(x) for x in s)
     _check_unit_weights(r, s)
@@ -735,6 +695,20 @@ def ba_quality(Y: LinearFormSystem, r, s, q_max: int) -> float:
         raise CapacityError(
             "quality scan needs %d evaluations, budget is %d" % (total, BA_BUDGET)
         )
+    return r, s
+
+
+def ba_quality(Y: LinearFormSystem, r, s, q_max: int) -> float:
+    """inf over 0 < |q|_sup <= q_max of max_i {Y_i q}^{1/r_i} * max_j |q_j|^{1/s_j}.
+
+    {x} is the fractional part (one-sided approximation from above),
+    and q runs over the canonical half grid whose first nonzero
+    coordinate is positive.  The value is nonincreasing in q_max; a
+    positive infimum over all q is the badly-approximable property for
+    the weights (r, s).  For the golden ratio with r = s = (1) this
+    converges onto the classical 1/sqrt(5).
+    """
+    r, s = _ba_weights(Y, r, s, q_max)
     axes = [np.arange(-q_max, q_max + 1)] * Y.n
     best = math.inf
     inv_r = 1.0 / np.array(r)

@@ -75,32 +75,6 @@ class LatticeBasis:
     def k(self) -> int:
         return self.columns.shape[0]
 
-    def to_text(self) -> str:
-        """Row-major decimal text, 17 significant digits, header "k=<int>"."""
-        lines = ["k=%d" % self.k]
-        for row in self.columns:
-            lines.append(" ".join("%.17g" % x for x in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LatticeBasis":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("k="):
-            raise ParameterError("basis text must start with a 'k=<int>' header")
-        try:
-            k = int(lines[0][2:])
-        except ValueError as exc:
-            raise ParameterError("bad dimension header %r" % lines[0]) from exc
-        if len(lines) != k + 1:
-            raise ParameterError("expected %d rows after header, got %d" % (k, len(lines) - 1))
-        rows = []
-        for ln in lines[1:]:
-            vals = [float(tok) for tok in ln.split()]
-            if len(vals) != k:
-                raise ParameterError("row %r does not have %d entries" % (ln, k))
-            rows.append(vals)
-        return cls(np.array(rows))
-
 
 @dataclass(frozen=True, eq=False)
 class ShortestVectorResult:
@@ -354,22 +328,12 @@ def trichotomy(lam, eps: float, margin: float):
     return _REGIONS[1 + (lam >= eps + margin).astype(np.intp) - (lam < eps - margin)]
 
 
-def classify_thick(
-    basis: LatticeBasis,
-    eps: float,
-    margin: float = DEFAULT_MARGIN,
-) -> ThickRegion:
-    """Trichotomy: does the lattice avoid all nonzero vectors shorter than eps?"""
-    _, region = shortest_with_region(basis, eps, margin)
-    return region
-
-
 def shortest_with_region(
     basis: LatticeBasis,
     eps: float,
     margin: float = DEFAULT_MARGIN,
 ) -> tuple[ShortestVectorResult, ThickRegion]:
-    """classify_thick plus the witnessing shortest vector."""
+    """The shortest vector and the trichotomy region of its length against eps."""
     sv = shortest_vector_supnorm(basis)
     return sv, trichotomy(sv.length, eps, margin)
 

@@ -57,8 +57,8 @@ class MapSpec:
     """Polynomial map R^d -> R^n, one exponent/coefficient list per output.
 
     ``coords[j]`` is a tuple of (coefficient, exponent-vector) terms; the
-    coefficients are kept as exact rationals so formal differentiation
-    (used by the nondegeneracy-order computation) never rounds.
+    coefficients are kept as exact rationals, and ``evaluate`` rounds them
+    to floats.
     """
 
     d: int
@@ -116,88 +116,6 @@ class MapSpec:
             out[:, j] = acc
         return out
 
-    def derivative_terms(self, coord: int, beta) -> tuple:
-        """Formal partial derivative d^beta of coordinate ``coord``."""
-        terms = self.coords[coord]
-        for axis, times in enumerate(beta):
-            for _ in range(times):
-                new = []
-                for coeff, expo in terms:
-                    if expo[axis] > 0:
-                        lowered = list(expo)
-                        lowered[axis] -= 1
-                        new.append((coeff * expo[axis], tuple(lowered)))
-                terms = tuple(new)
-        return terms
-
-
-def _eval_terms_exact(terms, x: tuple) -> Fraction:
-    total = Fraction(0)
-    for coeff, expo in terms:
-        val = coeff
-        for xi, e in zip(x, expo):
-            if e:
-                val *= xi ** e
-        total += val
-    return total
-
-
-def _fraction_rank(rows) -> int:
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    cols = len(mat[0])
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _multi_indices(d: int, order: int):
-    if d == 1:
-        yield (order,)
-        return
-    for first in range(order, -1, -1):
-        for rest in _multi_indices(d - 1, order - first):
-            yield (first,) + rest
-
-
-def nondegeneracy_order(mapping: MapSpec, x) -> int | None:
-    """Smallest order whose partial derivatives at x span R^n, or None.
-
-    Exact arithmetic throughout: the point is converted to rationals and
-    the span matrices are rank-checked over Q, so boundary cases (like
-    derivatives vanishing exactly at 0) are decided correctly.
-    """
-    if np.isscalar(x):
-        x = (x,)
-    xq = tuple(_as_fraction(v) for v in x)
-    if len(xq) != mapping.d:
-        raise ParameterError("point must have %d coordinates" % mapping.d)
-    rows = []
-    for order in range(1, mapping.degree + 1):
-        for beta in _multi_indices(mapping.d, order):
-            row = [
-                _eval_terms_exact(mapping.derivative_terms(j, beta), xq)
-                for j in range(mapping.n)
-            ]
-            rows.append(row)
-        if _fraction_rank(rows) == mapping.n:
-            return order
-    return None
-
 
 # ---------------------------------------------------------------------------
 # measures
@@ -233,7 +151,6 @@ class SelfSimilarIFS:
     ratios: tuple
     translations: tuple
     probs: tuple
-    open_set_condition: bool = True
 
     def __post_init__(self):
         ratios = tuple(float(r) for r in self.ratios)
@@ -362,9 +279,6 @@ class Ball:
             raise ParameterError("interval needs lo < hi")
         return cls(((lo + hi) / 2.0,), (hi - lo) / 2.0)
 
-    def scaled(self, factor: float) -> "Ball":
-        return Ball(self.center, self.radius * factor)
-
     def contains(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -373,44 +287,9 @@ class Ball:
         return np.sqrt(np.sum(diff * diff, axis=1)) <= self.radius
 
 
-def _support_values(f, measure, ball, samples, seed, depth, workers=1):
-    pts = sample(measure, seed, samples, depth=depth, workers=workers)
-    mask = ball.contains(pts)
-    inside = pts[mask]
-    if inside.shape[0] == 0:
-        raise EmptySupportError(
-            "no support samples fell in the ball (center %s, radius %g, %d draws)"
-            % (ball.center, ball.radius, samples)
-        )
-    args = inside[:, 0] if inside.shape[1] == 1 else inside
-    vals = np.abs(np.asarray(f(args), dtype=float)).ravel()
-    if vals.shape[0] != inside.shape[0]:
-        raise ParameterError("f must return one value per sample point")
-    return inside, vals
-
-
-@dataclass(frozen=True)
-class SupNormEstimate:
-    value: float
-    inside_count: int
-    sample_count: int
-
-
-def sup_norm_on_support(
-    f,
-    measure: MeasureSpec,
-    ball: Ball,
-    samples: int = 10_000,
-    seed: int = 0,
-    depth: int = DEFAULT_IFS_DEPTH,
-    workers: int = 1,
-) -> SupNormEstimate:
-    """Monte Carlo sup of |f| over (ball intersect support).
-
-    An under-estimate by construction: it only sees sampled points.
-    """
-    inside, vals = _support_values(f, measure, ball, samples, seed, depth, workers)
-    return SupNormEstimate(float(vals.max()), int(inside.shape[0]), samples)
+def _binomial_half_width(p: float, n: int) -> float:
+    """~95% normal-approximation half-width of a proportion p out of n."""
+    return _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 @dataclass(frozen=True)
@@ -425,6 +304,18 @@ class CGoodEstimate:
     half_widths: tuple
     inside_count: int
     degenerate: bool
+
+
+def _cgood_grid(alpha: float, eps_grid) -> tuple:
+    """The eps grid as floats, once alpha is in (0, 1] and the grid increases."""
+    if not (0.0 < alpha <= 1.0):
+        raise ParameterError("alpha must lie in (0, 1]")
+    grid = tuple(float(e) for e in eps_grid)
+    if not grid or any(e <= 0 for e in grid) or any(
+        b <= a for a, b in zip(grid, grid[1:])
+    ):
+        raise ParameterError("eps_grid must be positive and strictly increasing")
+    return grid
 
 
 def cgood_empirical(
@@ -446,22 +337,26 @@ def cgood_empirical(
     identically on the sampled support the inequality is vacuous and the
     result is flagged degenerate (C = inf).
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError("alpha must lie in (0, 1]")
-    grid = tuple(float(e) for e in eps_grid)
-    if not grid or any(e <= 0 for e in grid) or any(
-        b <= a for a, b in zip(grid, grid[1:])
-    ):
-        raise ParameterError("eps_grid must be positive and strictly increasing")
-    inside, vals = _support_values(f, measure, ball, samples, seed, depth, workers)
+    grid = _cgood_grid(alpha, eps_grid)
+    pts = sample(measure, seed, samples, depth=depth, workers=workers)
+    inside = pts[ball.contains(pts)]
     count = inside.shape[0]
+    if count == 0:
+        raise EmptySupportError(
+            "no support samples fell in the ball (center %s, radius %g, %d draws)"
+            % (ball.center, ball.radius, samples)
+        )
+    args = inside[:, 0] if inside.shape[1] == 1 else inside
+    vals = np.abs(np.asarray(f(args), dtype=float)).ravel()
+    if vals.shape[0] != count:
+        raise ParameterError("f must return one value per sample point")
     sup = float(vals.max())
     fracs = []
     widths = []
     for eps in grid:
         p = float(np.count_nonzero(vals < eps)) / count
         fracs.append(p)
-        widths.append(_Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / count))
+        widths.append(_binomial_half_width(p, count))
     if sup == 0.0:
         return CGoodEstimate(math.inf, alpha, 0.0, grid, tuple(fracs),
                              tuple(widths), count, True)
@@ -479,6 +374,18 @@ class FedererEstimate:
     balls_used: int
     worst_center: tuple
     worst_radius: float
+
+
+def _federer_radii(ball_count: int, radius_range) -> tuple:
+    """(lo, hi) of radius_range, once ball_count >= 1 and 0 < lo <= hi <= 1."""
+    if ball_count < 1:
+        raise ParameterError("ball_count must be >= 1")
+    if len(radius_range) != 2:
+        raise ParameterError("radius_range takes two numbers lo, hi")
+    lo_r, hi_r = radius_range
+    if not (0.0 < lo_r <= hi_r <= 1.0):
+        raise ParameterError("radius_range must satisfy 0 < lo <= hi <= 1")
+    return lo_r, hi_r
 
 
 def federer_empirical(
@@ -500,13 +407,7 @@ def federer_empirical(
     lower bound for the true Federer constant: only finitely many balls
     are examined.
     """
-    if ball_count < 1:
-        raise ParameterError("ball_count must be >= 1")
-    if len(radius_range) != 2:
-        raise ParameterError("radius_range takes two numbers lo, hi")
-    lo_r, hi_r = radius_range
-    if not (0.0 < lo_r <= hi_r <= 1.0):
-        raise ParameterError("radius_range must satisfy 0 < lo <= hi <= 1")
+    lo_r, hi_r = _federer_radii(ball_count, radius_range)
     pts = sample(measure, seed, samples, depth=depth, workers=workers)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -592,65 +493,6 @@ def nonplanar_test(
 # ---------------------------------------------------------------------------
 # explicit constants
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GoodnessParams:
-    """Explicit constants used by the nondivergence machinery.
-
-    C and alpha are the sublevel-inequality constants, D the doubling
-    bound, rho the covolume lower bound on the tested ball; C1 and C2
-    are decay-law fit parameters left as configuration (estimated from
-    experiments, not assumed).
-    """
-
-    C: float
-    alpha: float
-    D: float
-    rho: float
-    C1: float | None = None
-    C2: float | None = None
-
-    def __post_init__(self):
-        for name in ("C", "alpha", "D", "rho"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ParameterError("%s must be positive and finite" % name)
-        if self.alpha > 1.0:
-            raise ParameterError("alpha must be at most 1")
-        for name in ("C1", "C2"):
-            v = getattr(self, name)
-            if v is not None and not (v > 0 and math.isfinite(v)):
-                raise ParameterError("%s must be positive when given" % name)
-
-
-def sublevel_measure_bound(
-    degree: int,
-    d: int,
-    a,
-    A,
-    c_d: float,
-    eps: float,
-    sup_f: float,
-) -> float:
-    """Upper bound for the relative measure of {|f| < eps} on a box.
-
-    With the l-th partials pinched between a_i and A_i, the sublevel
-    fraction is at most  l * c_d * max_i (A_i/a_i)^{1/l} * (eps/sup)^{1/(d l)}.
-    Used to sanity-check empirical sublevel fractions from above.
-    """
-    if degree < 1 or d < 1:
-        raise ParameterError("degree and d must be >= 1")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    A = np.atleast_1d(np.asarray(A, dtype=float))
-    if a.shape != A.shape or a.size != d:
-        raise ParameterError("a and A must both have d entries")
-    if not np.all((a > 0) & (a <= A)):
-        raise ParameterError("need 0 < a_i <= A_i")
-    if not (eps > 0 and sup_f > 0 and c_d > 0):
-        raise ParameterError("eps, sup_f and c_d must be positive")
-    ratio = float(np.max(A / a)) ** (1.0 / degree)
-    return degree * c_d * ratio * (eps / sup_f) ** (1.0 / (d * degree))
 
 
 def nondivergence_veronese(n: int) -> float:

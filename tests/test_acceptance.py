@@ -257,13 +257,16 @@ def test_criterion_6_escape_decay_uniform_in_t(verdict):
         for i in range(3) for j in range(3)
     )
     slopes = [scan.slopes[t.t] for t in t_list]
+    # alpha_theory = 1/(d l) is the Kleinbock-Margulis nondivergence exponent
     slopes_ok = (scan.alpha is not None and scan.alpha >= 0.4
+                 and scan.alpha >= scan.alpha_theory
                  and all(s is not None and s >= 0.4 for s in slopes))
     span = max(scan.column_span)
     ok = monotone and slopes_ok and span <= 0.1 and elapsed < 300.0
     verdict(6, "escape decay uniform over t", ok,
-            "alpha=%.3f slopes=%.2f..%.2f span=%.4f monotone=%s %.1fs"
-            % (scan.alpha, min(slopes), max(slopes), span, monotone, elapsed))
+            "alpha=%.3f alpha_theory=%.3f slopes=%.2f..%.2f span=%.4f monotone=%s %.1fs"
+            % (scan.alpha, scan.alpha_theory, min(slopes), max(slopes), span,
+               monotone, elapsed))
 
 
 def test_criterion_7_horocycle_equidistribution(verdict):

@@ -19,13 +19,14 @@ from dirichlet_lab.experiments import (
     _collect_in_ball,
     _lambda1_rows_batch,
     equidist_test_k2,
-    escape_measure,
+    escape_table,
     haar_sample_k2,
     no_drift_counterexample,
     nondiv_decay_scan,
     singular_profile,
     thick_fraction_k2,
 )
+from dirichlet_lab.config import parse_map
 from dirichlet_lab.flows import LinearFormSystem, WeightVector, flowed_basis, random_forms
 from dirichlet_lab.lattice import shortest_vector_supnorm
 from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS, sample
@@ -153,15 +154,15 @@ def test_stream_order_is_pinned(points, digest):
 
 
 def test_escape_nearly_everything_for_eps_near_one():
-    cell = escape_measure(V2, LEB01, BALL_V2, WeightVector(1, 2, (2.0, 1.0, 1.0)),
-                          0.999, samples=20_000, seed=1)
+    (cell,) = escape_table(V2, LEB01, BALL_V2, (WeightVector(1, 2, (2.0, 1.0, 1.0)),),
+                           (0.999,), samples=20_000, seed=1)
     assert cell.fraction >= 0.99
     assert cell.n + cell.boundary_n == 20_000
 
 
 def test_escape_record_shape():
-    cell = escape_measure(V2, LEB01, BALL_V2, WeightVector(1, 2, (2.0, 1.0, 1.0)),
-                          0.5, samples=2000, seed=1)
+    (cell,) = escape_table(V2, LEB01, BALL_V2, (WeightVector(1, 2, (2.0, 1.0, 1.0)),),
+                           (0.5,), samples=2000, seed=1)
     rec = cell.to_record()
     assert list(rec) == ["experiment", "seed", "t", "floor_t", "norm_t", "eps",
                          "fraction", "ci", "n", "boundary_n"]
@@ -174,10 +175,10 @@ def test_escape_record_shape():
 def test_escape_validation():
     t = WeightVector(1, 2, (2.0, 1.0, 1.0))
     with pytest.raises(ParameterError):
-        escape_measure(V2, LEB01, BALL_V2, t, 1.5, samples=100, seed=0)
+        escape_table(V2, LEB01, BALL_V2, (t,), (1.5,), samples=100, seed=0)
     with pytest.raises(ParameterError):
-        escape_measure(V2, LEB01, BALL_V2, WeightVector(1, 1, (1.0, 1.0)),
-                       0.5, samples=100, seed=0)
+        escape_table(V2, LEB01, BALL_V2, (WeightVector(1, 1, (1.0, 1.0)),),
+                     (0.5,), samples=100, seed=0)
 
 
 def test_decay_scan_frozen_small_run():
@@ -197,12 +198,27 @@ def test_decay_scan_frozen_small_run():
     assert len(recs) == 6 and recs[0]["experiment"] == "decay-scan"
 
 
+@pytest.mark.parametrize("decl,alpha_theory", [
+    ("veronese n=2", 1 / 2),
+    ("veronese n=3", 1 / 3),
+    ("poly d=2 n=1 f1=x1^2+x1*x2", 1 / 4),
+    ("poly d=1 n=2 f1=1/2 f2=1/4", None),
+], ids=["veronese-2", "veronese-3", "poly-d2-degree2", "constant"])
+def test_decay_scan_alpha_theory_is_one_over_d_times_degree(decl, alpha_theory):
+    mapping = parse_map(decl)
+    box = LebesgueBox((0.0,) * mapping.d, (1.0,) * mapping.d)
+    t = WeightVector(1, mapping.n, (float(mapping.n),) + (1.0,) * mapping.n)
+    scan = nondiv_decay_scan(mapping, box, Ball((0.5,) * mapping.n, 10.0), (t,),
+                             (0.2, 0.4), samples=200, seed=0)
+    assert scan.alpha_theory == alpha_theory
+
+
 def test_planar_curve_escapes_everywhere():
     # 2 e^{-3} < 0.1: every point of the affine curve is pushed out
     t = WeightVector(1, 2, (6.0, 3.0, 3.0))
-    planar = escape_measure(PLANAR, LEB01, Ball((0.5, 2.0), 3.0), t, 0.1,
-                            samples=2000, seed=2)
-    curved = escape_measure(V2, LEB01, BALL_V2, t, 0.1, samples=2000, seed=2)
+    (planar,) = escape_table(PLANAR, LEB01, Ball((0.5, 2.0), 3.0), (t,), (0.1,),
+                             samples=2000, seed=2)
+    (curved,) = escape_table(V2, LEB01, BALL_V2, (t,), (0.1,), samples=2000, seed=2)
     assert planar.fraction == 1.0
     assert curved.fraction < 0.05
 
@@ -212,9 +228,9 @@ def test_rational_constant_map_fully_escapes():
         ((Fraction(1, 2), (0,)),),
         ((Fraction(1, 4), (0,)),),
     ))
-    cell = escape_measure(const, LEB01, Ball((0.5, 0.25), 1.0),
-                          WeightVector(1, 2, (8.0, 4.0, 4.0)), 0.1,
-                          samples=500, seed=2)
+    (cell,) = escape_table(const, LEB01, Ball((0.5, 0.25), 1.0),
+                           (WeightVector(1, 2, (8.0, 4.0, 4.0)),), (0.1,),
+                           samples=500, seed=2)
     assert cell.fraction == 1.0
 
 

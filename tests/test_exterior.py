@@ -7,13 +7,11 @@ from dirichlet_lab.errors import ParameterError
 from dirichlet_lab.exterior import (
     CoefficientCertificate,
     ExteriorVector,
-    RationalSubspace,
     affine_pairing,
     big_coefficient_certificate,
     flow_action,
     index_sets,
     shear_action,
-    subspace_covolume,
     weight_exponent,
 )
 from dirichlet_lab.flows import LinearFormSystem, WeightVector, flow_matrix, forms_basis
@@ -222,87 +220,6 @@ def test_pairing_is_affine_midpoint_identity():
         assert mid == pytest.approx(avg, rel=1e-12, abs=1e-12)
 
 
-# -- rational subspaces and covolume ----------------------------------------
-
-
-def test_covolume_identity_on_axis_line():
-    V = RationalSubspace([(1, 0)])
-    assert subspace_covolume(np.eye(2), V) == pytest.approx(1.0)
-
-
-def test_covolume_diagonal_flow_on_diagonal_line():
-    V = RationalSubspace([(1, 1)])
-    g = np.diag([math.e, 1.0 / math.e])
-    want = math.hypot(math.e, 1.0 / math.e)
-    assert subspace_covolume(g, V) == pytest.approx(want, rel=1e-12)
-
-
-def test_covolume_saturates_non_primitive_generators():
-    V = RationalSubspace([(2, 2)])
-    W = RationalSubspace([(1, 1)])
-    g = np.diag([math.e, 1.0 / math.e])
-    assert subspace_covolume(g, V) == pytest.approx(subspace_covolume(g, W), rel=1e-14)
-    assert subspace_covolume(np.eye(2), V) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_covolume_generator_invariance():
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        k = int(rng.integers(3, 6))
-        g1 = rng.integers(-5, 6, size=k)
-        g2 = rng.integers(-5, 6, size=k)
-        if np.all(g1 == 0) or np.all(g2 == 0):
-            continue
-        try:
-            V = RationalSubspace([tuple(g1), tuple(g2)])
-        except ParameterError:
-            continue
-        # same span, messier presentation
-        W = RationalSubspace([
-            tuple(3 * g1), tuple(g1 + 2 * g2), tuple(5 * g2), tuple(g2 - g1),
-        ])
-        assert V.dim == W.dim
-        g = rng.uniform(-2, 2, size=(k, k))
-        a = subspace_covolume(g, V)
-        b = subspace_covolume(g, W)
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-
-
-def test_saturated_basis_solves_explicit_case():
-    V = RationalSubspace([(2, 2, 0)])
-    assert V.dim == 1
-    b = V.basis[:, 0]
-    assert abs(int(b[0])) == 1 and int(b[0]) == int(b[1]) and int(b[2]) == 0
-    assert subspace_covolume(np.eye(3), V) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_subspace_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        RationalSubspace([(0, 0)])  # zero span
-    with pytest.raises(ParameterError):
-        RationalSubspace([(1, 0), (0, 1)])  # full space is not proper
-    with pytest.raises(ParameterError):
-        RationalSubspace([(1.5, 2.0)])  # not integral
-
-
-def test_wedge_of_saturated_basis_matches_oracle():
-    V = RationalSubspace([(1, 2, 3), (0, 1, 1)])
-    w = V.wedge()
-    direct = wedge_coordinates(V.basis_float())
-    for I, val in direct.items():
-        assert w.coefficient(I) == pytest.approx(val, rel=1e-12, abs=1e-12)
-
-
-def test_covolume_is_norm_of_flowed_wedge():
-    # route a random case through the exterior machinery as a cross-check
-    V = RationalSubspace([(1, 0, 2), (0, 3, 1)])
-    t = one_form_weights((0.7, 1.1))
-    g = flow_matrix(t)
-    by_gram = subspace_covolume(g, V)
-    moved = flow_action(t, V.wedge())
-    assert by_gram == pytest.approx(float(np.linalg.norm(moved.coeffs)), rel=1e-12)
-
-
 # -- big-coefficient certificate --------------------------------------------
 
 
@@ -351,24 +268,3 @@ def test_certificate_bound_and_claim_on_random_integer_vectors():
         assert slope == pytest.approx(cert.value, rel=1e-10, abs=1e-10)
         done += 1
 
-
-# -- text form ---------------------------------------------------------------
-
-
-def test_text_round_trip():
-    rng = np.random.default_rng(37)
-    w = random_vector(rng, 4, 2)
-    text = w.to_text()
-    back = ExteriorVector.from_text(text)
-    assert back.k == 4 and back.grade == 2
-    np.testing.assert_array_equal(back.coeffs, w.coeffs)
-    assert "I={0,1} w=" in text
-
-
-def test_text_rejects_malformed_input():
-    with pytest.raises(ParameterError):
-        ExteriorVector.from_text("I={0,1} w=1.0\n")  # incomplete listing
-    with pytest.raises(ParameterError):
-        ExteriorVector.from_text("nonsense\n")
-    with pytest.raises(ParameterError):
-        ExteriorVector.from_text("")

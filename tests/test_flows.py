@@ -13,7 +13,6 @@ from dirichlet_lab.experiments import _lambda1_rows_batch
 from dirichlet_lab.flows import (
     CentralRay,
     DirichletWitness,
-    DriftingGrid,
     ExplicitList,
     LinearFormSystem,
     Solvability,
@@ -294,16 +293,6 @@ def test_explicit_list_checks_shapes():
     fam = ExplicitList((WeightVector(1, 1, (1.0, 1.0)),))
     with pytest.raises(ParameterError):
         fam.weights(1, 2)
-
-
-def test_drifting_grid_scales_to_floors():
-    base = (WeightVector(1, 2, (2.0, 1.0, 1.0)),)
-    fam = DriftingGrid(base=base, floors=(1.0, 3.0))
-    ws = fam.weights(1, 2)
-    assert [w.floor for w in ws] == [1.0, 3.0]
-    assert ws[1].t == pytest.approx((6.0, 3.0, 3.0))
-    with pytest.raises(ParameterError):
-        DriftingGrid(base=base, floors=(3.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,8 @@ def test_cli_equidist_and_ba(rundir, capsys):
 _ESCAPE_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
                  "--ball-center", "0.5", "--ball-radius", "0.75", "--t", "6,3,3",
                  "--eps", "0.4"]
+_GOOD_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
+               "--ball-center", "0.5", "--ball-radius", "0.5", "--samples", "100"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -410,14 +412,40 @@ _ESCAPE_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
     ["counterexample", "--eps", "0.9", "--u", "1000", "--s", "3", "--dry-run"],
     ["escape"] + _ESCAPE_FLAGS + ["--samples", "0", "--dry-run"],
     ["decay"] + _ESCAPE_FLAGS[:-1] + ["1.5", "--samples", "50", "--dry-run"],
+    ["equidist", "--interval", "0,1", "--flow-time", "3", "--eps", "0.5",
+     "--samples", "0"],
+    ["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center", "0.5",
+     "--ball-radius", "0.5", "--samples", "100", "--ball-count", "0"],
+    ["good-test"] + _GOOD_FLAGS + ["--alpha", "-1", "--eps", "0.1"],
+    ["good-test"] + _GOOD_FLAGS + ["--alpha", "0.5", "--eps", "0.2", "0.1"],
+    ["ba", "--Y", "0.5", "--r", "1", "--s", "1", "--q-max", "0"],
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
-        "escape-zero-samples-dry-run", "decay-bad-eps-dry-run"])
+        "escape-zero-samples-dry-run", "decay-bad-eps-dry-run",
+        "equidist-zero-samples", "federer-zero-ball-count", "good-test-negative-alpha",
+        "good-test-decreasing-eps", "ba-zero-q-max"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv):
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # --dry-run validates what the run validates: with and without it the
+    # input exits 2 with the same first error line
+    if "--dry-run" in argv:
+        twin = [arg for arg in argv if arg != "--dry-run"]
+    else:
+        twin = argv + ["--dry-run"]
+    first_lines = []
+    for args in (argv, twin):
+        assert main(args) == 2
+        first_lines.append(capsys.readouterr().err.splitlines()[0])
+    assert first_lines[0].startswith("error:")
+    assert first_lines[0] == first_lines[1]
     assert not (rundir / "runs").exists()
+
+
+def test_cli_decay_checks_the_nondivergence_exponent(rundir, capsys):
+    assert main(["decay"] + _ESCAPE_FLAGS + ["0.2", "--samples", "400"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # Veronese n=2: one variable, degree 2, so alpha_theory = 1/2
+    assert "nondivergence: alpha_theory=0.5 pass=True" in lines
 
 
 _CHECK_CFG = "[run]\nexperiment = check\nY = 0.5\nt = 1,1\neps = 0.3\n"

@@ -7,7 +7,6 @@ from dirichlet_lab.errors import CapacityError, ParameterError
 from dirichlet_lab.lattice import (
     LatticeBasis,
     ThickRegion,
-    classify_thick,
     integer_det,
     random_unimodular,
     reduce_basis,
@@ -35,14 +34,6 @@ def test_rejects_tiny_and_huge_dimensions():
         LatticeBasis(np.eye(1))
     with pytest.raises(ParameterError):
         LatticeBasis(np.eye(7))
-
-
-def test_serialization_roundtrip():
-    basis = random_unimodular(seed=5, k=3, spread=2.0)
-    text = basis.to_text()
-    assert text.splitlines()[0] == "k=3"
-    back = LatticeBasis.from_text(text)
-    np.testing.assert_array_equal(back.columns, basis.columns)
 
 
 def test_reduce_identity_is_identity():
@@ -117,19 +108,19 @@ def test_minkowski_bound_random_unimodular():
         assert shortest_vector_supnorm(basis).length <= 1.0 + 1e-9
 
 
-def test_classify_thick_examples():
-    assert classify_thick(LatticeBasis(np.eye(3)), 0.5) is ThickRegion.INSIDE
-    assert classify_thick(LatticeBasis(np.eye(3)), 1.01) is ThickRegion.OUTSIDE
+def test_shortest_with_region_examples():
+    assert shortest_with_region(LatticeBasis(np.eye(3)), 0.5)[1] is ThickRegion.INSIDE
+    assert shortest_with_region(LatticeBasis(np.eye(3)), 1.01)[1] is ThickRegion.OUTSIDE
     skew = LatticeBasis(np.diag([math.exp(2.0), math.exp(-2.0)]))
-    assert classify_thick(skew, 0.2) is ThickRegion.OUTSIDE
+    assert shortest_with_region(skew, 0.2)[1] is ThickRegion.OUTSIDE
 
 
-def test_classify_thick_boundary_band():
+def test_shortest_with_region_boundary_band():
     basis = LatticeBasis(np.eye(2))
     sv, region = shortest_with_region(basis, eps=1.0, margin=1e-9)
     assert region is ThickRegion.BOUNDARY
     assert sv.length == 1.0
-    assert classify_thick(basis, eps=1.0 - 1e-6) is ThickRegion.INSIDE
+    assert shortest_with_region(basis, eps=1.0 - 1e-6)[1] is ThickRegion.INSIDE
 
 
 def test_trichotomy_edges():

@@ -7,7 +7,6 @@ from dirichlet_lab.errors import EmptySupportError, ParameterError
 from dirichlet_lab.measures import (
     Ball,
     CGoodEstimate,
-    GoodnessParams,
     LebesgueBox,
     MapSpec,
     Pushforward,
@@ -17,12 +16,9 @@ from dirichlet_lab.measures import (
     drv_manifolds,
     epsilon0_registry,
     federer_empirical,
-    nondegeneracy_order,
     nondivergence_veronese,
     nonplanar_test,
     sample,
-    sublevel_measure_bound,
-    sup_norm_on_support,
 )
 
 LEB01 = LebesgueBox((0.0,), (1.0,))
@@ -64,16 +60,6 @@ def test_pushforward_dimension_check():
         Pushforward(MapSpec.veronese(2), LebesgueBox((0.0, 0.0), (1.0, 1.0)))
     pf = Pushforward(MapSpec.veronese(2), LEB01)
     assert ambient_dim(pf) == 2
-
-
-def test_goodness_params_validation():
-    GoodnessParams(C=2.0, alpha=0.5, D=9.0, rho=0.1)
-    with pytest.raises(ParameterError):
-        GoodnessParams(C=2.0, alpha=1.5, D=9.0, rho=0.1)
-    with pytest.raises(ParameterError):
-        GoodnessParams(C=-1.0, alpha=0.5, D=9.0, rho=0.1)
-    with pytest.raises(ParameterError):
-        GoodnessParams(C=1.0, alpha=0.5, D=9.0, rho=0.1, C1=0.0)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -129,7 +115,7 @@ def test_sample_rejects_bad_count():
         sample(LEB01, seed=0, count=0)
 
 
-# -- map evaluation and nondegeneracy ---------------------------------------
+# -- map evaluation -----------------------------------------------------------
 
 
 def test_veronese_map_values_and_degree():
@@ -137,48 +123,6 @@ def test_veronese_map_values_and_degree():
     assert v3.degree == 3
     out = v3.evaluate(np.array([[0.5], [2.0]]))
     np.testing.assert_allclose(out, [[0.5, 0.25, 0.125], [2.0, 4.0, 8.0]])
-
-
-def test_nondegeneracy_order_of_veronese_is_n():
-    for n in (1, 2, 3, 4):
-        vn = MapSpec.veronese(n)
-        for x in (0, 0.37, -1.5, 2):
-            assert nondegeneracy_order(vn, x) == n
-
-
-def test_nondegeneracy_order_degenerate_line_is_none():
-    line = MapSpec(1, 2, (((1, (1,)),), ((2, (1,)),)))  # x -> (x, 2x)
-    assert nondegeneracy_order(line, 0.5) is None
-
-
-def test_nondegeneracy_order_needs_second_derivatives_at_origin():
-    # (x, y, x^2 + y^2): first partials at 0 span only a plane
-    f = MapSpec(2, 3, (
-        ((1, (1, 0)),),
-        ((1, (0, 1)),),
-        ((1, (2, 0)), (1, (0, 2))),
-    ))
-    assert nondegeneracy_order(f, (0, 0)) == 2
-
-
-# -- sup norm ----------------------------------------------------------------
-
-
-def test_sup_norm_of_identity_on_unit_interval():
-    est = sup_norm_on_support(lambda x: x, LEB01, UNIT, samples=10_000, seed=0)
-    assert est.value >= 0.999
-    assert est.inside_count > 0
-
-
-def test_sup_norm_on_cantor_support_reaches_one():
-    est = sup_norm_on_support(lambda x: x, CANTOR, UNIT, samples=10_000, seed=0)
-    assert est.value >= 0.999
-
-
-def test_middle_third_gap_has_empty_support():
-    gap = Ball.interval(0.4, 0.6)
-    with pytest.raises(EmptySupportError):
-        sup_norm_on_support(lambda x: x - 0.5, CANTOR, gap, samples=5_000, seed=0)
 
 
 # -- (C, alpha)-good estimates ----------------------------------------------
@@ -229,6 +173,13 @@ def test_cgood_rejects_bad_grid_and_alpha():
         cgood_empirical(lambda x: x, LEB01, UNIT, 1.0, (0.2, 0.1), samples=100)
     with pytest.raises(ParameterError):
         cgood_empirical(lambda x: x, LEB01, UNIT, 1.0, (), samples=100)
+
+
+def test_middle_third_gap_has_empty_support():
+    gap = Ball.interval(0.4, 0.6)
+    with pytest.raises(EmptySupportError):
+        cgood_empirical(lambda x: x - 0.5, CANTOR, gap, 1.0, (0.1,),
+                        samples=5_000, seed=0)
 
 
 # -- Federer estimates -------------------------------------------------------
@@ -302,34 +253,7 @@ def test_nonplanar_needs_enough_points():
         nonplanar_test(MapSpec.veronese(2), CANTOR, tiny, samples=2_000, seed=0)
 
 
-# -- explicit bounds and constants -------------------------------------------
-
-
-def test_sublevel_bound_worked_example():
-    assert sublevel_measure_bound(1, 1, (1.0,), (1.0,), 2.0, 0.1, 1.0) == \
-        pytest.approx(0.2, rel=1e-12)
-
-
-def test_sublevel_bound_eps_homogeneity():
-    b1 = sublevel_measure_bound(2, 3, (1.0, 1.0, 2.0), (2.0, 3.0, 4.0), 1.7, 0.1, 5.0)
-    b2 = sublevel_measure_bound(2, 3, (1.0, 1.0, 2.0), (2.0, 3.0, 4.0), 1.7, 0.2, 5.0)
-    assert b2 == pytest.approx(b1 * 2.0 ** (1.0 / 6.0), rel=1e-12)
-
-
-def test_sublevel_bound_dominates_measured_fraction():
-    # |df/dx| = 2x between 2 and 4 on [1,2]; the x^2 sublevel fraction at
-    # eps = 0.05 must sit below the formula with a pilot dimensional constant
-    box = LebesgueBox((1.0,), (2.0,))
-    ball = Ball.interval(1.0, 2.0)
-    est = cgood_empirical(lambda x: x * x, box, ball, 1.0, (0.05,),
-                          samples=50_000, seed=9)
-    bound = sublevel_measure_bound(1, 1, (2.0,), (4.0,), 2.0, 0.05, 4.0)
-    assert est.fractions[0] <= bound
-
-
-def test_sublevel_bound_validates_pinching():
-    with pytest.raises(ParameterError):
-        sublevel_measure_bound(1, 1, (2.0,), (1.0,), 1.0, 0.1, 1.0)
+# -- explicit constants -------------------------------------------------------
 
 
 def test_threshold_registry_values():
