@@ -20,16 +20,13 @@ from .lattice import (
     trichotomy,
 )
 from .flows import (
-    CentralRay,
     DIRecord,
     DIReport,
     DirichletWitness,
-    ExplicitList,
     LinearFormSystem,
     Solvability,
     Verdict,
     WeightVector,
-    WeightedRay,
     ba_quality,
     di_classify,
     dirichlet_solvable_direct,
@@ -60,7 +57,6 @@ from .measures import (
     LebesgueBox,
     MapSpec,
     NonplanarResult,
-    Pushforward,
     SelfSimilarIFS,
     cgood_empirical,
     drv_manifolds,

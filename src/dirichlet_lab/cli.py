@@ -12,7 +12,9 @@ the same name (``-`` becomes ``_``; ``--family`` is ``trajectory``),
 else its default, and is recorded in table order.  A config key the
 table lacks, or a repeated key whose flag does not repeat, is an error.
 Handlers validate, then compute; --dry-run stops after validation and
-prints the plan.  Runs write report.jsonl / report.csv / config.resolved
+prints the plan.  Validation runs every input check the run makes, weight
+limits and scan budgets included, through the library's own checks, so
+--dry-run exits 2 or 3 exactly when the run would.  Runs write report.jsonl / report.csv / config.resolved
 into --output, else $DIRICHLET_LAB_OUTDIR/<experiment>, else
 ./runs/<experiment>.  Exit codes: 0 success, 2 bad arguments, 3
 capacity exceeded.
@@ -50,6 +52,8 @@ from .experiments import (
 )
 from .flows import (
     _ba_weights,
+    _di_tested,
+    _direct_bounds,
     ba_quality,
     di_classify,
     dirichlet_solvable_direct,
@@ -60,6 +64,7 @@ from .measures import (
     DEFAULT_IFS_DEPTH,
     Ball,
     _cgood_grid,
+    _check_sample,
     _federer_radii,
     cgood_empirical,
     epsilon0_registry,
@@ -69,21 +74,6 @@ from .measures import (
 from .rng import _check_seed, _check_workers
 
 _ENV_OUTDIR = "DIRICHLET_LAB_OUTDIR"
-
-_CONSTANT_SOURCES = (
-    ("davenport_schmidt_curve", "Davenport & Schmidt: planar-curve improvability"),
-    ("bugeaud_veronese", "Bugeaud: Veronese-curve threshold"),
-    ("khintchine_density", "Khintchine: density of improvable systems"),
-    ("nondivergence_veronese", "quantitative nondivergence, Veronese curve"),
-    ("drv_manifolds", "nondegenerate-manifold threshold"),
-)
-
-
-def _constant_source(name: str) -> str:
-    for prefix, source in _CONSTANT_SOURCES:
-        if name.startswith(prefix):
-            return source
-    return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +232,7 @@ def _cmd_check(v):
     eps = _one_eps(v, "check")
     Y = parse_forms(v.Y, v.m, v.n)
     t = parse_weight_vector(v.t, v.m, v.n)
+    _direct_bounds(Y, t, eps, v.weak_q)
     yield
     witness = dirichlet_solvable_direct(Y, t, eps, weak_q=v.weak_q)
     record = {
@@ -277,6 +268,7 @@ def _cmd_di(v):
     eps = _one_eps(v, "di")
     Y = parse_forms(v.Y, v.m, v.n)
     family = parse_trajectory(v.trajectory, v.m, v.n)
+    _di_tested(family, eps, v.horizon)
     yield
     report = di_classify(Y, family, eps, v.horizon, margin=v.margin)
     lines = [
@@ -292,8 +284,10 @@ def _scan_inputs(v) -> dict:
     measure = parse_measure(v.measure)
     ball = Ball(v.ball_center, v.ball_radius)
     weights = [parse_weight_vector(txt, 1, mapping.n) for txt in v.t]
+    grid, _ = _escape_grid(v.eps, v.samples, weights, mapping.n, v.margin)
+    _check_sample(measure, v.samples, v.depth)
     return dict(mapping=mapping, measure=measure, ball=ball, t_list=weights,
-                eps_grid=_escape_grid(v.eps, v.samples), samples=v.samples,
+                eps_grid=grid, samples=v.samples,
                 seed=v.seed, depth=v.depth, margin=v.margin, workers=v.workers)
 
 
@@ -343,7 +337,7 @@ def _cmd_equidist(v):
 
 def _cmd_counterexample(v):
     eps = _one_eps(v, "counterexample")
-    _counterexample_window(eps, v.u)  # before any heavy work, dry-run included
+    _counterexample_window(eps, v.u, v.s, v.systems)
     yield
     record = no_drift_counterexample(eps, v.u, v.s, systems=v.systems, seed=v.seed)
     lines = [
@@ -360,6 +354,7 @@ def _cmd_good_test(v):
     if not 1 <= v.coord <= mapping.n:
         raise ParameterError("--coord must be in 1..%d" % mapping.n)
     _cgood_grid(v.alpha, v.eps)
+    _check_sample(measure, v.samples, v.depth)
     yield
 
     def f(x):
@@ -382,6 +377,7 @@ def _cmd_federer_test(v):
     measure = parse_measure(v.measure)
     region = Ball(v.ball_center, v.ball_radius)
     _federer_radii(v.ball_count, v.radius_range)
+    _check_sample(measure, v.samples, v.depth)
     yield
     est = federer_empirical(measure, region, ball_count=v.ball_count,
                             samples=v.samples, seed=v.seed, depth=v.depth,
@@ -401,6 +397,7 @@ def _cmd_nonplanar_test(v):
     mapping = parse_map(v.map)
     measure = parse_measure(v.measure)
     ball = Ball(v.ball_center, v.ball_radius)
+    _check_sample(measure, v.samples, v.depth)
     yield
     result = nonplanar_test(mapping, measure, ball, samples=v.samples,
                             seed=v.seed, depth=v.depth, workers=v.workers)
@@ -425,8 +422,8 @@ def _cmd_ba(v):
 def _cmd_constants(v):
     yield
     records = [
-        {"name": name, "value": value, "source": _constant_source(name)}
-        for name, value in epsilon0_registry(v.max_n).items()
+        {"name": name, "value": value, "source": source}
+        for name, (value, source) in epsilon0_registry(v.max_n).items()
     ]
     width = max(len(r["name"]) for r in records)
     lines = ["%-*s  %-12.6g  %s" % (width, r["name"], r["value"], r["source"])

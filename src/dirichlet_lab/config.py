@@ -32,14 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .flows import (
-    CentralRay,
-    ExplicitList,
-    LinearFormSystem,
-    TrajectoryFamily,
-    WeightedRay,
-    WeightVector,
-)
+from .flows import LinearFormSystem, WeightVector
 from .measures import LebesgueBox, MapSpec, MeasureSpec, SelfSimilarIFS
 
 # keys a run writes first, in this order (report format 1); the rest follow
@@ -242,7 +235,8 @@ def parse_map(decl: str) -> MapSpec:
 _RAY_T_RE = re.compile(r"^([^:]+):([^:]+):([^:]+)$")
 
 
-def _ray_schedule(text: str) -> tuple:
+def _ray(text: str, point) -> tuple:
+    """point(start + j * step) for j < count, from the schedule start:step:count."""
     match = _RAY_T_RE.match(text)
     if not match:
         raise ParameterError("ray schedule must be t=<start>:<step>:<count>, got %r" % text)
@@ -252,11 +246,15 @@ def _ray_schedule(text: str) -> tuple:
         count = int(match.group(3))
     except ValueError:
         raise ParameterError("bad ray schedule %r" % text)
-    return start, step, count
+    if step <= 0 or count < 1:
+        raise ParameterError("need step > 0 and count >= 1")
+    if start <= 0:
+        raise ParameterError("start must be positive when given")
+    return tuple(point(start + j * step) for j in range(count))
 
 
-def parse_trajectory(records, m: int, n: int) -> TrajectoryFamily:
-    """Records (one per line) -> a single family.
+def parse_trajectory(records, m: int, n: int) -> tuple[WeightVector, ...]:
+    """Records (one per line) -> the family's weight vectors, in order.
 
     Either exactly one ray record, or any number of explicit records
     forming one explicit list; mixing the two is an error.
@@ -273,15 +271,14 @@ def parse_trajectory(records, m: int, n: int) -> TrajectoryFamily:
             kv = _kv_tokens(tokens[1:], "ray central")
             if set(kv) != {"t"}:
                 raise ParameterError("ray central takes exactly t=start:step:count")
-            start, step, count = _ray_schedule(kv["t"])
-            return CentralRay(step=step, count=count, start=start)
+            return _ray(kv["t"], lambda scale: WeightVector.central(m, n, scale))
         kv = _kv_tokens(tokens, "ray")
         if set(kv) != {"r", "s", "t"}:
             raise ParameterError("weighted ray takes exactly r=, s=, t=")
-        start, step, count = _ray_schedule(kv["t"])
-        return WeightedRay(r=_num_list(kv["r"], "ray r"),
-                           s=_num_list(kv["s"], "ray s"),
-                           step=step, count=count, start=start)
+        r, s = _num_list(kv["r"], "ray r"), _num_list(kv["s"], "ray s")
+        if (len(r), len(s)) != (m, n):
+            raise ParameterError("ray weights sized for m=%d, n=%d" % (len(r), len(s)))
+        return _ray(kv["t"], lambda scale: WeightVector.weighted(r, s, scale))
     items = []
     for rec in records:
         tokens = rec.split()
@@ -296,7 +293,7 @@ def parse_trajectory(records, m: int, n: int) -> TrajectoryFamily:
                 "explicit record needs %d weights for m=%d n=%d, got %d"
                 % (m + n, m, n, len(values)))
         items.append(WeightVector(m, n, values))
-    return ExplicitList(tuple(items))
+    return tuple(items)
 
 
 def parse_forms(text: str, m: int, n: int) -> LinearFormSystem:

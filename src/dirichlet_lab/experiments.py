@@ -29,7 +29,6 @@ import numpy as np
 from . import rng as _rng
 from .errors import CapacityError, EmptySupportError, ParameterError
 from .flows import (
-    ExplicitList,
     LinearFormSystem,
     WeightVector,
     _iter_q_chunks,
@@ -65,15 +64,15 @@ _SLAB_ELEMS = 1 << 24
 
 
 def _fraction_with_margin(lam: np.ndarray, eps: float, margin: float):
-    """(fraction, half_width, hits, boundary_count) for the event lam < eps."""
+    """(fraction, half_width, boundary_count) for the event lam < eps."""
     region = trichotomy(lam, eps, margin)
     hits = int(np.count_nonzero(region == ThickRegion.OUTSIDE))
     boundary = int(np.count_nonzero(region == ThickRegion.BOUNDARY))
     n_eff = lam.size - boundary
     if n_eff == 0:
-        return 0.0, 0.0, 0, boundary
+        return 0.0, 0.0, boundary
     p = hits / n_eff
-    return p, _binomial_half_width(p, n_eff), hits, boundary
+    return p, _binomial_half_width(p, n_eff), boundary
 
 
 def _collect_in_ball(
@@ -102,6 +101,21 @@ def _collect_in_ball(
     return np.concatenate(kept, axis=0)[:count]
 
 
+def _qgrid_bounds(t: WeightVector, cap: float) -> np.ndarray:
+    """Per-axis q bounds of the scan below cap, once t has one form and the
+    grid fits SCAN_BUDGET."""
+    if t.m != 1:
+        raise ParameterError("batch profile covers single-form systems only")
+    bounds = np.floor(cap / np.exp(flow_exponents(t)[1:]))
+    # counted in Python floats, before any int64 cast could wrap a huge bound
+    total = math.prod(2.0 * b + 1.0 for b in bounds.tolist())
+    if total > SCAN_BUDGET:
+        raise CapacityError(
+            "q-grid needs %.0f points, over the scan budget of %d" % (total, SCAN_BUDGET)
+        )
+    return bounds.astype(np.int64)
+
+
 def _lambda1_rows_batch(
     rows: np.ndarray,
     t: WeightVector,
@@ -115,20 +129,13 @@ def _lambda1_rows_batch(
     coordinate is optimal (nearest integer), so only the q-grid is
     enumerated, in bounded-memory slabs.
     """
-    if t.m != 1:
-        raise ParameterError("batch profile covers single-form systems only")
+    bounds = _qgrid_bounds(t, cap)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != t.n:
         raise ParameterError("rows must have shape (N, %d)" % t.n)
     exps = flow_exponents(t)
     grow = math.exp(exps[0])
     shrink = np.exp(exps[1:])
-    bounds = np.floor(cap / shrink).astype(np.int64)
-    total = int(np.prod(2 * bounds + 1, dtype=np.float64))
-    if total > SCAN_BUDGET:
-        raise CapacityError(
-            "q-grid needs %d points, over the scan budget of %d" % (total, SCAN_BUDGET)
-        )
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
     n_samples = rows.shape[0]
     chunk = max(1, _SLAB_ELEMS // max(n_samples, 1))
@@ -181,14 +188,20 @@ class EscapeCell:
         }
 
 
-def _escape_grid(eps_grid, samples: int) -> tuple:
-    """The eps grid as floats, once every eps is in (0, 1) and samples >= 1."""
+def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple:
+    """(eps grid as floats, scan cap), once every eps is in (0, 1), samples
+    >= 1, and every t has m = 1, the map's n, and a q-grid within budget."""
     grid = tuple(float(e) for e in eps_grid)
     if not grid or any(not (0.0 < e < 1.0) for e in grid):
         raise ParameterError("eps values must lie in (0, 1)")
     if samples < 1:
         raise ParameterError("samples must be >= 1, got %r" % (samples,))
-    return grid
+    cap = max(grid) + 64.0 * margin
+    for t in t_list:
+        if t.m != 1 or t.n != n:
+            raise ParameterError("weights must have m=1, n=%d" % n)
+        _qgrid_bounds(t, cap)
+    return grid, cap
 
 
 def _escape_cells(
@@ -204,17 +217,14 @@ def _escape_cells(
     experiment: str,
     workers: int = 1,
 ) -> list:
-    grid = _escape_grid(eps_grid, samples)
+    grid, cap = _escape_grid(eps_grid, samples, t_list, mapping.n, margin)
     pts = _collect_in_ball(measure, ball, samples, seed, depth, workers=workers)
     rows = mapping.evaluate(pts)
-    cap = max(grid) + 64.0 * margin
     cells = []
     for t in t_list:
-        if t.m != 1 or t.n != mapping.n:
-            raise ParameterError("weights must have m=1, n=%d" % mapping.n)
         lam = _lambda1_rows_batch(rows, t, cap)
         for eps in grid:
-            frac, hw, _, boundary = _fraction_with_margin(lam, eps, margin)
+            frac, hw, boundary = _fraction_with_margin(lam, eps, margin)
             cells.append(EscapeCell(
                 experiment=experiment,
                 seed=seed,
@@ -465,9 +475,7 @@ def _equidist_weights(interval, flow_time: float, eps: float, samples: int) -> t
         raise ParameterError("flow_time must be positive")
     if samples < 1:
         raise ParameterError("samples must be >= 1, got %r" % (samples,))
-    t = WeightVector(1, 1, (float(flow_time), float(flow_time)))
-    flow_exponents(t)  # the overflow guard
-    return (lo, hi), t
+    return (lo, hi), WeightVector(1, 1, (float(flow_time), float(flow_time)))
 
 
 def equidist_test_k2(
@@ -565,8 +573,9 @@ class CounterexampleRecord:
         ]
 
 
-def _counterexample_window(eps: float, u: float) -> float:
-    """e^u, once 0 < eps < 1 and 1/eps^2 < e^u < 2 eps are checked."""
+def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
+    """(e^u, the weights (u, s, s + u) per s), once 0 < eps < 1,
+    1/eps^2 < e^u < 2 eps, every s > 0 and systems >= 1 are checked."""
     if not (0.0 < eps < 1.0):
         raise ParameterError("eps must lie in (0, 1)")
     try:
@@ -578,7 +587,12 @@ def _counterexample_window(eps: float, u: float) -> float:
             "empty parameter window: need 1/eps^2 < e^u < 2*eps, got "
             "1/eps^2=%g, e^u=%g, 2*eps=%g" % (1.0 / eps ** 2, eu, 2.0 * eps)
         )
-    return eu
+    s_list = tuple(float(s) for s in s_list)
+    if not s_list or any(s <= 0 for s in s_list):
+        raise ParameterError("s values must be positive")
+    if systems < 1:
+        raise ParameterError("systems must be >= 1")
+    return eu, tuple(WeightVector(2, 1, (u, s, s + u)) for s in s_list)
 
 
 def no_drift_counterexample(
@@ -603,12 +617,7 @@ def no_drift_counterexample(
     lattice vector of length < eps — and that implication is asserted
     on every case.
     """
-    eu = _counterexample_window(eps, u)
-    s_list = tuple(float(s) for s in s_list)
-    if not s_list or any(s <= 0 for s in s_list):
-        raise ParameterError("s values must be positive")
-    if systems < 1:
-        raise ParameterError("systems must be >= 1")
+    eu, weights = _counterexample_window(eps, u, s_list, systems)
     cases = []
     all_pass = True
     max_lambda1 = 0.0
@@ -616,8 +625,8 @@ def no_drift_counterexample(
         Y = random_forms(seed + index, 2, 1, scale=3.0)
         y1 = float(Y.Y[0, 0])
         y2 = float(Y.Y[1, 0])
-        for s in s_list:
-            t = WeightVector(2, 1, (u, s, s + u))
+        for t in weights:
+            s = t.t[1]
             basis = flowed_basis(Y, t)
             target = np.array([eu, 0.0, 0.0])
             coeff = np.linalg.solve(basis.columns, target)
@@ -666,8 +675,8 @@ def no_drift_counterexample(
                 near_vector_distance=found_dist,
                 near_vector_q=found_q,
             ))
-    return CounterexampleRecord(eps, u, s_list, systems, tuple(cases),
-                                all_pass, max_lambda1)
+    return CounterexampleRecord(eps, u, tuple(t.t[1] for t in weights), systems,
+                                tuple(cases), all_pass, max_lambda1)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +756,7 @@ def singular_profile(spec: ProfileInput, t_grid) -> ProfileSeries:
     ):
         raise ParameterError("t_grid must be positive and strictly increasing")
     label, system = profile_system(spec)
-    family = ExplicitList(tuple(WeightVector(1, 1, (s, s)) for s in grid))
-    series = trajectory_lambda1(system, family)
+    series = trajectory_lambda1(system, tuple(WeightVector(1, 1, (s, s)) for s in grid))
     values = tuple(lam for _, lam in series)
     minima = tuple(
         i for i in range(1, len(values) - 1)

@@ -71,7 +71,11 @@ def golden_ratio_exact(digits: int = 60) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Flow exponents (t_1..t_k), k = m + n, balanced between the two blocks."""
+    """Flow exponents (t_1..t_k), k = m + n, balanced between the two blocks.
+
+    Every entry is at most FLOW_OVERFLOW_GUARD, so e^{t_i} and every
+    product the flows form from it stay finite doubles.
+    """
 
     m: int
     n: int
@@ -90,6 +94,10 @@ class WeightVector:
         if abs(left - right) > 1e-12 * max(1.0, left, right):
             raise ParameterError(
                 "weight blocks must balance: sum(front)=%r, sum(back)=%r" % (left, right)
+            )
+        if max(t) > FLOW_OVERFLOW_GUARD:
+            raise ParameterError(
+                "weight entry %g exceeds overflow guard %g" % (max(t), FLOW_OVERFLOW_GUARD)
             )
         object.__setattr__(self, "t", t)
 
@@ -234,11 +242,7 @@ def forms_basis(Y: LinearFormSystem) -> LatticeBasis:
 
 
 def flow_exponents(t: WeightVector) -> np.ndarray:
-    """Signed exponents (t_1..t_m, -t_{m+1}..-t_k) with the overflow guard."""
-    if t.norm > FLOW_OVERFLOW_GUARD:
-        raise ParameterError(
-            "weight entry %g exceeds overflow guard %g" % (t.norm, FLOW_OVERFLOW_GUARD)
-        )
+    """Signed exponents (t_1..t_m, -t_{m+1}..-t_k)."""
     return np.concatenate([np.array(t.t[: t.m]), -np.array(t.t[t.m:])])
 
 
@@ -247,10 +251,14 @@ def flow_matrix(t: WeightVector) -> np.ndarray:
     return np.diag(np.exp(flow_exponents(t)))
 
 
-def flowed_basis(Y: LinearFormSystem, t: WeightVector) -> LatticeBasis:
-    """g_t applied to the forms basis, as row scaling (exact diagonal action)."""
+def _check_sizes(Y: LinearFormSystem, t: WeightVector) -> None:
     if (Y.m, Y.n) != (t.m, t.n):
         raise ParameterError("Y is %dx%d but t is for m=%d, n=%d" % (Y.m, Y.n, t.m, t.n))
+
+
+def flowed_basis(Y: LinearFormSystem, t: WeightVector) -> LatticeBasis:
+    """g_t applied to the forms basis, as row scaling (exact diagonal action)."""
+    _check_sizes(Y, t)
     scale = np.exp(flow_exponents(t))
     return LatticeBasis(scale[:, None] * forms_basis(Y).columns)
 
@@ -352,6 +360,23 @@ def _q_axis_bound(eps: float, tj: float, weak_q: bool) -> int:
     return max(b, 0)
 
 
+def _direct_bounds(Y: LinearFormSystem, t: WeightVector, eps: float, weak_q: bool) -> list:
+    """Per-axis q bounds of the direct scan, once Y fits t, eps is in (0, 1]
+    and the q-box fits DIRECT_BUDGET."""
+    _check_sizes(Y, t)
+    if not (0 < eps <= 1):
+        raise ParameterError("eps must satisfy 0 < eps <= 1, got %r" % (eps,))
+    bounds = [_q_axis_bound(eps, tj, weak_q) for tj in t.t[t.m:]]
+    total = 1
+    for b in bounds:
+        total *= 2 * b + 1
+    if total > DIRECT_BUDGET:
+        raise CapacityError(
+            "direct enumeration needs %d candidates, budget is %d" % (total, DIRECT_BUDGET)
+        )
+    return bounds
+
+
 def dirichlet_solvable_direct(
     Y: LinearFormSystem,
     t: WeightVector,
@@ -365,19 +390,7 @@ def dirichlet_solvable_direct(
     zero form this yields q = (0,..,0,1)-style smallest witnesses.
     p is the coordinatewise nearest integer to Yq (half-ties to even).
     """
-    if (Y.m, Y.n) != (t.m, t.n):
-        raise ParameterError("Y is %dx%d but t is for m=%d, n=%d" % (Y.m, Y.n, t.m, t.n))
-    if not (0 < eps <= 1):
-        raise ParameterError("eps must satisfy 0 < eps <= 1, got %r" % (eps,))
-    flow_exponents(t)  # overflow guard
-    bounds = [_q_axis_bound(eps, tj, weak_q) for tj in t.t[t.m:]]
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
-    if total > DIRECT_BUDGET:
-        raise CapacityError(
-            "direct enumeration needs %d candidates, budget is %d" % (total, DIRECT_BUDGET)
-        )
+    bounds = _direct_bounds(Y, t, eps, weak_q)
     if all(b == 0 for b in bounds):
         return None
 
@@ -456,8 +469,8 @@ def shortest_forms_vector(y: float | Fraction, t_left: float, t_right: float
 
 def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:
     """(lambda1, p, q) of the flowed forms lattice and its shortest vector."""
+    _check_sizes(Y, t)
     if Y.k == 2:
-        flow_exponents(t)  # overflow guard
         lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
         # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
         return (lam, (pq[0],), (pq[1],)) if pq else (lam, (), ())
@@ -483,6 +496,11 @@ def _lattice_status(
     return Solvability.SOLVABLE, DirichletWitness.checked(Y, t, eps, weak_q=False, p=p, q=q)
 
 
+def _check_lattice_eps(eps: float) -> None:
+    if not (0 < eps < 1):
+        raise ParameterError("lattice route requires 0 < eps < 1, got %r" % (eps,))
+
+
 def dirichlet_solvable_lattice(
     Y: LinearFormSystem,
     t: WeightVector,
@@ -495,87 +513,9 @@ def dirichlet_solvable_lattice(
     eps-thick part; must agree with the direct solver away from the
     margin band.
     """
-    if not (0 < eps < 1):
-        raise ParameterError("lattice route requires 0 < eps < 1, got %r" % (eps,))
+    _check_lattice_eps(eps)
     status, _ = _lattice_status(Y, t, eps, margin)
     return status
-
-
-# ---------------------------------------------------------------------------
-# Trajectory families
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CentralRay:
-    """Equal-weight ray, parameters start, start+step, ... (count points)."""
-
-    step: float
-    count: int
-    start: float | None = None
-
-    def __post_init__(self):
-        if self.step <= 0 or self.count < 1:
-            raise ParameterError("need step > 0 and count >= 1")
-        if self.start is not None and self.start <= 0:
-            raise ParameterError("start must be positive when given")
-
-    def weights(self, m: int, n: int) -> tuple[WeightVector, ...]:
-        start = self.step if self.start is None else self.start
-        return tuple(
-            WeightVector.central(m, n, start + j * self.step) for j in range(self.count)
-        )
-
-
-@dataclass(frozen=True)
-class WeightedRay:
-    """Ray scale*(r, s) for fixed unit-sum direction weights."""
-
-    r: tuple[float, ...]
-    s: tuple[float, ...]
-    step: float
-    count: int
-    start: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(float(x) for x in self.r))
-        object.__setattr__(self, "s", tuple(float(x) for x in self.s))
-        _check_unit_weights(self.r, self.s)
-        if self.step <= 0 or self.count < 1:
-            raise ParameterError("need step > 0 and count >= 1")
-        if self.start is not None and self.start <= 0:
-            raise ParameterError("start must be positive when given")
-
-    def weights(self, m: int, n: int) -> tuple[WeightVector, ...]:
-        if (len(self.r), len(self.s)) != (m, n):
-            raise ParameterError("ray weights sized for m=%d, n=%d" % (len(self.r), len(self.s)))
-        start = self.step if self.start is None else self.start
-        return tuple(
-            WeightVector.weighted(self.r, self.s, start + j * self.step)
-            for j in range(self.count)
-        )
-
-
-@dataclass(frozen=True)
-class ExplicitList:
-    """A finite, fully spelled-out family (never drifts by construction)."""
-
-    items: tuple[WeightVector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if not all(isinstance(w, WeightVector) for w in self.items):
-            raise ParameterError("items must be WeightVector instances")
-
-    def weights(self, m: int, n: int) -> tuple[WeightVector, ...]:
-        for w in self.items:
-            if (w.m, w.n) != (m, n):
-                raise ParameterError("family element for m=%d,n=%d used with m=%d,n=%d"
-                                     % (w.m, w.n, m, n))
-        return self.items
-
-
-TrajectoryFamily = CentralRay | WeightedRay | ExplicitList
 
 
 # ---------------------------------------------------------------------------
@@ -629,34 +569,41 @@ class DIReport:
         return rows
 
 
-def di_classify(
-    Y: LinearFormSystem,
-    family: TrajectoryFamily,
-    eps: float,
-    horizon_norm: float,
-    margin: float = DEFAULT_MARGIN,
-) -> DIReport:
-    """Evaluate solvability at every generated t with norm <= horizon."""
+def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float) -> list:
+    """The family's weights with norm <= horizon, once the horizon is
+    positive, the family nonempty, its tested part reaches the final
+    stretch (norms >= 0.9 * horizon) and eps suits the lattice route."""
     if horizon_norm <= 0:
         raise ParameterError("horizon_norm must be positive")
-    generated = family.weights(Y.m, Y.n)
-    if not generated:
+    if not family:
         raise ParameterError("family generated no weight vectors")
-    tested = [w for w in generated if w.norm <= horizon_norm]
+    tested = [w for w in family if w.norm <= horizon_norm]
     stretch_floor = 0.9 * horizon_norm
     if not any(w.norm >= stretch_floor for w in tested):
         raise ParameterError(
             "family reaches norm %g but the horizon stretch needs >= %g"
             % (max((w.norm for w in tested), default=0.0), stretch_floor)
         )
+    _check_lattice_eps(eps)
+    return tested
+
+
+def di_classify(
+    Y: LinearFormSystem,
+    family: tuple[WeightVector, ...],
+    eps: float,
+    horizon_norm: float,
+    margin: float = DEFAULT_MARGIN,
+) -> DIReport:
+    """Evaluate solvability at every family t with norm <= horizon."""
     records = []
-    for w in tested:  # generation order, deterministic
+    for w in _di_tested(family, eps, horizon_norm):  # family order, deterministic
         status, witness = _lattice_status(Y, w, eps, margin)
         records.append(DIRecord(t=w, status=status, witness=witness))
 
     not_solv = [r.t.norm for r in records if r.status is not Solvability.SOLVABLE]
     last_bad = max(not_solv) if not_solv else None
-    stretch = [r for r in records if r.t.norm >= stretch_floor]
+    stretch = [r for r in records if r.t.norm >= 0.9 * horizon_norm]
     if any(r.status is Solvability.UNSOLVABLE for r in stretch):
         verdict = Verdict.NOT_IMPROVABLE_WITNESSED
     elif any(r.status is Solvability.BOUNDARY for r in stretch):
@@ -669,10 +616,10 @@ def di_classify(
 
 def trajectory_lambda1(
     Y: LinearFormSystem,
-    family: TrajectoryFamily,
+    family: tuple[WeightVector, ...],
 ) -> tuple[tuple[WeightVector, float], ...]:
-    """Shortest-vector length along the family, in generation order."""
-    return tuple((w, _forms_lambda1(Y, w)[0]) for w in family.weights(Y.m, Y.n))
+    """Shortest-vector length along the family, in family order."""
+    return tuple((w, _forms_lambda1(Y, w)[0]) for w in family)
 
 
 # ---------------------------------------------------------------------------

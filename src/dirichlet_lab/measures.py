@@ -181,29 +181,15 @@ class SelfSimilarIFS:
         return cls((1 / 3, 1 / 3), ((0.0,), (2 / 3,)), (0.5, 0.5))
 
 
-@dataclass(frozen=True, eq=False)
-class Pushforward:
-    """Image of a base measure under a polynomial map."""
-
-    mapping: MapSpec
-    base: "MeasureSpec"
-
-    def __post_init__(self):
-        if self.mapping.d != ambient_dim(self.base):
-            raise ParameterError("map domain dimension != base measure dimension")
+MeasureSpec = LebesgueBox | SelfSimilarIFS
 
 
-MeasureSpec = LebesgueBox | SelfSimilarIFS | Pushforward
-
-
-def ambient_dim(measure: MeasureSpec) -> int:
-    if isinstance(measure, LebesgueBox):
-        return measure.d
-    if isinstance(measure, SelfSimilarIFS):
-        return measure.d
-    if isinstance(measure, Pushforward):
-        return measure.mapping.n
-    raise ParameterError("unknown measure spec %r" % (measure,))
+def _check_sample(measure: MeasureSpec, count: int, depth: int) -> None:
+    """The count and IFS depth checks of ``sample``."""
+    if count < 1:
+        raise ParameterError("count must be >= 1")
+    if isinstance(measure, SelfSimilarIFS) and depth < 1:
+        raise ParameterError("depth must be >= 1")
 
 
 def sample(
@@ -214,12 +200,8 @@ def sample(
     workers: int = 1,
     start: int = 0,
 ) -> np.ndarray:
-    """Stream positions start .. start + count - 1, shape (count, ambient_dim)."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    if isinstance(measure, Pushforward):
-        base_pts = sample(measure.base, seed, count, depth=depth, workers=workers, start=start)
-        return measure.mapping.evaluate(base_pts)
+    """Stream positions start .. start + count - 1, shape (count, measure.d)."""
+    _check_sample(measure, count, depth)
     if isinstance(measure, LebesgueBox):
         lo = np.array(measure.lower)
         hi = np.array(measure.upper)
@@ -229,8 +211,6 @@ def sample(
             return gen.uniform(lo, hi, size=(c, lo.size))
 
     elif isinstance(measure, SelfSimilarIFS):
-        if depth < 1:
-            raise ParameterError("depth must be >= 1")
         ratios = np.array(measure.ratios)
         trans = np.array(measure.translations)
         probs = np.array(measure.probs)
@@ -302,7 +282,6 @@ class CGoodEstimate:
     eps_grid: tuple
     fractions: tuple
     half_widths: tuple
-    inside_count: int
     degenerate: bool
 
 
@@ -359,10 +338,9 @@ def cgood_empirical(
         widths.append(_binomial_half_width(p, count))
     if sup == 0.0:
         return CGoodEstimate(math.inf, alpha, 0.0, grid, tuple(fracs),
-                             tuple(widths), count, True)
+                             tuple(widths), True)
     best = max(p * (sup / eps) ** alpha for p, eps in zip(fracs, grid))
-    return CGoodEstimate(best, alpha, sup, grid, tuple(fracs), tuple(widths),
-                         count, False)
+    return CGoodEstimate(best, alpha, sup, grid, tuple(fracs), tuple(widths), False)
 
 
 @dataclass(frozen=True)
@@ -510,13 +488,15 @@ def drv_manifolds(n: int) -> float:
 
 
 def epsilon0_registry(max_n: int = 4) -> dict:
-    """Named explicit improvability thresholds, for report annotation."""
+    """Named explicit improvability thresholds: name -> (value, source)."""
     table = {
-        "davenport_schmidt_curve": 4.0 ** (-1.0 / 3.0),
-        "bugeaud_veronese": 1.0 / 8.0,
-        "khintchine_density": 0.5,
+        "davenport_schmidt_curve": (4.0 ** (-1.0 / 3.0),
+                                    "Davenport & Schmidt: planar-curve improvability"),
+        "bugeaud_veronese": (1.0 / 8.0, "Bugeaud: Veronese-curve threshold"),
+        "khintchine_density": (0.5, "Khintchine: density of improvable systems"),
     }
     for n in range(1, max_n + 1):
-        table["nondivergence_veronese(n=%d)" % n] = nondivergence_veronese(n)
-        table["drv_manifolds(n=%d)" % n] = drv_manifolds(n)
+        table["nondivergence_veronese(n=%d)" % n] = (
+            nondivergence_veronese(n), "quantitative nondivergence, Veronese curve")
+        table["drv_manifolds(n=%d)" % n] = (drv_manifolds(n), "nondegenerate-manifold threshold")
     return table

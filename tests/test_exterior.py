@@ -127,12 +127,10 @@ def test_flow_action_matches_exterior_matrix_oracle():
 
 
 def test_flow_action_overflow_guard():
-    t = one_form_weights((200.0, 150.0))
-    with pytest.raises(ParameterError, match="overflow guard"):
-        flow_action(t, ExteriorVector.unit(3, (0,)))
-    # the certificate would compute finite values here without the guard
-    with pytest.raises(ParameterError, match="overflow guard"):
-        big_coefficient_certificate(ExteriorVector.unit(3, (1, 2)), t)
+    # t_0 = 350 is refused where the weight is built, so neither the flow
+    # action nor the certificate (finite values here) ever sees it
+    with pytest.raises(ParameterError, match="weight entry 350 exceeds overflow guard 300"):
+        one_form_weights((200.0, 150.0))
 
 
 # -- shear action -----------------------------------------------------------

@@ -8,17 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirichlet_lab.config import parse_trajectory
 from dirichlet_lab.errors import CapacityError, ParameterError
 from dirichlet_lab.experiments import _lambda1_rows_batch
 from dirichlet_lab.flows import (
-    CentralRay,
     DirichletWitness,
-    ExplicitList,
     LinearFormSystem,
     Solvability,
     Verdict,
     WeightVector,
-    WeightedRay,
     ba_quality,
     di_classify,
     dirichlet_solvable_direct,
@@ -270,29 +268,40 @@ def test_forms_shortest_matches_generic_enumeration():
 # ---------------------------------------------------------------------------
 
 
+def central_ray(step: float, count: int) -> tuple:
+    """The m = n = 1 central-ray family at norms step, 2 step, ..., count step."""
+    return tuple(WeightVector.central(1, 1, step + j * step) for j in range(count))
+
+
 def test_central_ray_generation():
-    fam = CentralRay(step=1.0, count=5)
-    norms = [w.norm for w in fam.weights(1, 1)]
-    assert norms == [1.0, 2.0, 3.0, 4.0, 5.0]
-    fam2 = CentralRay(step=0.5, count=3, start=2.0)
-    assert [w.norm for w in fam2.weights(1, 1)] == [2.0, 2.5, 3.0]
+    fam = parse_trajectory(["ray central t=1:1:5"], 1, 1)
+    assert [w.norm for w in fam] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert fam == central_ray(1.0, 5)
+    fam2 = parse_trajectory(["ray central t=2:0.5:3"], 1, 1)
+    assert [w.norm for w in fam2] == [2.0, 2.5, 3.0]
 
 
 def test_weighted_ray_generation():
-    fam = WeightedRay(r=(1.0,), s=(0.3, 0.7), step=10.0, count=2)
-    ws = fam.weights(1, 2)
+    ws = parse_trajectory(["ray r=1 s=0.3,0.7 t=10:10:2"], 1, 2)
     assert ws[0].t == pytest.approx((10.0, 3.0, 7.0))
     assert ws[1].t == pytest.approx((20.0, 6.0, 14.0))
-    with pytest.raises(ParameterError):
-        WeightedRay(r=(0.5,), s=(1.0,), step=1.0, count=1)  # r does not sum to 1
-    with pytest.raises(ParameterError):
-        fam.weights(2, 1)
+    with pytest.raises(ParameterError, match="weights must each sum to 1"):
+        parse_trajectory(["ray r=0.5 s=1 t=1:1:1"], 1, 1)
+    with pytest.raises(ParameterError, match="ray weights sized for m=1, n=2"):
+        parse_trajectory(["ray r=1 s=0.3,0.7 t=10:10:2"], 2, 1)
 
 
 def test_explicit_list_checks_shapes():
-    fam = ExplicitList((WeightVector(1, 1, (1.0, 1.0)),))
-    with pytest.raises(ParameterError):
-        fam.weights(1, 2)
+    one_one = WeightVector(1, 1, (1.0, 1.0))
+    one_two = WeightVector(1, 2, (2.0, 1.0, 1.0))
+    # the second pair reaches the k = 2 convergent route
+    for Y, t in ((LinearFormSystem([[0.5, 0.25]]), one_one),
+                 (LinearFormSystem([[0.5]]), one_two)):
+        message = "Y is %dx%d but t is for m=%d, n=%d" % (Y.m, Y.n, t.m, t.n)
+        with pytest.raises(ParameterError, match=message):
+            trajectory_lambda1(Y, (t,))
+        with pytest.raises(ParameterError, match=message):
+            di_classify(Y, (t,), eps=0.5, horizon_norm=t.norm)
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +311,31 @@ def test_explicit_list_checks_shapes():
 
 def test_trajectory_profile_zero_form():
     Y = LinearFormSystem([[0.0]])
-    prof = trajectory_lambda1(Y, CentralRay(step=1.0, count=5))
+    prof = trajectory_lambda1(Y, central_ray(1.0, 5))
     values = [lam for _, lam in prof]
     expected = [math.exp(-j) for j in range(1, 6)]
     assert values == pytest.approx(expected, rel=1e-12)
 
 
 def test_golden_profile_stays_high():
-    prof = trajectory_lambda1(golden_system(), CentralRay(step=0.5, count=40))
+    prof = trajectory_lambda1(golden_system(), central_ray(0.5, 40))
     assert min(lam for _, lam in prof) >= 0.6
 
 
 def test_liouville_profile_dips():
-    prof = trajectory_lambda1(liouville_system(5), CentralRay(step=0.5, count=60))
+    prof = trajectory_lambda1(liouville_system(5), central_ray(0.5, 60))
     assert min(lam for _, lam in prof) <= 0.01
 
 
 def test_classify_zero_form_improvable():
-    rep = di_classify(LinearFormSystem([[0.0]]), CentralRay(step=0.5, count=20),
+    rep = di_classify(LinearFormSystem([[0.0]]), central_ray(0.5, 20),
                       eps=0.5, horizon_norm=10.0)
     assert rep.verdict is Verdict.IMPROVABLE_UP_TO_HORIZON
     assert rep.last_not_solvable_norm == 0.5
 
 
 def test_classify_generic_not_improvable():
-    rep = di_classify(random_forms(3, 1, 1), CentralRay(step=0.5, count=40),
+    rep = di_classify(random_forms(3, 1, 1), central_ray(0.5, 40),
                       eps=0.3, horizon_norm=20.0)
     assert rep.verdict is Verdict.NOT_IMPROVABLE_WITNESSED
     assert rep.last_not_solvable_norm == 20.0
@@ -335,7 +344,7 @@ def test_classify_generic_not_improvable():
 
 
 def test_classify_liouville_improvable():
-    rep = di_classify(liouville_system(5), CentralRay(step=1.0, count=30),
+    rep = di_classify(liouville_system(5), central_ray(1.0, 30),
                       eps=0.1, horizon_norm=30.0)
     assert rep.verdict is Verdict.IMPROVABLE_UP_TO_HORIZON
     assert rep.last_not_solvable_norm == 16.0
@@ -343,12 +352,12 @@ def test_classify_liouville_improvable():
 
 def test_classify_requires_stretch_coverage():
     with pytest.raises(ParameterError):
-        di_classify(LinearFormSystem([[0.0]]), CentralRay(step=1.0, count=3),
+        di_classify(LinearFormSystem([[0.0]]), central_ray(1.0, 3),
                     eps=0.5, horizon_norm=10.0)
 
 
 def test_classify_report_rows():
-    rep = di_classify(LinearFormSystem([[0.0]]), CentralRay(step=2.0, count=5),
+    rep = di_classify(LinearFormSystem([[0.0]]), central_ray(2.0, 5),
                       eps=0.5, horizon_norm=10.0)
     rows = rep.to_records()
     assert len(rows) == 5

@@ -20,7 +20,6 @@ from dirichlet_lab.config import (
     parse_weight_vector,
 )
 from dirichlet_lab.errors import ParameterError
-from dirichlet_lab.flows import CentralRay, ExplicitList, WeightedRay
 from dirichlet_lab.measures import LebesgueBox, MapSpec, SelfSimilarIFS
 from dirichlet_lab.reports import FORMAT_VERSION, render_csv, render_jsonl, write_report
 
@@ -143,13 +142,12 @@ def test_parse_map_errors(decl):
 
 def test_parse_trajectory_forms():
     fam = parse_trajectory(["ray central t=1:0.5:4"], 1, 2)
-    assert fam == CentralRay(step=0.5, count=4, start=1.0)
+    assert [w.t for w in fam] == [(1.0, 0.5, 0.5), (1.5, 0.75, 0.75),
+                                  (2.0, 1.0, 1.0), (2.5, 1.25, 1.25)]
     fam = parse_trajectory(["ray r=1 s=0.5,0.5 t=2:1:3"], 1, 2)
-    assert isinstance(fam, WeightedRay)
-    assert fam.r == (1.0,) and fam.s == (0.5, 0.5)
+    assert [w.t for w in fam] == [(2.0, 1.0, 1.0), (3.0, 1.5, 1.5), (4.0, 2.0, 2.0)]
     fam = parse_trajectory(["explicit 4 2 2", "explicit 6 3 3"], 1, 2)
-    assert isinstance(fam, ExplicitList)
-    assert [w.t for w in fam.items] == [(4.0, 2.0, 2.0), (6.0, 3.0, 3.0)]
+    assert [w.t for w in fam] == [(4.0, 2.0, 2.0), (6.0, 3.0, 3.0)]
 
 
 @pytest.mark.parametrize("records", [
@@ -396,45 +394,93 @@ _ESCAPE_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
                  "--eps", "0.4"]
 _GOOD_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
                "--ball-center", "0.5", "--ball-radius", "0.5", "--samples", "100"]
+_CANTOR = "ifs ratios=1/3,1/3 trans=0,2/3"
+_COUNTEREXAMPLE = ["counterexample", "--eps", "0.9", "--u", "0.4054651"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--seed", "-1"],
-    ["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--workers", "0"],
-    ["escape"] + _ESCAPE_FLAGS + ["--samples", "0"],
-    ["decay"] + _ESCAPE_FLAGS + ["--samples", "-3"],
-    ["equidist", "--interval", "0,1", "--flow-time", "800", "--eps", "0.5",
-     "--samples", "100"],
-    ["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center", "0.5",
-     "--ball-radius", "0.5", "--samples", "100", "--radius-range", "0.5"],
-    ["escape"] + _ESCAPE_FLAGS + ["--seed", "-1", "--dry-run"],
-    ["escape"] + _ESCAPE_FLAGS + ["--workers", "0", "--dry-run"],
-    ["counterexample", "--eps", "0.9", "--u", "1000", "--s", "3", "--dry-run"],
-    ["escape"] + _ESCAPE_FLAGS + ["--samples", "0", "--dry-run"],
-    ["decay"] + _ESCAPE_FLAGS[:-1] + ["1.5", "--samples", "50", "--dry-run"],
-    ["equidist", "--interval", "0,1", "--flow-time", "3", "--eps", "0.5",
-     "--samples", "0"],
-    ["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center", "0.5",
-     "--ball-radius", "0.5", "--samples", "100", "--ball-count", "0"],
-    ["good-test"] + _GOOD_FLAGS + ["--alpha", "-1", "--eps", "0.1"],
-    ["good-test"] + _GOOD_FLAGS + ["--alpha", "0.5", "--eps", "0.2", "0.1"],
-    ["ba", "--Y", "0.5", "--r", "1", "--s", "1", "--q-max", "0"],
+def _escape_with_t(command, t):
+    return [command] + _ESCAPE_FLAGS[:-3] + [t] + _ESCAPE_FLAGS[-2:]
+
+
+def _on_cantor(argv):
+    return [_CANTOR if arg == "lebesgue d=1 box=0,1" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--seed", "-1"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--workers", "0"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--samples", "0"], 2),
+    (["decay"] + _ESCAPE_FLAGS + ["--samples", "-3"], 2),
+    (["equidist", "--interval", "0,1", "--flow-time", "800", "--eps", "0.5",
+      "--samples", "100"], 2),
+    (["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center", "0.5",
+      "--ball-radius", "0.5", "--samples", "100", "--radius-range", "0.5"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--seed", "-1", "--dry-run"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--workers", "0", "--dry-run"], 2),
+    (["counterexample", "--eps", "0.9", "--u", "1000", "--s", "3", "--dry-run"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--samples", "0", "--dry-run"], 2),
+    (["decay"] + _ESCAPE_FLAGS[:-1] + ["1.5", "--samples", "50", "--dry-run"], 2),
+    (["equidist", "--interval", "0,1", "--flow-time", "3", "--eps", "0.5",
+      "--samples", "0"], 2),
+    (["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center", "0.5",
+      "--ball-radius", "0.5", "--samples", "100", "--ball-count", "0"], 2),
+    (["good-test"] + _GOOD_FLAGS + ["--alpha", "-1", "--eps", "0.1"], 2),
+    (["good-test"] + _GOOD_FLAGS + ["--alpha", "0.5", "--eps", "0.2", "0.1"], 2),
+    (["ba", "--Y", "0.5", "--r", "1", "--s", "1", "--q-max", "0"], 2),
+    (["check", "--Y", "0.5", "--t", "400,400", "--eps", "0.5"], 2),
+    (["trajectory", "--Y", "0.5", "--family", "explicit 400 400"], 2),
+    (["trajectory", "--Y", "0.5", "--family", "ray central t=100:100:5"], 2),
+    (["trajectory", "--m", "1", "--n", "2", "--Y", "0.5,0.5",
+      "--family", "ray r=1 s=1 t=1:1:3"], 2),
+    (_escape_with_t("decay", "400,200,200"), 2),
+    (_escape_with_t("escape", "60,30,30"), 3),
+    (_escape_with_t("escape", "100,50,50"), 3),
+    (["di", "--Y", "0.5", "--family", "ray central t=1:1:3", "--eps", "0.5",
+      "--horizon", "-1"], 2),
+    (["di", "--Y", "0.5", "--family", "ray central t=1:1:3", "--eps", "0.5",
+      "--horizon", "10"], 2),
+    (["di", "--Y", "0.5", "--family", "ray central t=1:1:3", "--eps", "1.5",
+      "--horizon", "3"], 2),
+    (["di", "--Y", "0.5", "--family", "ray central t=1:1:3", "--eps", "-0.5",
+      "--horizon", "3"], 2),
+    (_COUNTEREXAMPLE + ["--s", "400"], 2),
+    (_COUNTEREXAMPLE + ["--s", "-3"], 2),
+    (_COUNTEREXAMPLE + ["--s", "3", "--systems", "0"], 2),
+    (["check", "--Y", "0.5", "--t", "1,1", "--eps", "1.5"], 2),
+    (["check", "--m", "1", "--n", "4", "--Y", "0.1,0.2,0.3,0.4",
+      "--t", "24,6,6,6,6", "--eps", "1.0"], 3),
+    (["nonplanar-test"] + _GOOD_FLAGS[:-1] + ["0"], 2),
+    (_on_cantor(["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--depth", "0"]), 2),
+    (_on_cantor(["decay"] + _ESCAPE_FLAGS + ["--samples", "50", "--depth", "0"]), 2),
+    (_on_cantor(["good-test"] + _GOOD_FLAGS + ["--alpha", "0.5", "--eps", "0.1",
+                                               "--depth", "0"]), 2),
+    (_on_cantor(["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center",
+                 "0.5", "--ball-radius", "0.5", "--samples", "100", "--depth", "0"]), 2),
+    (_on_cantor(["nonplanar-test"] + _GOOD_FLAGS + ["--depth", "0"]), 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
         "escape-zero-samples-dry-run", "decay-bad-eps-dry-run",
         "equidist-zero-samples", "federer-zero-ball-count", "good-test-negative-alpha",
-        "good-test-decreasing-eps", "ba-zero-q-max"])
-def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv):
+        "good-test-decreasing-eps", "ba-zero-q-max",
+        "check-weight-overflow", "explicit-weight-overflow", "ray-weight-overflow",
+        "ray-weights-missized", "decay-weight-overflow", "escape-over-scan-budget",
+        "escape-grid-past-int64", "di-negative-horizon", "di-stretch-not-reached",
+        "di-eps-above-one", "di-negative-eps",
+        "counterexample-s-overflow", "counterexample-negative-s",
+        "counterexample-zero-systems", "check-eps-above-one", "check-over-direct-budget",
+        "nonplanar-zero-samples", "escape-ifs-zero-depth", "decay-ifs-zero-depth",
+        "good-test-ifs-zero-depth", "federer-ifs-zero-depth", "nonplanar-ifs-zero-depth"])
+def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
-    # input exits 2 with the same first error line
+    # input exits with the same code and the same first error line
     if "--dry-run" in argv:
         twin = [arg for arg in argv if arg != "--dry-run"]
     else:
         twin = argv + ["--dry-run"]
     first_lines = []
     for args in (argv, twin):
-        assert main(args) == 2
+        assert main(args) == code
         first_lines.append(capsys.readouterr().err.splitlines()[0])
     assert first_lines[0].startswith("error:")
     assert first_lines[0] == first_lines[1]

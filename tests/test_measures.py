@@ -9,9 +9,7 @@ from dirichlet_lab.measures import (
     CGoodEstimate,
     LebesgueBox,
     MapSpec,
-    Pushforward,
     SelfSimilarIFS,
-    ambient_dim,
     cgood_empirical,
     drv_manifolds,
     epsilon0_registry,
@@ -55,13 +53,6 @@ def test_ifs_validation():
         SelfSimilarIFS((0.5,), ((0.0,),), (1.0,))  # needs >= 2 maps
 
 
-def test_pushforward_dimension_check():
-    with pytest.raises(ParameterError):
-        Pushforward(MapSpec.veronese(2), LebesgueBox((0.0, 0.0), (1.0, 1.0)))
-    pf = Pushforward(MapSpec.veronese(2), LEB01)
-    assert ambient_dim(pf) == 2
-
-
 # -- sampling ----------------------------------------------------------------
 
 
@@ -87,8 +78,7 @@ def test_cantor_samples_lie_on_the_attractor():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("measure", [LEB01, CANTOR, Pushforward(MapSpec.veronese(2), CANTOR)],
-                         ids=["box", "cantor", "pushforward"])
+@pytest.mark.parametrize("measure", [LEB01, CANTOR], ids=["box", "cantor"])
 def test_window_equals_the_slice_of_a_longer_run(measure, workers):
     # windows that start and end on, just before, just after and across
     # the 4096-point block edges
@@ -99,15 +89,6 @@ def test_window_equals_the_slice_of_a_longer_run(measure, workers):
             np.testing.assert_array_equal(window, whole[start:])
     with pytest.raises(ParameterError, match="start must be nonnegative"):
         sample(measure, 11, 3, start=-1)
-
-
-def test_pushforward_sampling_commutes_with_the_map():
-    v2 = MapSpec.veronese(2)
-    pf = Pushforward(v2, LEB01)
-    pts = sample(pf, seed=3, count=500)
-    base = sample(LEB01, seed=3, count=500)
-    np.testing.assert_array_equal(pts, v2.evaluate(base))
-    np.testing.assert_allclose(pts[:, 1], pts[:, 0] ** 2, rtol=1e-12)
 
 
 def test_sample_rejects_bad_count():
@@ -257,11 +238,12 @@ def test_nonplanar_needs_enough_points():
 
 
 def test_threshold_registry_values():
-    reg = epsilon0_registry()
+    reg = {name: value for name, (value, _) in epsilon0_registry().items()}
     assert reg["davenport_schmidt_curve"] == pytest.approx(4.0 ** (-1 / 3), rel=1e-12)
     assert reg["bugeaud_veronese"] == 0.125
     assert reg["khintchine_density"] == 0.5
     assert reg["nondivergence_veronese(n=2)"] == pytest.approx(1.0 / 2304.0, rel=1e-12)
     assert reg["drv_manifolds(n=2)"] == pytest.approx(2.0 ** (-2.0 / 3.0), rel=1e-12)
+    assert epsilon0_registry(1)["drv_manifolds(n=1)"][1] == "nondegenerate-manifold threshold"
     assert nondivergence_veronese(2) == pytest.approx(1.0 / (4 * 9 * 64), rel=1e-15)
     assert drv_manifolds(1) == pytest.approx(math.sqrt(0.5), rel=1e-15)
