@@ -72,18 +72,13 @@ from .experiments import (
     DecayScan,
     EquidistReport,
     EscapeCell,
-    GoldenRatioInput,
     HaarSampleK2,
-    LiouvilleInput,
     ProfileSeries,
-    RandomInput,
-    RationalInput,
     equidist_test_k2,
     escape_table,
     haar_sample_k2,
     no_drift_counterexample,
     nondiv_decay_scan,
-    profile_system,
     singular_profile,
     thick_fraction_k2,
 )

@@ -13,11 +13,12 @@ else its default, and is recorded in table order.  A config key the
 table lacks, or a repeated key whose flag does not repeat, is an error.
 Handlers validate, then compute; --dry-run stops after validation and
 prints the plan.  Validation runs every input check the run makes, weight
-limits and scan budgets included, through the library's own checks, so
---dry-run exits 2 or 3 exactly when the run would.  Runs write report.jsonl / report.csv / config.resolved
-into --output, else $DIRICHLET_LAB_OUTDIR/<experiment>, else
-./runs/<experiment>.  Exit codes: 0 success, 2 bad arguments, 3
-capacity exceeded.
+limits, scan budgets and dimensions included, through the library's own
+checks, so --dry-run exits 2 or 3 exactly when the run would; only a ball
+the sampled support misses (EmptySupportError) shows up in the run alone.
+Runs write report.jsonl / report.csv / config.resolved into --output,
+else $DIRICHLET_LAB_OUTDIR/<experiment>, else ./runs/<experiment>.
+Exit codes: 0 success, 2 bad arguments, 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -64,6 +66,7 @@ from .measures import (
     DEFAULT_IFS_DEPTH,
     Ball,
     _cgood_grid,
+    _check_dims,
     _check_sample,
     _federer_radii,
     cgood_empirical,
@@ -71,6 +74,7 @@ from .measures import (
     federer_empirical,
     nonplanar_test,
 )
+from .reports import value_text
 from .rng import _check_seed, _check_workers
 
 _ENV_OUTDIR = "DIRICHLET_LAB_OUTDIR"
@@ -91,16 +95,6 @@ def _parse_bool(text: str) -> bool:
     if text in ("false", "0", "no"):
         return False
     raise ValueError(text)
-
-
-def _option_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return " ".join(_option_text(v) for v in value)
-    return str(value)
 
 
 class _Param(NamedTuple):
@@ -196,7 +190,7 @@ def _run(args: argparse.Namespace) -> int:
         value = values[param.key] = param.resolve(getattr(args, param.name), cfg)
         if value is not None:
             items = value if param.kind == "append" else (value,)
-            entries.extend((param.key, _option_text(item)) for item in items)
+            entries.extend((param.key, value_text(item, " ")) for item in items)
     config = RunConfig(experiment, entries)
     _check_seed(values["seed"])
     _check_workers(values["workers"])
@@ -268,7 +262,7 @@ def _cmd_di(v):
     eps = _one_eps(v, "di")
     Y = parse_forms(v.Y, v.m, v.n)
     family = parse_trajectory(v.trajectory, v.m, v.n)
-    _di_tested(family, eps, v.horizon)
+    _di_tested(family, eps, v.horizon, v.margin)
     yield
     report = di_classify(Y, family, eps, v.horizon, margin=v.margin)
     lines = [
@@ -285,6 +279,7 @@ def _scan_inputs(v) -> dict:
     ball = Ball(v.ball_center, v.ball_radius)
     weights = [parse_weight_vector(txt, 1, mapping.n) for txt in v.t]
     grid, _ = _escape_grid(v.eps, v.samples, weights, mapping.n, v.margin)
+    _check_dims(measure, ball, mapping)
     _check_sample(measure, v.samples, v.depth)
     return dict(mapping=mapping, measure=measure, ball=ball, t_list=weights,
                 eps_grid=grid, samples=v.samples,
@@ -297,7 +292,7 @@ def _cmd_escape(v):
     cells = escape_table(**scan_args)
     lines = ["t=%s eps=%g fraction=%.6g ci=%.2g" % (list(c.t), c.eps, c.fraction, c.ci)
              for c in cells]
-    yield [c.to_record() for c in cells], lines
+    yield [asdict(c) for c in cells], lines
 
 
 def _cmd_decay(v):
@@ -316,14 +311,14 @@ def _cmd_decay(v):
         "nondivergence: alpha_theory=%s pass=%s"
         % (scan.alpha_theory, passed),
     ]
-    yield scan.to_records(), lines
+    yield [asdict(c) for c in scan.cells], lines
 
 
 def _cmd_equidist(v):
     if len(v.interval) != 2:
         raise ParameterError("--interval takes two numbers lo,hi")
     eps = _one_eps(v, "equidist")
-    _equidist_weights(v.interval, v.flow_time, eps, v.samples)
+    _equidist_weights(v.interval, v.y0, v.flow_time, eps, v.samples, v.margin)
     yield
     report = equidist_test_k2(v.interval, v.y0, v.flow_time, eps,
                               samples=v.samples, seed=v.seed,
@@ -332,7 +327,7 @@ def _cmd_equidist(v):
         "translate=%.6g haar=%.6g discrepancy=%+.6g"
         % (report.translate_estimate, report.haar_estimate, report.discrepancy),
     ]
-    yield [report.to_record()], lines
+    yield [{"experiment": "equidist-k2", **asdict(report)}], lines
 
 
 def _cmd_counterexample(v):
@@ -354,6 +349,7 @@ def _cmd_good_test(v):
     if not 1 <= v.coord <= mapping.n:
         raise ParameterError("--coord must be in 1..%d" % mapping.n)
     _cgood_grid(v.alpha, v.eps)
+    _check_dims(measure, ball, mapping)
     _check_sample(measure, v.samples, v.depth)
     yield
 
@@ -377,17 +373,14 @@ def _cmd_federer_test(v):
     measure = parse_measure(v.measure)
     region = Ball(v.ball_center, v.ball_radius)
     _federer_radii(v.ball_count, v.radius_range)
+    _check_dims(measure, region)
     _check_sample(measure, v.samples, v.depth)
     yield
     est = federer_empirical(measure, region, ball_count=v.ball_count,
                             samples=v.samples, seed=v.seed, depth=v.depth,
                             center_fraction=v.center_fraction,
                             radius_range=v.radius_range, workers=v.workers)
-    record = {"experiment": "federer-test", "seed": v.seed,
-              "ratio": est.ratio, "half_width": est.half_width,
-              "balls_used": est.balls_used,
-              "worst_center": list(est.worst_center),
-              "worst_radius": est.worst_radius}
+    record = {"experiment": "federer-test", "seed": v.seed, **asdict(est)}
     lines = ["max nu(3B)/nu(B) = %.6g (half-width %.2g, %d balls)"
              % (est.ratio, est.half_width, est.balls_used)]
     yield [record], lines
@@ -397,15 +390,14 @@ def _cmd_nonplanar_test(v):
     mapping = parse_map(v.map)
     measure = parse_measure(v.measure)
     ball = Ball(v.ball_center, v.ball_radius)
+    _check_dims(measure, ball, mapping)
     _check_sample(measure, v.samples, v.depth)
     yield
-    result = nonplanar_test(mapping, measure, ball, samples=v.samples,
-                            seed=v.seed, depth=v.depth, workers=v.workers)
-    record = {"experiment": "nonplanar-test", "seed": v.seed,
-              "nonplanar": result.nonplanar, "sigma_min": result.sigma_min,
-              "points_used": result.points_used}
+    est = nonplanar_test(mapping, measure, ball, samples=v.samples,
+                         seed=v.seed, depth=v.depth, workers=v.workers)
+    record = {"experiment": "nonplanar-test", "seed": v.seed, **asdict(est)}
     lines = ["nonplanar=%s sigma_min=%.3g (%d points)"
-             % (result.nonplanar, result.sigma_min, result.points_used)]
+             % (est.nonplanar, est.sigma_min, est.points_used)]
     yield [record], lines
 
 

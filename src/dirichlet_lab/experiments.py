@@ -10,8 +10,9 @@ Four studies live here, all built from the lattice/flow/measure layers:
 * the m = 2, n = 1 construction showing that along weight rays with a
   frozen first coordinate EVERY system of forms is eps-improvable for
   suitable eps, so drifting away from the walls is genuinely needed;
-* shortest-vector profiles along central rays for named arithmetic
-  inputs (rational, golden ratio, near-Liouville).
+* shortest-vector profiles along central rays of one-form systems
+  (rational, golden ratio, near-Liouville), separating singular from
+  badly approximable inputs.
 
 Every routine is deterministic in its seed, fractions come with 95%
 binomial half-widths, and samples within the decision margin of an
@@ -21,27 +22,25 @@ eps-threshold are excluded from fractions and counted separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .errors import CapacityError, EmptySupportError, ParameterError
+from .errors import CapacityError, ParameterError
 from .flows import (
     LinearFormSystem,
     WeightVector,
     _iter_q_chunks,
     flow_exponents,
     flowed_basis,
-    golden_system,
-    liouville_system,
     random_forms,
     trajectory_lambda1,
 )
 from .lattice import (
     DEFAULT_MARGIN,
     ThickRegion,
+    _check_margin,
     shortest_supnorm_k2_batch,
     shortest_with_region,
     trichotomy,
@@ -52,22 +51,30 @@ from .measures import (
     MapSpec,
     MeasureSpec,
     _binomial_half_width,
+    _check_dims,
     sample,
 )
 
 _TAG_HAAR = 47
 _TAG_TRANSLATE = 53
+# the Haar y-proposal is truncated here; HaarSampleK2 records the lost mass
+_HAAR_Y_MAX = 1.0e3
 
 SCAN_BUDGET = 10_000_000
 # target float count per (samples x q-chunk) slab, keeps slabs ~128 MB
 _SLAB_ELEMS = 1 << 24
 
 
+def _region_counts(lam: np.ndarray, eps: float, margin: float) -> tuple:
+    """(outside, inside, boundary) counts of the trichotomy of lam against eps."""
+    region = trichotomy(lam, eps, margin)
+    return tuple(int(np.count_nonzero(region == r))
+                 for r in (ThickRegion.OUTSIDE, ThickRegion.INSIDE, ThickRegion.BOUNDARY))
+
+
 def _fraction_with_margin(lam: np.ndarray, eps: float, margin: float):
     """(fraction, half_width, boundary_count) for the event lam < eps."""
-    region = trichotomy(lam, eps, margin)
-    hits = int(np.count_nonzero(region == ThickRegion.OUTSIDE))
-    boundary = int(np.count_nonzero(region == ThickRegion.BOUNDARY))
+    hits, _, boundary = _region_counts(lam, eps, margin)
     n_eff = lam.size - boundary
     if n_eff == 0:
         return 0.0, 0.0, boundary
@@ -81,24 +88,14 @@ def _collect_in_ball(
     count: int,
     seed: int,
     depth: int,
-    max_factor: int = 1000,
     workers: int = 1,
 ) -> np.ndarray:
     """First ``count`` support samples inside the ball, in stream order."""
-    kept = []
-    have = drawn = 0
-    block = max(count, _rng.BLOCK)
-    while have < count:
-        if drawn >= max_factor * count:
-            raise EmptySupportError("ball caught %d of %d needed samples after %d draws"
-                                    % (have, count, drawn))
-        # each pass draws only its own window of the stream, which equals
-        # the same slice of one long run, so acceptance order is stable
-        pts = sample(measure, seed, block, depth=depth, workers=workers, start=drawn)
-        drawn += block
-        kept.append(pts[ball.contains(pts)])
-        have += kept[-1].shape[0]
-    return np.concatenate(kept, axis=0)[:count]
+
+    def window(start, size):
+        return sample(measure, seed, size, depth=depth, workers=workers, start=start)
+
+    return _rng.first_kept(window, ball.contains, count)
 
 
 def _qgrid_bounds(t: WeightVector, cap: float) -> np.ndarray:
@@ -173,20 +170,6 @@ class EscapeCell:
     n: int
     boundary_n: int
 
-    def to_record(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "t": list(self.t),
-            "floor_t": self.floor_t,
-            "norm_t": self.norm_t,
-            "eps": self.eps,
-            "fraction": self.fraction,
-            "ci": self.ci,
-            "n": self.n,
-            "boundary_n": self.boundary_n,
-        }
-
 
 def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple:
     """(eps grid as floats, scan cap), once every eps is in (0, 1), samples
@@ -196,6 +179,7 @@ def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple
         raise ParameterError("eps values must lie in (0, 1)")
     if samples < 1:
         raise ParameterError("samples must be >= 1, got %r" % (samples,))
+    _check_margin(margin)
     cap = max(grid) + 64.0 * margin
     for t in t_list:
         if t.m != 1 or t.n != n:
@@ -218,6 +202,7 @@ def _escape_cells(
     workers: int = 1,
 ) -> list:
     grid, cap = _escape_grid(eps_grid, samples, t_list, mapping.n, margin)
+    _check_dims(measure, ball, mapping)
     pts = _collect_in_ball(measure, ball, samples, seed, depth, workers=workers)
     rows = mapping.evaluate(pts)
     cells = []
@@ -225,18 +210,8 @@ def _escape_cells(
         lam = _lambda1_rows_batch(rows, t, cap)
         for eps in grid:
             frac, hw, boundary = _fraction_with_margin(lam, eps, margin)
-            cells.append(EscapeCell(
-                experiment=experiment,
-                seed=seed,
-                t=t.t,
-                floor_t=t.floor,
-                norm_t=t.norm,
-                eps=eps,
-                fraction=frac,
-                ci=hw,
-                n=samples - boundary,
-                boundary_n=boundary,
-            ))
+            cells.append(EscapeCell(experiment, seed, t.t, t.floor, t.norm, eps, frac, hw,
+                                    samples - boundary, boundary))
     return cells
 
 
@@ -270,9 +245,6 @@ class DecayScan:
     column_max: tuple     # per-eps max fraction over t
     column_span: tuple    # per-eps max - min fraction over t
     excluded_zero_cells: int
-
-    def to_records(self) -> list:
-        return [c.to_record() for c in self.cells]
 
 
 def nondiv_decay_scan(
@@ -364,7 +336,7 @@ class HaarSampleK2:
     truncated_mass: float
 
 
-def haar_sample_k2(seed: int, count: int, y_max: float = 1.0e3) -> HaarSampleK2:
+def haar_sample_k2(seed: int, count: int) -> HaarSampleK2:
     """Sample unimodular lattice bases invariantly (k = 2 only).
 
     Works in the classical fundamental domain |x| <= 1/2, x^2 + y^2 >= 1
@@ -372,34 +344,29 @@ def haar_sample_k2(seed: int, count: int, y_max: float = 1.0e3) -> HaarSampleK2:
     exact 1/y^2 marginal on [sqrt(3)/2, y_max], rejection keeps the
     points above the unit circle, and an independent uniform rotation
     restores the full invariant measure.  Acceptance is decided in
-    block order, so the output is reproducible and worker-independent.
+    stream order, so the output is reproducible.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
-    if y_max <= 2.0:
-        raise ParameterError("y_max must exceed 2")
     y0 = math.sqrt(3.0) / 2.0
-    domain_volume = math.pi / 3.0
-    truncated = (1.0 / y_max) / domain_volume
-    xs = []
-    have = 0
-    block_index = 0
-    while have < count:
-        gen = _rng.stream(seed, block_index, tag=_TAG_HAAR)
-        block_index += 1
-        if block_index > 10_000:
-            raise CapacityError("rejection sampling exceeded 10000 blocks")
-        x = gen.uniform(-0.5, 0.5, size=_rng.BLOCK)
-        u = gen.uniform(0.0, 1.0, size=_rng.BLOCK)
-        theta = gen.uniform(0.0, 2.0 * math.pi, size=_rng.BLOCK)
+    truncated = (1.0 / _HAAR_Y_MAX) / (math.pi / 3.0)
+
+    def draw(gen, c):
+        x = gen.uniform(-0.5, 0.5, size=c)
+        u = gen.uniform(0.0, 1.0, size=c)
+        theta = gen.uniform(0.0, 2.0 * math.pi, size=c)
         # inverse CDF of the 1/y^2 marginal on [y0, y_max]
-        y = 1.0 / (1.0 / y0 - u * (1.0 / y0 - 1.0 / y_max))
-        keep = x * x + y * y >= 1.0
-        if np.any(keep):
-            xs.append(np.stack([x[keep], y[keep], theta[keep]], axis=1))
-            have += int(np.count_nonzero(keep))
-    trip = np.concatenate(xs, axis=0)[:count]
-    x, y, theta = trip[:, 0], trip[:, 1], trip[:, 2]
+        y = 1.0 / (1.0 / y0 - u * (1.0 / y0 - 1.0 / _HAAR_Y_MAX))
+        return np.stack([x, y, theta], axis=1)
+
+    def window(start, size):
+        return _rng.sample_batched(draw, size, seed, tag=_TAG_HAAR, start=start)
+
+    def above_circle(rows):
+        x, y = rows[:, 0], rows[:, 1]
+        return x * x + y * y >= 1.0
+
+    x, y, theta = _rng.first_kept(window, above_circle, count).T
     # lattice of the modular point x + iy: periods (1, x + iy) / sqrt(y),
     # so the hyperbolic height is recoverable as 1 / |first column|^2
     root = np.sqrt(y)
@@ -414,7 +381,7 @@ def haar_sample_k2(seed: int, count: int, y_max: float = 1.0e3) -> HaarSampleK2:
     rot[:, 0, 1] = -sin
     rot[:, 1, 0] = sin
     rot[:, 1, 1] = cos
-    return HaarSampleK2(rot @ upper, float(y_max), truncated)
+    return HaarSampleK2(rot @ upper, _HAAR_Y_MAX, truncated)
 
 
 @dataclass(frozen=True)
@@ -433,22 +400,6 @@ class EquidistReport:
     haar_n: int
     haar_boundary_n: int
 
-    def to_record(self) -> dict:
-        return {
-            "experiment": "equidist-k2",
-            "y0": self.y0,
-            "interval": list(self.interval),
-            "t": list(self.t),
-            "eps": self.eps,
-            "translate_estimate": self.translate_estimate,
-            "haar_estimate": self.haar_estimate,
-            "discrepancy": self.discrepancy,
-            "translate_n": self.translate_n,
-            "translate_boundary_n": self.translate_boundary_n,
-            "haar_n": self.haar_n,
-            "haar_boundary_n": self.haar_boundary_n,
-        }
-
 
 def thick_fraction_k2(
     matrices: np.ndarray,
@@ -456,25 +407,29 @@ def thick_fraction_k2(
     margin: float = DEFAULT_MARGIN,
 ):
     """Fraction of 2x2 bases whose lattice avoids vectors shorter than eps."""
-    region = trichotomy(shortest_supnorm_k2_batch(matrices), eps, margin)
-    boundary = int(np.count_nonzero(region == ThickRegion.BOUNDARY))
-    n_eff = region.size - boundary
+    outside, inside, boundary = _region_counts(shortest_supnorm_k2_batch(matrices),
+                                               eps, margin)
+    n_eff = outside + inside
     if n_eff == 0:
         return 0.0, 0, boundary
-    return int(np.count_nonzero(region == ThickRegion.INSIDE)) / n_eff, n_eff, boundary
+    return inside / n_eff, n_eff, boundary
 
 
-def _equidist_weights(interval, flow_time: float, eps: float, samples: int) -> tuple:
+def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples: int,
+                      margin: float) -> tuple:
     """((lo, hi), flow weights), once every equidist_test_k2 input is checked."""
     lo, hi = (float(interval[0]), float(interval[1]))
     if not lo < hi:
         raise ParameterError("interval needs lo < hi")
+    if not all(map(math.isfinite, (lo, hi, y0))):
+        raise ParameterError("interval and y0 must be finite")
     if not (0.0 < eps < 1.0):
         raise ParameterError("eps must lie in (0, 1)")
     if flow_time <= 0:
         raise ParameterError("flow_time must be positive")
     if samples < 1:
         raise ParameterError("samples must be >= 1, got %r" % (samples,))
+    _check_margin(margin)
     return (lo, hi), WeightVector(1, 1, (float(flow_time), float(flow_time)))
 
 
@@ -495,7 +450,7 @@ def equidist_test_k2(
     whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part; the
     reference comes from haar_sample_k2 with the same sample budget.
     """
-    (lo, hi), t = _equidist_weights(interval, flow_time, eps, samples)
+    (lo, hi), t = _equidist_weights(interval, y0, flow_time, eps, samples, margin)
     exps = flow_exponents(t)
     grow = math.exp(exps[0])
     shrink = math.exp(exps[1])
@@ -511,19 +466,8 @@ def equidist_test_k2(
     translate_est, t_n, t_bn = thick_fraction_k2(bases, eps, margin)
     haar = haar_sample_k2(seed, samples)
     haar_est, h_n, h_bn = thick_fraction_k2(haar.matrices, eps, margin)
-    return EquidistReport(
-        y0=float(y0),
-        interval=(lo, hi),
-        t=t.t,
-        eps=eps,
-        translate_estimate=translate_est,
-        haar_estimate=haar_est,
-        discrepancy=translate_est - haar_est,
-        translate_n=t_n,
-        translate_boundary_n=t_bn,
-        haar_n=h_n,
-        haar_boundary_n=h_bn,
-    )
+    return EquidistReport(float(y0), (lo, hi), t.t, eps, translate_est, haar_est,
+                          translate_est - haar_est, t_n, t_bn, h_n, h_bn)
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +500,8 @@ class CounterexampleRecord:
     max_lambda1: float
 
     def to_records(self) -> list:
-        return [
-            {
-                "experiment": "no-drift-counterexample",
-                "eps": self.eps,
-                "u": self.u,
-                "system_index": c.system_index,
-                "s": c.s,
-                "primitive_ok": c.primitive_ok,
-                "lambda1": c.lambda1,
-                "lambda1_below_eps": c.lambda1_below_eps,
-                "near_vector_distance": c.near_vector_distance,
-                "near_vector_q": c.near_vector_q,
-            }
-            for c in self.cases
-        ]
+        return [{"experiment": "no-drift-counterexample", "eps": self.eps, "u": self.u,
+                 **asdict(c)} for c in self.cases]
 
 
 def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
@@ -666,85 +597,26 @@ def no_drift_counterexample(
                     % (lam, found_dist)
                 )
             all_pass = all_pass and ok
-            cases.append(CounterexampleCase(
-                system_index=index,
-                s=s,
-                primitive_ok=primitive_ok,
-                lambda1=lam,
-                lambda1_below_eps=lam < eps,
-                near_vector_distance=found_dist,
-                near_vector_q=found_q,
-            ))
+            cases.append(CounterexampleCase(index, s, primitive_ok, lam, lam < eps,
+                                            found_dist, found_q))
     return CounterexampleRecord(eps, u, tuple(t.t[1] for t in weights), systems,
                                 tuple(cases), all_pass, max_lambda1)
 
 
 # ---------------------------------------------------------------------------
-# named shortest-vector profiles
+# shortest-vector profiles along the central ray
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LiouvilleInput:
-    terms: int = 5
-
-
-@dataclass(frozen=True)
-class GoldenRatioInput:
-    digits: int = 60
-
-
-@dataclass(frozen=True)
-class RationalInput:
-    p: int
-    q: int
-
-
-@dataclass(frozen=True)
-class RandomInput:
-    seed: int
-
-
-ProfileInput = LiouvilleInput | GoldenRatioInput | RationalInput | RandomInput
-
-
-def profile_system(spec: ProfileInput) -> tuple[str, LinearFormSystem]:
-    if isinstance(spec, LiouvilleInput):
-        return "liouville(%d)" % spec.terms, liouville_system(spec.terms)
-    if isinstance(spec, GoldenRatioInput):
-        return "golden_ratio", golden_system(spec.digits)
-    if isinstance(spec, RationalInput):
-        if spec.q <= 0:
-            raise ParameterError("rational input needs q > 0")
-        return ("rational(%d/%d)" % (spec.p, spec.q),
-                LinearFormSystem.from_exact(((Fraction(spec.p, spec.q),),)))
-    if isinstance(spec, RandomInput):
-        return "random(seed=%d)" % spec.seed, random_forms(spec.seed, 1, 1)
-    raise ParameterError("unknown profile input %r" % (spec,))
-
-
-@dataclass(frozen=True)
 class ProfileSeries:
-    label: str
     params: tuple
     values: tuple
     local_minima: tuple  # indices of strict interior local minima
 
-    def to_records(self) -> list:
-        return [
-            {
-                "experiment": "singular-profile",
-                "input": self.label,
-                "param": p,
-                "lambda1": v,
-                "local_min": i in self.local_minima,
-            }
-            for i, (p, v) in enumerate(zip(self.params, self.values))
-        ]
 
-
-def singular_profile(spec: ProfileInput, t_grid) -> ProfileSeries:
-    """Shortest-vector profile along the central ray for a named input.
+def singular_profile(system: LinearFormSystem, t_grid) -> ProfileSeries:
+    """Shortest-vector profile of a 1x1 system along the central ray.
 
     Interior strict local minima are annotated: dips are where the
     trajectory approaches the cusp and returns, the signature separating
@@ -755,11 +627,10 @@ def singular_profile(spec: ProfileInput, t_grid) -> ProfileSeries:
         b <= a for a, b in zip(grid, grid[1:])
     ):
         raise ParameterError("t_grid must be positive and strictly increasing")
-    label, system = profile_system(spec)
     series = trajectory_lambda1(system, tuple(WeightVector(1, 1, (s, s)) for s in grid))
     values = tuple(lam for _, lam in series)
     minima = tuple(
         i for i in range(1, len(values) - 1)
         if values[i] < values[i - 1] and values[i] < values[i + 1]
     )
-    return ProfileSeries(label, grid, values, minima)
+    return ProfileSeries(grid, values, minima)

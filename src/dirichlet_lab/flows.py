@@ -31,6 +31,7 @@ from .lattice import (
     DEFAULT_MARGIN,
     LatticeBasis,
     ThickRegion,
+    _check_margin,
     shortest_vector_supnorm,
     trichotomy,
 )
@@ -569,10 +570,12 @@ class DIReport:
         return rows
 
 
-def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float) -> list:
+def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float,
+               margin: float) -> list:
     """The family's weights with norm <= horizon, once the horizon is
     positive, the family nonempty, its tested part reaches the final
-    stretch (norms >= 0.9 * horizon) and eps suits the lattice route."""
+    stretch (norms >= 0.9 * horizon), eps suits the lattice route and the
+    margin is >= 0."""
     if horizon_norm <= 0:
         raise ParameterError("horizon_norm must be positive")
     if not family:
@@ -585,6 +588,7 @@ def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float
             % (max((w.norm for w in tested), default=0.0), stretch_floor)
         )
     _check_lattice_eps(eps)
+    _check_margin(margin)
     return tested
 
 
@@ -597,7 +601,7 @@ def di_classify(
 ) -> DIReport:
     """Evaluate solvability at every family t with norm <= horizon."""
     records = []
-    for w in _di_tested(family, eps, horizon_norm):  # family order, deterministic
+    for w in _di_tested(family, eps, horizon_norm, margin):  # family order, deterministic
         status, witness = _lattice_status(Y, w, eps, margin)
         records.append(DIRecord(t=w, status=status, witness=witness))
 

@@ -35,17 +35,6 @@ _K2_MAX_ITER = 200
 _TAG_UNIMODULAR = 11
 
 
-def _as_matrix(columns, k=None):
-    M = np.asarray(columns, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ParameterError("basis must be a square matrix, got shape %r" % (M.shape,))
-    if k is not None and M.shape[0] != k:
-        raise ParameterError("expected k=%d, got %d" % (k, M.shape[0]))
-    if not np.all(np.isfinite(M)):
-        raise ParameterError("basis entries must be finite")
-    return M
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeBasis:
     """Columns generate a unimodular lattice in R^k (det = +1)."""
@@ -53,7 +42,11 @@ class LatticeBasis:
     columns: np.ndarray
 
     def __post_init__(self):
-        M = _as_matrix(self.columns)
+        M = np.asarray(self.columns, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ParameterError("basis must be a square matrix, got shape %r" % (M.shape,))
+        if not np.all(np.isfinite(M)):
+            raise ParameterError("basis entries must be finite")
         k = M.shape[0]
         if k < 2:
             raise ParameterError("dimension must be >= 2, got %d" % k)
@@ -311,6 +304,11 @@ def shortest_vector_supnorm(
                                 image=image, length=length)
 
 
+def _check_margin(margin: float) -> None:
+    if not margin >= 0:
+        raise ParameterError("margin must be >= 0")
+
+
 def trichotomy(lam, eps: float, margin: float):
     """The one decision rule placing shortest-vector lengths against eps.
 
@@ -322,8 +320,7 @@ def trichotomy(lam, eps: float, margin: float):
     """
     if eps <= 0:
         raise ParameterError("eps must be positive, got %r" % (eps,))
-    if margin < 0:
-        raise ParameterError("margin must be >= 0")
+    _check_margin(margin)
     lam = np.asarray(lam, dtype=float)
     return _REGIONS[1 + (lam >= eps + margin).astype(np.intp) - (lam < eps - margin)]
 

@@ -246,8 +246,8 @@ class Ball:
 
     def __post_init__(self):
         c = tuple(float(v) for v in np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if not c:
-            raise ParameterError("ball center must be nonempty")
+        if not c or not all(map(math.isfinite, c)):
+            raise ParameterError("ball center must be nonempty and finite")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ParameterError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
@@ -260,11 +260,19 @@ class Ball:
         return cls(((lo + hi) / 2.0,), (hi - lo) / 2.0)
 
     def contains(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        diff = pts - np.array(self.center)
+        """Mask of the rows of a (N, d) point array that lie in the ball."""
+        diff = np.asarray(points, dtype=float) - np.array(self.center)
         return np.sqrt(np.sum(diff * diff, axis=1)) <= self.radius
+
+
+def _check_dims(measure: MeasureSpec, ball: Ball, mapping: MapSpec | None = None) -> None:
+    """The ball, and the map if given, live in the measure's dimension."""
+    if len(ball.center) != measure.d:
+        raise ParameterError("ball center has %d coordinates, the measure lives in R^%d"
+                             % (len(ball.center), measure.d))
+    if mapping is not None and mapping.d != measure.d:
+        raise ParameterError("map takes %d variables, the measure lives in R^%d"
+                             % (mapping.d, measure.d))
 
 
 def _binomial_half_width(p: float, n: int) -> float:
@@ -317,6 +325,7 @@ def cgood_empirical(
     result is flagged degenerate (C = inf).
     """
     grid = _cgood_grid(alpha, eps_grid)
+    _check_dims(measure, ball)
     pts = sample(measure, seed, samples, depth=depth, workers=workers)
     inside = pts[ball.contains(pts)]
     count = inside.shape[0]
@@ -386,9 +395,8 @@ def federer_empirical(
     are examined.
     """
     lo_r, hi_r = _federer_radii(ball_count, radius_range)
+    _check_dims(measure, region)
     pts = sample(measure, seed, samples, depth=depth, workers=workers)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     center = np.array(region.center)
     dist = np.sqrt(np.sum((pts - center) ** 2, axis=1))
     eligible = np.flatnonzero(dist <= center_fraction * region.radius)
@@ -450,6 +458,7 @@ def nonplanar_test(
     ball and checks its smallest singular value after normalizing each
     column to unit length (raw monomial columns are badly conditioned).
     """
+    _check_dims(measure, ball, mapping)
     pts = sample(measure, seed, samples, depth=depth, workers=workers)
     mask = ball.contains(pts)
     inside = pts[mask]

@@ -10,7 +10,9 @@ The JSONL header is three lines: a format-version object, a timestamp
 object (the only nondeterministic bytes in the file), and the embedded
 config.  Records keep their insertion key order, so identical configs
 and seeds produce byte-identical files apart from the timestamp line.
-List-valued record fields are ';'-joined in the CSV.
+List-valued record fields are ';'-joined in the CSV.  ``value_text`` is
+the one rule that turns a value into text, for CSV cells and for the
+config lines alike.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import ParameterError
 FORMAT_VERSION = "dirichlet-lab-report/1"
 
 
-def _csv_cell(value) -> str:
+def value_text(value, sep: str = ";") -> str:
+    """Text of a value: lists joined by sep, floats by repr, None empty."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -35,7 +38,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        return ";".join(_csv_cell(v) for v in value)
+        return sep.join(value_text(v, sep) for v in value)
     return str(value)
 
 
@@ -64,7 +67,7 @@ def render_csv(config: RunConfig, records, timestamp: str) -> str:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
-            writer.writerow([_csv_cell(rec[c]) for c in columns])
+            writer.writerow([value_text(rec[c]) for c in columns])
     return out.getvalue()
 
 

@@ -7,9 +7,9 @@ in block order.  Worker count therefore never changes which stream
 produced which sample: running with 1 worker or 8 gives bit-identical
 results.  A block's rows do not depend on how many of them are drawn, so
 any window of a stream can be drawn on its own and equals the same slice
-of a longer run; rejection-style sampling draws each pass as its own
-window and filters in stream order, so the accepted subsequence is
-reproducible.
+of a longer run.  Rejection sampling (:func:`first_kept`) draws each pass
+as a window of whole blocks, each block once, and filters in stream
+order, so the accepted subsequence is reproducible.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EmptySupportError, ParameterError
 
 # Fixed once and for all: changing it changes every sampled stream.
 BLOCK = 4096
+# a rejection sampler gives up after this many draws per row it must keep
+_MAX_DRAWS_PER_ROW = 1000
 
 _T = TypeVar("_T")
 
@@ -93,3 +95,29 @@ def sample_batched(
 
     parts = map_blocks(one, (stop - 1) // BLOCK + 1 - first, workers=workers)
     return np.concatenate(parts, axis=0)
+
+
+def first_kept(
+    window: Callable[[int, int], np.ndarray],
+    keep: Callable[[np.ndarray], np.ndarray],
+    count: int,
+) -> np.ndarray:
+    """The first ``count`` rows of a stream that ``keep`` accepts, in stream order.
+
+    ``window(start, size)`` returns stream positions ``start .. start + size
+    - 1`` and ``keep(rows)`` a boolean mask over them.  Each pass draws the
+    whole blocks after the last one drawn, as many as the missing rows
+    would fill if every row were kept, so no block is drawn twice.
+    """
+    kept = []
+    have = drawn = 0
+    while have < count:
+        if drawn >= _MAX_DRAWS_PER_ROW * count:
+            raise EmptySupportError("kept %d of %d needed samples after %d draws"
+                                    % (have, count, drawn))
+        size = -(-(count - have) // BLOCK) * BLOCK
+        rows = window(drawn, size)
+        drawn += size
+        kept.append(rows[keep(rows)])
+        have += kept[-1].shape[0]
+    return np.concatenate(kept, axis=0)[:count]

@@ -16,13 +16,10 @@ import pytest
 
 from dirichlet_lab.cli import main as cli_main
 from dirichlet_lab.experiments import (
-    GoldenRatioInput,
-    LiouvilleInput,
     equidist_test_k2,
     haar_sample_k2,
     no_drift_counterexample,
     nondiv_decay_scan,
-    profile_system,
     singular_profile,
 )
 from dirichlet_lab.exterior import (
@@ -41,6 +38,8 @@ from dirichlet_lab.flows import (
     dirichlet_solvable_direct,
     dirichlet_solvable_lattice,
     flow_matrix,
+    golden_system,
+    liouville_system,
 )
 from dirichlet_lab.lattice import (
     LatticeBasis,
@@ -226,10 +225,10 @@ def test_criterion_5_singular_and_ba_profiles(verdict):
     start = time.monotonic()
     grid30 = tuple(np.linspace(0.0, 30.0, 241)[1:])
     grid20 = tuple(np.linspace(0.0, 20.0, 161)[1:])
-    lio = singular_profile(LiouvilleInput(terms=5), grid30)
-    gold = singular_profile(GoldenRatioInput(), grid20)
-    _, golden_system = profile_system(GoldenRatioInput())
-    quality = ba_quality(golden_system, (1.0,), (1.0,), 1000)
+    golden = golden_system()
+    lio = singular_profile(liouville_system(5), grid30)
+    gold = singular_profile(golden, grid20)
+    quality = ba_quality(golden, (1.0,), (1.0,), 1000)
     elapsed = time.monotonic() - start
     lio_min = min(lio.values)
     gold_min = min(gold.values)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +13,6 @@ from dirichlet_lab import experiments
 from dirichlet_lab.errors import CapacityError, EmptySupportError, ParameterError
 from dirichlet_lab.experiments import (
     CounterexampleRecord,
-    GoldenRatioInput,
-    LiouvilleInput,
-    RandomInput,
-    RationalInput,
     _collect_in_ball,
     _lambda1_rows_batch,
     equidist_test_k2,
@@ -27,7 +24,14 @@ from dirichlet_lab.experiments import (
     thick_fraction_k2,
 )
 from dirichlet_lab.config import parse_map
-from dirichlet_lab.flows import LinearFormSystem, WeightVector, flowed_basis, random_forms
+from dirichlet_lab.flows import (
+    LinearFormSystem,
+    WeightVector,
+    flowed_basis,
+    golden_system,
+    liouville_system,
+    random_forms,
+)
 from dirichlet_lab.lattice import shortest_vector_supnorm
 from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS, sample
 from dirichlet_lab.rng import BLOCK
@@ -37,7 +41,7 @@ LEB01 = LebesgueBox((0.0,), (1.0,))
 CANTOR = SelfSimilarIFS.cantor_middle_thirds()
 # a Cantor point's radius-0.01 ball: about one draw in 22 lands in it
 CANTOR_BALL = Ball((0.7407407,), 0.01)
-BALL_V2 = Ball((0.5, 0.375), 2.0)
+BALL_V2 = Ball((0.5,), 2.0)
 
 # affine curve x -> (x, 2x+1); q = (-2, 1) collapses the form exactly,
 # so the flowed lattice always holds a vector of length 2 e^{-s}
@@ -109,10 +113,7 @@ def test_collect_in_ball_deterministic_and_inside():
 def test_collect_in_ball_empty_support():
     gap = Ball((0.5,), 0.05)  # inside the removed middle third
     with pytest.raises(EmptySupportError,
-                       match="^ball caught 0 of 100 needed samples after 4096 draws$"):
-        _collect_in_ball(CANTOR, gap, 100, seed=0, depth=20, max_factor=20)
-    with pytest.raises(EmptySupportError,
-                       match="^ball caught 0 of 100 needed samples after 102400 draws$"):
+                       match="^kept 0 of 100 needed samples after 102400 draws$"):
         _collect_in_ball(CANTOR, gap, 100, seed=0, depth=20)
 
 
@@ -127,18 +128,21 @@ def test_collect_in_ball_is_the_in_ball_prefix_of_one_run(workers):
 
 
 def test_collect_in_ball_draws_each_position_once(monkeypatch):
-    counts = []
+    windows = []
 
     def counting_sample(*args, **kwargs):
         pts = sample(*args, **kwargs)
-        counts.append(pts.shape[0])
+        windows.append((kwargs["start"], pts.shape[0]))
         return pts
 
     monkeypatch.setattr(experiments, "sample", counting_sample)
     _collect_in_ball(CANTOR, CANTOR_BALL, 5000, seed=0, depth=20)
-    block = max(5000, BLOCK)
-    assert len(counts) > 1
-    assert sum(counts) == len(counts) * block
+    assert len(windows) > 1
+    # whole blocks, each pass starting where the previous one stopped
+    assert all(start % BLOCK == 0 and size % BLOCK == 0 and size > 0
+               for start, size in windows)
+    ends = [0] + [start + size for start, size in windows]
+    assert [start for start, _ in windows] == ends[:-1]
 
 
 @pytest.mark.parametrize("points,digest", [
@@ -163,11 +167,11 @@ def test_escape_nearly_everything_for_eps_near_one():
 def test_escape_record_shape():
     (cell,) = escape_table(V2, LEB01, BALL_V2, (WeightVector(1, 2, (2.0, 1.0, 1.0)),),
                            (0.5,), samples=2000, seed=1)
-    rec = cell.to_record()
+    rec = asdict(cell)
     assert list(rec) == ["experiment", "seed", "t", "floor_t", "norm_t", "eps",
                          "fraction", "ci", "n", "boundary_n"]
     assert rec["experiment"] == "escape"
-    assert rec["t"] == [2.0, 1.0, 1.0]
+    assert rec["t"] == (2.0, 1.0, 1.0)
     assert rec["floor_t"] == 1.0 and rec["norm_t"] == 2.0
     assert 0.0 <= rec["fraction"] <= 1.0
 
@@ -194,7 +198,7 @@ def test_decay_scan_frozen_small_run():
     assert fr[0] > fr[1] > fr[2] and fr[3] > fr[4] > fr[5]
     assert all(s < 0.1 for s in scan.column_span)
     assert all(sl is not None and sl > 0.4 for sl in scan.slopes.values())
-    recs = scan.to_records()
+    recs = [asdict(c) for c in scan.cells]
     assert len(recs) == 6 and recs[0]["experiment"] == "decay-scan"
 
 
@@ -208,7 +212,7 @@ def test_decay_scan_alpha_theory_is_one_over_d_times_degree(decl, alpha_theory):
     mapping = parse_map(decl)
     box = LebesgueBox((0.0,) * mapping.d, (1.0,) * mapping.d)
     t = WeightVector(1, mapping.n, (float(mapping.n),) + (1.0,) * mapping.n)
-    scan = nondiv_decay_scan(mapping, box, Ball((0.5,) * mapping.n, 10.0), (t,),
+    scan = nondiv_decay_scan(mapping, box, Ball((0.5,) * mapping.d, 10.0), (t,),
                              (0.2, 0.4), samples=200, seed=0)
     assert scan.alpha_theory == alpha_theory
 
@@ -216,7 +220,7 @@ def test_decay_scan_alpha_theory_is_one_over_d_times_degree(decl, alpha_theory):
 def test_planar_curve_escapes_everywhere():
     # 2 e^{-3} < 0.1: every point of the affine curve is pushed out
     t = WeightVector(1, 2, (6.0, 3.0, 3.0))
-    (planar,) = escape_table(PLANAR, LEB01, Ball((0.5, 2.0), 3.0), (t,), (0.1,),
+    (planar,) = escape_table(PLANAR, LEB01, Ball((0.5,), 3.0), (t,), (0.1,),
                              samples=2000, seed=2)
     (curved,) = escape_table(V2, LEB01, BALL_V2, (t,), (0.1,), samples=2000, seed=2)
     assert planar.fraction == 1.0
@@ -228,7 +232,7 @@ def test_rational_constant_map_fully_escapes():
         ((Fraction(1, 2), (0,)),),
         ((Fraction(1, 4), (0,)),),
     ))
-    (cell,) = escape_table(const, LEB01, Ball((0.5, 0.25), 1.0),
+    (cell,) = escape_table(const, LEB01, Ball((0.5,), 1.0),
                            (WeightVector(1, 2, (8.0, 4.0, 4.0)),), (0.1,),
                            samples=500, seed=2)
     assert cell.fraction == 1.0
@@ -277,8 +281,6 @@ def test_thick_mass_nonincreasing_in_eps():
 def test_haar_validation():
     with pytest.raises(ParameterError):
         haar_sample_k2(0, 0)
-    with pytest.raises(ParameterError):
-        haar_sample_k2(0, 10, y_max=1.5)
 
 
 def test_equidist_discrepancy_small_at_long_times():
@@ -286,9 +288,11 @@ def test_equidist_discrepancy_small_at_long_times():
     assert r.translate_estimate == pytest.approx(0.69403, abs=1e-4)
     assert r.haar_estimate == pytest.approx(0.69773, abs=1e-4)
     assert abs(r.discrepancy) <= 0.02
-    rec = r.to_record()
-    assert rec["experiment"] == "equidist-k2"
-    assert rec["t"] == [9.0, 9.0]
+    rec = asdict(r)
+    assert list(rec) == ["y0", "interval", "t", "eps", "translate_estimate",
+                         "haar_estimate", "discrepancy", "translate_n",
+                         "translate_boundary_n", "haar_n", "haar_boundary_n"]
+    assert rec["t"] == (9.0, 9.0)
 
 
 def test_equidist_improves_with_flow_time():
@@ -331,7 +335,8 @@ def test_counterexample_all_cases_pass():
     assert all(c.near_vector_distance < 0.9 for c in rec.cases)
     recs = rec.to_records()
     assert len(recs) == 600
-    assert recs[0]["experiment"] == "no-drift-counterexample"
+    assert recs[0] == {"experiment": "no-drift-counterexample", "eps": 0.9,
+                       "u": math.log(1.5), **asdict(rec.cases[0])}
 
 
 def test_counterexample_window_enforced():
@@ -357,14 +362,13 @@ def test_counterexample_fixed_vector_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# named profiles
+# singular profiles
 # ---------------------------------------------------------------------------
 
 
 def test_rational_profile_collapses():
     grid = tuple(0.25 * i for i in range(1, 81))
-    series = singular_profile(RationalInput(1, 3), grid)
-    assert series.label == "rational(1/3)"
+    series = singular_profile(LinearFormSystem.from_exact(((Fraction(1, 3),),)), grid)
     vals = np.array(series.values)
     # once e^{-s} q < 1 for the exact denominator q=3, the value is 3 e^{-s}
     tail = vals[np.array(grid) >= math.log(3.0) + 0.3]
@@ -374,7 +378,7 @@ def test_rational_profile_collapses():
 
 def test_liouville_profile_dips_deep():
     grid = tuple(0.25 * i for i in range(1, 121))
-    series = singular_profile(LiouvilleInput(5), grid)
+    series = singular_profile(liouville_system(5), grid)
     assert min(series.values) <= 0.01
     assert len(series.local_minima) >= 3
     # annotated minima really are strict interior dips
@@ -385,25 +389,21 @@ def test_liouville_profile_dips_deep():
 
 def test_golden_profile_stays_high():
     grid = tuple(0.25 * i for i in range(1, 81))
-    series = singular_profile(GoldenRatioInput(), grid)
+    series = singular_profile(golden_system(), grid)
     assert min(series.values) >= 0.6
 
 
 def test_random_profile_reproducible():
     grid = tuple(0.5 * i for i in range(1, 21))
-    a = singular_profile(RandomInput(7), grid)
-    b = singular_profile(RandomInput(7), grid)
+    a = singular_profile(random_forms(7, 1, 1), grid)
+    b = singular_profile(random_forms(7, 1, 1), grid)
     assert a.values == b.values
-    assert a.label == "random(seed=7)"
-    recs = a.to_records()
-    assert len(recs) == 20
-    assert all(r["experiment"] == "singular-profile" for r in recs)
+    assert a.params == grid and len(a.values) == 20
 
 
 def test_profile_validation():
+    third = LinearFormSystem.from_exact(((Fraction(1, 3),),))
     with pytest.raises(ParameterError):
-        singular_profile(RationalInput(1, 0), (1.0, 2.0))
+        singular_profile(third, (2.0, 1.0))
     with pytest.raises(ParameterError):
-        singular_profile(RationalInput(1, 3), (2.0, 1.0))
-    with pytest.raises(ParameterError):
-        singular_profile(RationalInput(1, 3), ())
+        singular_profile(third, ())

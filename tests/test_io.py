@@ -8,8 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dirichlet_lab.cli import main
+from dirichlet_lab import cli
+from dirichlet_lab.cli import _Param, main
 from dirichlet_lab.config import (
     RunConfig,
     parse_config,
@@ -19,7 +22,7 @@ from dirichlet_lab.config import (
     parse_trajectory,
     parse_weight_vector,
 )
-from dirichlet_lab.errors import ParameterError
+from dirichlet_lab.errors import EmptySupportError, ParameterError
 from dirichlet_lab.measures import LebesgueBox, MapSpec, SelfSimilarIFS
 from dirichlet_lab.reports import FORMAT_VERSION, render_csv, render_jsonl, write_report
 
@@ -309,7 +312,7 @@ def test_cli_argument_error_is_2(rundir, capsys):
 
 def test_cli_dry_run_writes_nothing(rundir, capsys):
     code = main(["escape", "--map", "veronese n=2", "--measure",
-                 "lebesgue d=1 box=0,1", "--ball-center", "0.5,0.375",
+                 "lebesgue d=1 box=0,1", "--ball-center", "0.5",
                  "--ball-radius", "2", "--t", "6,3,3", "--eps", "0.4",
                  "--samples", "50", "--dry-run"])
     out = capsys.readouterr().out
@@ -338,7 +341,7 @@ eps = 0.4
 samples = 200
 measure = lebesgue d=1 box=0,1
 map = veronese n=2
-ball_center = 0.5 0.375
+ball_center = 0.5
 ball_radius = 2.0
 t = 6,3,3
 """)
@@ -360,7 +363,7 @@ t = 6,3,3
 
 def test_cli_workers_identical_output(rundir, monkeypatch, capsys):
     base = ["escape", "--map", "veronese n=2", "--measure",
-            "lebesgue d=1 box=0,1", "--ball-center", "0.5,0.375",
+            "lebesgue d=1 box=0,1", "--ball-center", "0.5",
             "--ball-radius", "2", "--t", "6,3,3", "--eps", "0.4", "0.1",
             "--samples", "2000"]
     monkeypatch.setenv("DIRICHLET_LAB_OUTDIR", str(rundir / "outA"))
@@ -457,6 +460,17 @@ def _on_cantor(argv):
     (_on_cantor(["federer-test", "--measure", "lebesgue d=1 box=0,1", "--ball-center",
                  "0.5", "--ball-radius", "0.5", "--samples", "100", "--depth", "0"]), 2),
     (_on_cantor(["nonplanar-test"] + _GOOD_FLAGS + ["--depth", "0"]), 2),
+    (["escape"] + _ESCAPE_FLAGS[:5] + ["0.5,0.5"] + _ESCAPE_FLAGS[6:] + ["--samples", "50"], 2),
+    (["nonplanar-test", "--map", "veronese n=2", "--measure", "lebesgue d=2 box=0,1,0,1",
+      "--ball-center", "0.5,0.5", "--ball-radius", "0.5", "--samples", "100"], 2),
+    (["federer-test", "--measure", "lebesgue d=2 box=0,1,0,1", "--ball-center", "0.5",
+      "--ball-radius", "0.5", "--samples", "100"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--margin", "-1"], 2),
+    (["di", "--Y", "0.5", "--family", "ray central t=1:1:3", "--eps", "0.5",
+      "--horizon", "3", "--margin", "-1"], 2),
+    (["equidist", "--interval", "0,1", "--y0", "inf", "--flow-time", "1", "--eps", "0.5",
+      "--samples", "10"], 2),
+    (["escape"] + _ESCAPE_FLAGS[:5] + ["nan"] + _ESCAPE_FLAGS[6:] + ["--samples", "50"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -470,7 +484,10 @@ def _on_cantor(argv):
         "counterexample-s-overflow", "counterexample-negative-s",
         "counterexample-zero-systems", "check-eps-above-one", "check-over-direct-budget",
         "nonplanar-zero-samples", "escape-ifs-zero-depth", "decay-ifs-zero-depth",
-        "good-test-ifs-zero-depth", "federer-ifs-zero-depth", "nonplanar-ifs-zero-depth"])
+        "good-test-ifs-zero-depth", "federer-ifs-zero-depth", "nonplanar-ifs-zero-depth",
+        "escape-ball-off-dimension", "nonplanar-map-off-dimension",
+        "federer-region-off-dimension", "escape-negative-margin", "di-negative-margin",
+        "equidist-infinite-y0", "escape-nan-ball-center"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same first error line
@@ -485,6 +502,105 @@ def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     assert first_lines[0].startswith("error:")
     assert first_lines[0] == first_lines[1]
     assert not (rundir / "runs").exists()
+
+
+# Value pools for the generic dry-run test: (usual, unusual) texts, the
+# unusual ones out of range, malformed, or too large for a budget.  A
+# parameter draws from the pool under its key, else from the pool of its
+# conversion; sizes stay tiny so that each run is cheap.
+_NUMBERS = {
+    int: (("1", "2", "3", "20"), ("-1", "0")),
+    float: (("0.4", "0.9"), ("-1", "0", "0.05", "1", "1.5", "3", "400", "nan", "inf")),
+}
+_TEXTS = {
+    "seed": (("0", "3"), ("-1",)),
+    "workers": (("1", "2"), ("0",)),
+    "coord": (("1", "2"), ("0", "3")),
+    "margin": (("1e-09", "0.001"), ("-1", "nan", "400")),
+    "m": (("1",), ("0", "2")),
+    "n": (("1",), ("0", "2")),
+    "Y": (("0.5", "1/3"), ("abc", "", "0.3,0.7", "0.3;0.7")),
+    "t": (("1,1", "2,1,1"), ("60,30,30", "400,200,200", "1,x", "1,1,1,1")),
+    "trajectory": (("ray central t=1:1:3", "ray r=1 s=1 t=1:1:3", "explicit 1 1"),
+                   ("explicit 2 1 1", "ray central t=100:100:5", "ray central t=1:1")),
+    "map": (("veronese n=1", "veronese n=2"), ("veronese", "poly d=2 n=1 f1=x1*x2")),
+    "measure": (("lebesgue d=1 box=0,1", _CANTOR),
+                ("ifs ratios=2 trans=0", "normal", "lebesgue d=2 box=0,1,0,1")),
+    "ball_center": (("0.5", "0.7407407"), ("0.5,0.5", "nan", "")),
+    "interval": (("0,1", "0.4,0.9"), ("1,0", "0", "0,1,2")),
+    "radius_range": (("0.5,1", "0.9,0.9"), ("1,0.5", "0.5", "0,1")),
+    "r": (("1", "0.4,0.6"), ("0.5", "-1")),
+    "s": (("1", "3,4"), ("-3", "400", "0.5")),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand with usual values for every parameter of its table but
+    at most one, which is unusual or, if required, left out.  Defaults are
+    never left to stand, since some are costly sizes."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    command = cli._COMMANDS[name]
+    params = command.params + (_Param("seed", int),)
+    if command.sampling:
+        params += (_Param("workers", int),)
+    odd = draw(st.sampled_from((None,) + params))
+
+    def text(param):
+        pools = _TEXTS.get(param.key) or _NUMBERS[
+            float if param.conv is cli._float_list else param.conv]
+        return draw(st.sampled_from(pools[param is odd]))
+
+    argv = [name]
+    for param in params:
+        flag = "--" + param.name.replace("_", "-")
+        if param.kind == "switch":
+            argv += [flag] * draw(st.booleans())
+            continue
+        if param is odd and param.required and draw(st.booleans()):
+            continue
+        count = draw(st.sampled_from((1, 1, 1, 2, 3)))
+        if param.conv is cli._float_list and param.key not in _TEXTS:
+            argv += [flag, ",".join(text(param) for _ in range(count))]
+        elif param.kind == "list":
+            argv += [flag] + [text(param) for _ in range(count)]
+        else:
+            for _ in range(count if param.kind == "append" else 1):
+                argv += [flag, text(param)]
+    return argv
+
+
+_PARSER = cli.build_parser()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+def test_cli_dry_run_fails_like_the_run(rundir, capsys, monkeypatch, argv):
+    # same exit code and first error line with and without --dry-run
+    run, raised = cli._run, []
+
+    def recording_run(args):
+        try:
+            return run(args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    outcomes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_run", recording_run)
+        # one parser serves every example: building it is most of a run's time
+        patch.setattr(cli, "build_parser", lambda: _PARSER)
+        for extra in (["--dry-run"], []):
+            code = main(argv + extra)
+            err = capsys.readouterr().err.splitlines()
+            outcomes.append((code, next((line for line in err if "error:" in line), None)))
+    if raised and isinstance(raised[-1], EmptySupportError):
+        # a ball the sampled support misses shows only by sampling
+        assert outcomes[0] == (0, None)
+    else:
+        assert outcomes[0] == outcomes[1]
 
 
 def test_cli_decay_checks_the_nondivergence_exponent(rundir, capsys):

@@ -234,6 +234,19 @@ def test_nonplanar_needs_enough_points():
         nonplanar_test(MapSpec.veronese(2), CANTOR, tiny, samples=2_000, seed=0)
 
 
+def test_ball_and_map_must_live_in_the_measure_dimension():
+    plane = LebesgueBox((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ParameterError,
+                       match=r"^ball center has 2 coordinates, the measure lives in R\^1$"):
+        cgood_empirical(lambda x: x, LEB01, Ball((0.5, 0.5), 0.5), 1.0, (0.1,), samples=10)
+    with pytest.raises(ParameterError,
+                       match=r"^ball center has 1 coordinates, the measure lives in R\^2$"):
+        federer_empirical(plane, UNIT, ball_count=5, samples=10)
+    with pytest.raises(ParameterError,
+                       match=r"^map takes 1 variables, the measure lives in R\^2$"):
+        nonplanar_test(MapSpec.veronese(2), plane, Ball((0.5, 0.5), 0.5), samples=10)
+
+
 # -- explicit constants -------------------------------------------------------
 
 
