@@ -14,6 +14,7 @@ from .lattice import (
     ThickRegion,
     random_unimodular,
     reduce_basis,
+    shortest_supnorm_batch,
     shortest_supnorm_k2_batch,
     shortest_vector_supnorm,
     shortest_with_region,

@@ -391,7 +391,7 @@ def _cmd_nonplanar_test(v):
     measure = parse_measure(v.measure)
     ball = Ball(v.ball_center, v.ball_radius)
     _check_dims(measure, ball, mapping)
-    _check_sample(measure, v.samples, v.depth)
+    _check_sample(measure, v.samples, v.depth, least=mapping.n + 1)
     yield
     est = nonplanar_test(mapping, measure, ball, samples=v.samples,
                          seed=v.seed, depth=v.depth, workers=v.workers)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .flows import LinearFormSystem, WeightVector
+from .flows import MAX_FORMS, LinearFormSystem, WeightVector
 from .measures import LebesgueBox, MapSpec, MeasureSpec, SelfSimilarIFS
 
 # keys a run writes first, in this order (report format 1); the rest follow
@@ -298,6 +298,8 @@ def parse_trajectory(records, m: int, n: int) -> tuple[WeightVector, ...]:
 
 def parse_forms(text: str, m: int, n: int) -> LinearFormSystem:
     """Rows ';'-separated, entries ','-separated, rationals allowed."""
+    if not (1 <= m <= MAX_FORMS and 1 <= n <= MAX_FORMS):
+        raise ParameterError("m, n must be in [1, %d]" % MAX_FORMS)
     rows = []
     for chunk in text.split(";"):
         try:

@@ -17,6 +17,10 @@ Four studies live here, all built from the lattice/flow/measure layers:
 Every routine is deterministic in its seed, fractions come with 95%
 binomial half-widths, and samples within the decision margin of an
 eps-threshold are excluded from fractions and counted separately.
+
+Escape, decay and equidist take lambda1 from lattice.shortest_supnorm_batch,
+whose float values lose about 2^-52 e^S at flow skew S; past MAX_FLOW_SKEW
+they refuse to run (CapacityError).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .errors import CapacityError, ParameterError
 from .flows import (
     LinearFormSystem,
     WeightVector,
-    _iter_q_chunks,
     flow_exponents,
     flowed_basis,
     random_forms,
@@ -41,6 +44,7 @@ from .lattice import (
     DEFAULT_MARGIN,
     ThickRegion,
     _check_margin,
+    shortest_supnorm_batch,
     shortest_supnorm_k2_batch,
     shortest_with_region,
     trichotomy,
@@ -60,9 +64,8 @@ _TAG_TRANSLATE = 53
 # the Haar y-proposal is truncated here; HaarSampleK2 records the lost mass
 _HAAR_Y_MAX = 1.0e3
 
-SCAN_BUDGET = 10_000_000
-# target float count per (samples x q-chunk) slab, keeps slabs ~128 MB
-_SLAB_ELEMS = 1 << 24
+# the float error of a lambda1 value at the cap is about 2^-52 e^24 ~ 6e-6
+MAX_FLOW_SKEW = 24.0
 
 
 def _region_counts(lam: np.ndarray, eps: float, margin: float) -> tuple:
@@ -98,19 +101,14 @@ def _collect_in_ball(
     return _rng.first_kept(window, ball.contains, count)
 
 
-def _qgrid_bounds(t: WeightVector, cap: float) -> np.ndarray:
-    """Per-axis q bounds of the scan below cap, once t has one form and the
-    grid fits SCAN_BUDGET."""
-    if t.m != 1:
-        raise ParameterError("batch profile covers single-form systems only")
-    bounds = np.floor(cap / np.exp(flow_exponents(t)[1:]))
-    # counted in Python floats, before any int64 cast could wrap a huge bound
-    total = math.prod(2.0 * b + 1.0 for b in bounds.tolist())
-    if total > SCAN_BUDGET:
+def _check_flow_skew(t: WeightVector) -> None:
+    """CapacityError once the flow skew max(t_front) + max(t_back) passes
+    MAX_FLOW_SKEW."""
+    skew = max(t.t[: t.m]) + max(t.t[t.m:])
+    if skew > MAX_FLOW_SKEW:
         raise CapacityError(
-            "q-grid needs %.0f points, over the scan budget of %d" % (total, SCAN_BUDGET)
+            "flow skew %g exceeds the float precision cap %g" % (skew, MAX_FLOW_SKEW)
         )
-    return bounds.astype(np.int64)
 
 
 def _lambda1_rows_batch(
@@ -122,32 +120,19 @@ def _lambda1_rows_batch(
 
     ``rows`` holds N systems of a single linear form (shape (N, n)); the
     returned lengths are exact minima among vectors shorter than ``cap``
-    and the sentinel cap + 1 elsewhere.  The integer offset on the form
-    coordinate is optimal (nearest integer), so only the q-grid is
-    enumerated, in bounded-memory slabs.
+    and the sentinel cap + 1 elsewhere.
     """
-    bounds = _qgrid_bounds(t, cap)
+    if t.m != 1:
+        raise ParameterError("batch profile covers single-form systems only")
+    _check_flow_skew(t)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != t.n:
         raise ParameterError("rows must have shape (N, %d)" % t.n)
-    exps = flow_exponents(t)
-    grow = math.exp(exps[0])
-    shrink = np.exp(exps[1:])
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    n_samples = rows.shape[0]
-    chunk = max(1, _SLAB_ELEMS // max(n_samples, 1))
-    best = np.full(n_samples, cap + 1.0)
-    for _, Q in _iter_q_chunks(axes, chunk):
-        qpart = np.max(shrink[None, :] * np.abs(Q), axis=1)
-        valid = qpart > 0.0  # excludes exactly q = 0
-        if not np.any(valid):
-            continue
-        Qv = Q[valid].astype(float)
-        D = rows @ Qv.T
-        frac = np.abs(D - np.rint(D))
-        vals = np.maximum(grow * frac, qpart[valid][None, :])
-        np.minimum(best, vals.min(axis=1), out=best)
-    return np.where(best <= cap, best, cap + 1.0)
+    bases = np.tile(np.eye(t.k), (rows.shape[0], 1, 1))  # flowed_basis of each row
+    bases[:, 0, 1:] = rows
+    bases *= np.exp(flow_exponents(t))[:, None]
+    lam = shortest_supnorm_batch(bases, cap)
+    return np.where(lam <= cap, lam, cap + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +158,7 @@ class EscapeCell:
 
 def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple:
     """(eps grid as floats, scan cap), once every eps is in (0, 1), samples
-    >= 1, and every t has m = 1, the map's n, and a q-grid within budget."""
+    >= 1, and every t has m = 1, the map's n, and a flow skew within the cap."""
     grid = tuple(float(e) for e in eps_grid)
     if not grid or any(not (0.0 < e < 1.0) for e in grid):
         raise ParameterError("eps values must lie in (0, 1)")
@@ -184,7 +169,7 @@ def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple
     for t in t_list:
         if t.m != 1 or t.n != n:
             raise ParameterError("weights must have m=1, n=%d" % n)
-        _qgrid_bounds(t, cap)
+        _check_flow_skew(t)
     return grid, cap
 
 
@@ -430,7 +415,9 @@ def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples
     if samples < 1:
         raise ParameterError("samples must be >= 1, got %r" % (samples,))
     _check_margin(margin)
-    return (lo, hi), WeightVector(1, 1, (float(flow_time), float(flow_time)))
+    t = WeightVector(1, 1, (float(flow_time), float(flow_time)))
+    _check_flow_skew(t)
+    return (lo, hi), t
 
 
 def equidist_test_k2(

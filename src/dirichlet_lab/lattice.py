@@ -8,6 +8,9 @@ depth-first enumeration of integer coefficients over a provably
 sufficient search region, so the returned minimum is certified up to
 double-precision evaluation of the candidate norms.
 
+Stacks of lattices go through the one batch kernel shortest_supnorm_batch,
+which falls back to that exact route where its certificate fails.
+
 Sign conventions: bases are k x k matrices whose COLUMNS generate the
 lattice, with determinant +1 (tolerance 1e-9, inputs outside are
 rejected, never renormalized).
@@ -16,6 +19,7 @@ rejected, never renormalized).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +35,6 @@ MAX_DIM = 6
 
 _REDUCE_ITER_CAP = 20_000
 _LLL_DELTA = 0.99
-_K2_MAX_ITER = 200
 _TAG_UNIMODULAR = 11
 
 
@@ -373,52 +376,95 @@ def random_unimodular(seed: int, k: int, spread: float = 1.0) -> LatticeBasis:
     return LatticeBasis(B)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized 2-D fast path.
-#
-# The equidistribution sweeps evaluate hundreds of thousands of 2x2
-# lattices; one Python-level enumeration per lattice would dominate the
-# runtime.  Plane lattices admit a classical two-vector reduction whose
-# steps vectorize, after which the sup-norm minimum is among a fixed
-# stencil of small coefficient pairs.  Cross-checked against
-# shortest_vector_supnorm in the test suite.
-# ---------------------------------------------------------------------------
+def _gram_schmidt_batch(cols):
+    """_gram_schmidt of many bases at once, lattice index last: cols[i] of
+    shape (k, N) is column i of every basis.  Returns mu (c, c, N) with unit
+    diagonal, norms2 and the orthogonalized columns."""
+    mu = np.zeros((len(cols), len(cols), cols[0].shape[1]))
+    star, norms2 = [], []
+    for i, b in enumerate(cols):
+        v = b.copy()
+        for j in range(i):
+            mu[i, j] = (b * star[j]).sum(axis=0) / norms2[j]
+            v -= mu[i, j] * star[j]
+        mu[i, i] = 1.0
+        star.append(v)
+        norms2.append((v * v).sum(axis=0))
+    return mu, norms2, star
 
-_K2_STENCIL = np.array(
-    [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)],
-    dtype=float,
-)
+
+def _lll_batch(B: np.ndarray) -> np.ndarray:
+    """LLL reduction (delta = _LLL_DELTA) of every basis in a stack (k, k, N),
+    lattice index last, returned in the same layout.
+
+    A sweep size-reduces columns 1..k-1 in turn and swaps each with its
+    predecessor where the Lovasz condition fails; only bases a sweep changed
+    are swept again.  Sweeps update integer coefficients T, not vectors:
+    float column operations pile up rounding that, on skewed bases, leaves
+    the lattice.
+    """
+    k, n = B.shape[0], B.shape[2]
+    T = [np.repeat(row[:, None], n, axis=1) for row in np.eye(k)]  # coefficients of column j
+    active = np.arange(n)
+    for _ in range(_REDUCE_ITER_CAP):
+        if active.size == 0:
+            return np.einsum("rcn,jcn->rjn", B, np.array(T))
+        Ba, Ta = B[:, :, active], [u[:, active] for u in T]
+        changed = np.zeros(active.size, dtype=bool)
+        for i in range(1, k):
+            mu, norms2, _ = _gram_schmidt_batch(
+                [np.einsum("rcn,cn->rn", Ba, u) for u in Ta[: i + 1]])
+            for j in range(i - 1, -1, -1):
+                r = np.rint(mu[i, j])
+                Ta[i] -= r * Ta[j]
+                mu[i, : j + 1] -= r * mu[j, : j + 1]
+                changed |= r != 0
+            swap = norms2[i] < (_LLL_DELTA - mu[i, i - 1] ** 2) * norms2[i - 1]
+            Ta[i - 1], Ta[i] = np.where(swap, Ta[i], Ta[i - 1]), np.where(swap, Ta[i - 1], Ta[i])
+            changed |= swap
+        for u, s in zip(T, Ta):
+            u[:, active] = s
+        active = active[changed]
+    raise DegenerateBasisError(
+        "batched reduction did not converge within %d sweeps" % _REDUCE_ITER_CAP
+    )
+
+
+def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarray:
+    """Sup-norm first minimum of each basis in a stack of shape (N, k, k).
+
+    Values up to ``cap`` are exact; above cap, a value only shows that the
+    minimum exceeds cap.  After LLL, L is the least length over coefficients
+    in {-1, 0, 1}^k, and a vector v of length <= min(L, cap) has coefficients
+    c = B^-1 v with |c|_inf <= ||B^-1||_inf min(L, cap).  Where that bound
+    is below 2, c was scanned; elsewhere exact enumeration decides.  At
+    k = 2 the bound is at most sqrt(2) |u| |v| <= 1.64 for a reduced pair.
+    """
+    B = np.array(bases, dtype=float)
+    if not (B.ndim == 3 and B.shape[1] == B.shape[2] and 2 <= B.shape[1] <= MAX_DIM
+            and np.all(np.isfinite(B))):
+        raise ParameterError("expected finite bases of shape (N, k, k), 2 <= k <= %d, "
+                             "got shape %r" % (MAX_DIM, B.shape))
+    k = B.shape[1]
+    R = _lll_batch(np.ascontiguousarray(B.transpose(1, 2, 0)))
+    # lexicographically after the zero vector: the first nonzero entry is 1
+    stencil = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))[3 ** k // 2 + 1:]
+    lam = np.full(B.shape[0], math.inf)
+    for c in stencil:
+        np.minimum(lam, np.abs(np.einsum("j,rjn->rn", c, R)).max(axis=0), out=lam)
+    # the rows of R^-1 are the dual basis d_i = b*_i / |b*_i|^2 - sum_{j>i} mu_ji d_j
+    mu, norms2, star = _gram_schmidt_batch([R[:, j] for j in range(k)])
+    dual = []
+    for i in reversed(range(k)):
+        dual.insert(0, star[i] / norms2[i] - sum(mu[j, i] * d for j, d in enumerate(dual, i + 1)))
+    inverse_norm = np.max([np.abs(d).sum(axis=0) for d in dual], axis=0)
+    for i in np.flatnonzero(~(inverse_norm * np.minimum(lam, cap) < 2.0)):
+        lam[i] = shortest_vector_supnorm(LatticeBasis(B[i])).length
+    return lam
 
 
 def shortest_supnorm_k2_batch(bases: np.ndarray) -> np.ndarray:
-    """Sup-norm first minimum for a stack of 2x2 bases, shape (N, 2, 2).
-
-    After the Euclidean two-vector reduction the sup-norm minimizer has
-    coefficients within the stencil |c_i| <= 2 (a reduced pair makes any
-    larger combination Euclidean-longer than sqrt(2) times the minimum).
-    """
-    B = np.array(bases, dtype=float)
-    if B.ndim != 3 or B.shape[1:] != (2, 2):
-        raise ParameterError("expected shape (N, 2, 2), got %r" % (B.shape,))
-    u = B[:, :, 0].copy()
-    v = B[:, :, 1].copy()
-    for _ in range(_K2_MAX_ITER):
-        uu = np.einsum("ij,ij->i", u, u)
-        uv = np.einsum("ij,ij->i", u, v)
-        r = np.rint(uv / uu)
-        active = r != 0
-        if np.any(active):
-            v[active] -= r[active, None] * u[active]
-        vv = np.einsum("ij,ij->i", v, v)
-        uu = np.einsum("ij,ij->i", u, u)
-        swap = vv < uu
-        if not np.any(swap) and not np.any(active):
-            break
-        u[swap], v[swap] = v[swap].copy(), u[swap].copy()
-    else:
-        raise DegenerateBasisError("2-D reduction did not converge in %d passes"
-                                   % _K2_MAX_ITER)
-    # candidates: stencil coefficients applied to the reduced pair
-    cand = (_K2_STENCIL[:, 0][None, :, None] * u[:, None, :]
-            + _K2_STENCIL[:, 1][None, :, None] * v[:, None, :])
-    return np.min(np.max(np.abs(cand), axis=2), axis=1)
+    """shortest_supnorm_batch of a stack of 2x2 bases, shape (N, 2, 2)."""
+    if np.shape(bases)[1:] != (2, 2):
+        raise ParameterError("expected shape (N, 2, 2), got %r" % (np.shape(bases),))
+    return shortest_supnorm_batch(bases)

@@ -184,10 +184,11 @@ class SelfSimilarIFS:
 MeasureSpec = LebesgueBox | SelfSimilarIFS
 
 
-def _check_sample(measure: MeasureSpec, count: int, depth: int) -> None:
-    """The count and IFS depth checks of ``sample``."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+def _check_sample(measure: MeasureSpec, count: int, depth: int, least: int = 1) -> None:
+    """The count and IFS depth checks of ``sample``, for a caller that needs
+    at least ``least`` points."""
+    if count < least:
+        raise ParameterError("count must be >= %d" % least)
     if isinstance(measure, SelfSimilarIFS) and depth < 1:
         raise ParameterError("depth must be >= 1")
 
@@ -459,6 +460,7 @@ def nonplanar_test(
     column to unit length (raw monomial columns are badly conditioned).
     """
     _check_dims(measure, ball, mapping)
+    _check_sample(measure, samples, depth, least=mapping.n + 1)
     pts = sample(measure, seed, samples, depth=depth, workers=workers)
     mask = ball.contains(pts)
     inside = pts[mask]

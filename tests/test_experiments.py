@@ -88,9 +88,10 @@ def test_batch_kernel_excludes_origin():
 def test_batch_kernel_budget_and_validation():
     t = WeightVector(1, 2, (6.0, 3.0, 3.0))
     rows = np.zeros((3, 2))
-    # cap * e^9 ~ 4051 per axis: about 6.6e7 grid points, over SCAN_BUDGET
-    with pytest.raises(CapacityError):
-        _lambda1_rows_batch(rows, WeightVector(1, 2, (18.0, 9.0, 9.0)), cap=0.5)
+    # flow skews 18 + 9 and 60 + 30 are past MAX_FLOW_SKEW = 24
+    for big in ((18.0, 9.0, 9.0), (60.0, 30.0, 30.0)):
+        with pytest.raises(CapacityError):
+            _lambda1_rows_batch(rows, WeightVector(1, 2, big), cap=0.5)
     with pytest.raises(ParameterError):
         _lambda1_rows_batch(rows, WeightVector(2, 1, (1.0, 2.0, 3.0)), cap=0.5)
     with pytest.raises(ParameterError):
@@ -183,6 +184,19 @@ def test_escape_validation():
     with pytest.raises(ParameterError):
         escape_table(V2, LEB01, BALL_V2, (WeightVector(1, 1, (1.0, 1.0)),),
                      (0.5,), samples=100, seed=0)
+
+
+def test_escape_runs_up_to_the_precision_cap():
+    # flow skew 18 + 6 = 24 is the cap itself; n = 3 at this t used to be
+    # refused for its q-grid size
+    (cell,) = escape_table(MapSpec.veronese(3), LEB01, BALL_V2,
+                           (WeightVector(1, 3, (18.0, 6.0, 6.0, 6.0)),), (0.4,),
+                           samples=200, seed=1)
+    assert cell.n + cell.boundary_n == 200
+    assert 0.0 <= cell.fraction <= 1.0
+    with pytest.raises(CapacityError):
+        escape_table(MapSpec.veronese(1), LEB01, BALL_V2,
+                     (WeightVector(1, 1, (13.0, 13.0)),), (0.4,), samples=200, seed=1)
 
 
 def test_decay_scan_frozen_small_run():

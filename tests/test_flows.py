@@ -7,16 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_lab.config import parse_trajectory
 from dirichlet_lab.errors import CapacityError, ParameterError
-from dirichlet_lab.experiments import _lambda1_rows_batch
+from dirichlet_lab.experiments import MAX_FLOW_SKEW, _lambda1_rows_batch
 from dirichlet_lab.flows import (
     DirichletWitness,
     LinearFormSystem,
     Solvability,
     Verdict,
     WeightVector,
+    _forms_lambda1,
     ba_quality,
     di_classify,
     dirichlet_solvable_direct,
@@ -396,12 +399,12 @@ def test_ba_quality_budget():
 
 
 # ---------------------------------------------------------------------------
-# batch q-grid kernel against the lattice route
+# batch one-form kernel against the lattice route and the exact route
 # ---------------------------------------------------------------------------
 
 
 def test_batch_matches_lattice_route():
-    # the float q-grid scan plus the shared decision rule must reproduce
+    # the float batch kernel plus the shared decision rule must reproduce
     # the per-system lattice route, labels included
     t = WeightVector(1, 2, (2.0, 1.0, 1.0))
     eps = 0.4
@@ -416,3 +419,26 @@ def test_batch_matches_lattice_route():
     for i in range(60):
         status = dirichlet_solvable_lattice(LinearFormSystem(rows[i:i + 1]), t, eps)
         assert label[regions[i]] is status, "sample %d" % i
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3),
+       skew=st.floats(1.0, MAX_FLOW_SKEW - 1e-9),
+       parts=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+       cap=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_matches_the_exact_route_up_to_the_precision_cap(n, skew, parts, cap, seed):
+    # t = (s, s w) with s + s max(w) = skew; rows drawn like random_forms
+    w = np.array(parts[:n]) / sum(parts[:n])
+    s = skew / (1.0 + w.max())
+    t = WeightVector(1, n, (s,) + tuple(s * w))
+    rows = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(6, n))
+    # a float lattice value at flow skew S carries rounding of order
+    # 2^-52 e^S (|y q| e^{t_0} with |q_j| <= e^{t_j}); allow 64 such units
+    tol = 64.0 * 2.0 ** -52 * math.exp(skew)
+    for row, got in zip(rows, _lambda1_rows_batch(rows, t, cap)):
+        exact = _forms_lambda1(LinearFormSystem(row.reshape(1, n)), t)[0]
+        if exact <= cap - tol:
+            assert abs(got - exact) <= tol, (row, exact, got)
+        elif exact > cap + tol:
+            assert got == cap + 1.0

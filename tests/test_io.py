@@ -173,6 +173,9 @@ def test_parse_forms_and_weights():
     assert (Y2.m, Y2.n) == (2, 1)
     with pytest.raises(ParameterError):
         parse_forms("0.3,0.4", 1, 1)
+    for m, n in ((0, 1), (1, 0), (5, 1)):
+        with pytest.raises(ParameterError, match=re.escape("m, n must be in [1, 4]")):
+            parse_forms("", m, n)
     w = parse_weight_vector("6,3,3", 1, 2)
     assert w.t == (6.0, 3.0, 3.0)
     assert parse_weight_vector("6 3 3", 1, 2) == w
@@ -453,6 +456,12 @@ def _on_cantor(argv):
     (["check", "--m", "1", "--n", "4", "--Y", "0.1,0.2,0.3,0.4",
       "--t", "24,6,6,6,6", "--eps", "1.0"], 3),
     (["nonplanar-test"] + _GOOD_FLAGS[:-1] + ["0"], 2),
+    (["nonplanar-test"] + _GOOD_FLAGS[:-1] + ["2"], 2),
+    (["check", "--m", "0", "--Y", "0.5", "--t", "1,1", "--eps", "0.5"], 2),
+    (["trajectory", "--n", "0", "--Y", "0.5", "--family", "explicit 1 1"], 2),
+    (["equidist", "--interval", "0,1", "--flow-time", "12.5", "--eps", "0.5",
+      "--samples", "100"], 3),
+    ([arg.replace("n=2", "n=1") for arg in _escape_with_t("escape", "13,13")], 3),
     (_on_cantor(["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--depth", "0"]), 2),
     (_on_cantor(["decay"] + _ESCAPE_FLAGS + ["--samples", "50", "--depth", "0"]), 2),
     (_on_cantor(["good-test"] + _GOOD_FLAGS + ["--alpha", "0.5", "--eps", "0.1",
@@ -483,7 +492,9 @@ def _on_cantor(argv):
         "di-eps-above-one", "di-negative-eps",
         "counterexample-s-overflow", "counterexample-negative-s",
         "counterexample-zero-systems", "check-eps-above-one", "check-over-direct-budget",
-        "nonplanar-zero-samples", "escape-ifs-zero-depth", "decay-ifs-zero-depth",
+        "nonplanar-zero-samples", "nonplanar-too-few-samples", "check-zero-m",
+        "trajectory-zero-n", "equidist-over-precision-cap", "escape-over-precision-cap",
+        "escape-ifs-zero-depth", "decay-ifs-zero-depth",
         "good-test-ifs-zero-depth", "federer-ifs-zero-depth", "nonplanar-ifs-zero-depth",
         "escape-ball-off-dimension", "nonplanar-map-off-dimension",
         "federer-region-off-dimension", "escape-negative-margin", "di-negative-margin",

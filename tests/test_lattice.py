@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_lab import lattice
 from dirichlet_lab.errors import CapacityError, ParameterError
 from dirichlet_lab.lattice import (
     LatticeBasis,
@@ -10,6 +11,7 @@ from dirichlet_lab.lattice import (
     integer_det,
     random_unimodular,
     reduce_basis,
+    shortest_supnorm_batch,
     shortest_supnorm_k2_batch,
     shortest_vector_supnorm,
     shortest_with_region,
@@ -173,3 +175,45 @@ def test_k2_batch_agrees_with_enumeration():
         expected.append(shortest_vector_supnorm(basis).length)
     got = shortest_supnorm_k2_batch(np.array(bases))
     np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_batch_agrees_with_enumeration(k):
+    bases = [random_unimodular(seed=seed, k=k, spread=2.0) for seed in range(40)]
+    got = shortest_supnorm_batch(np.array([b.columns for b in bases]))
+    expected = [shortest_vector_supnorm(b).length for b in bases]
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_batch_without_a_certificate_falls_back_to_enumeration(monkeypatch):
+    # the root lattice A_6 (Gram matrix 2 on the diagonal, -1 beside it) is
+    # LLL-reduced as given, yet ||B^-1||_inf * L = 2.12 >= 2: no certificate
+    k = 6
+    gram = 2.0 * np.eye(k) - np.eye(k, k, 1) - np.eye(k, k, -1)
+    a6 = np.linalg.cholesky(gram).T
+    a6 /= np.linalg.det(a6) ** (1.0 / k)
+    bases = [LatticeBasis(a6)] + [random_unimodular(seed=seed, k=k) for seed in range(5)]
+    expected = [shortest_vector_supnorm(b).length for b in bases]
+    fallbacks = []
+
+    def recording(basis, *args):
+        fallbacks.append(basis.columns)
+        return shortest_vector_supnorm(basis, *args)
+
+    monkeypatch.setattr(lattice, "shortest_vector_supnorm", recording)
+    got = shortest_supnorm_batch(np.array([b.columns for b in bases]))
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], a6)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    # a cap below L certifies with the smaller bound min(L, cap)
+    fallbacks.clear()
+    assert shortest_supnorm_batch(a6[None], cap=0.5)[0] > 0.5
+    assert fallbacks == []
+
+
+def test_batch_rejects_bad_stacks():
+    for bad in (np.eye(2), np.ones((3, 2, 3)), np.tile(np.eye(7), (2, 1, 1)),
+                np.full((1, 2, 2), np.nan)):
+        with pytest.raises(ParameterError):
+            shortest_supnorm_batch(bad)
+    with pytest.raises(ParameterError):
+        shortest_supnorm_k2_batch(np.tile(np.eye(3), (2, 1, 1)))
