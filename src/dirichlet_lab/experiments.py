@@ -63,6 +63,8 @@ _TAG_HAAR = 47
 _TAG_TRANSLATE = 53
 # the Haar y-proposal is truncated here; HaarSampleK2 records the lost mass
 _HAAR_Y_MAX = 1.0e3
+# q values per numpy step of the counterexample's near-vector scan
+_NEAR_VECTOR_CHUNK = 4096
 
 # the float error of a lambda1 value at the cap is about 2^-52 e^24 ~ 6e-6
 MAX_FLOW_SKEW = 24.0
@@ -513,6 +515,31 @@ def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
     return eu, tuple(WeightVector(2, 1, (u, s, s + u)) for s in s_list)
 
 
+def _near_vector(basis, y1: float, y2: float, s: float, u: float, eps: float) -> tuple:
+    """(q, distance) of the first q >= 1 with q e^-(s+u) < eps whose flowed
+    lattice vector sits within sup-distance eps of e^u e_1, or (0, inf).
+    Numpy tests e^s |y2 q - rint(y2 q)| < eps on chunks of q; the q that
+    pass are checked in order in scalar arithmetic."""
+    grow2 = math.exp(s)
+    shrink3 = math.exp(-(s + u))
+    target = np.array([math.exp(u), 0.0, 0.0])
+    start = 1
+    while True:
+        qs = np.arange(start, start + _NEAR_VECTOR_CHUNK, dtype=float)
+        qs = qs[qs * shrink3 < eps]
+        r2 = y2 * qs
+        for q in qs[grow2 * np.abs(r2 - np.rint(r2)) < eps].astype(np.int64).tolist():
+            a2 = -round(y2 * q)
+            a1 = 1 - round(y1 * q)
+            v = basis.columns @ np.array([a1, a2, q], dtype=float)
+            dist = float(np.max(np.abs(v - target)))
+            if dist < eps:
+                return q, dist
+        if qs.size < _NEAR_VECTOR_CHUNK:
+            return 0, math.inf
+        start += _NEAR_VECTOR_CHUNK
+
+
 def no_drift_counterexample(
     eps: float,
     u: float,
@@ -541,8 +568,7 @@ def no_drift_counterexample(
     max_lambda1 = 0.0
     for index in range(systems):
         Y = random_forms(seed + index, 2, 1, scale=3.0)
-        y1 = float(Y.Y[0, 0])
-        y2 = float(Y.Y[1, 0])
+        y1, y2 = (float(y) for y in Y.Y[:, 0])
         for t in weights:
             s = t.t[1]
             basis = flowed_basis(Y, t)
@@ -558,25 +584,7 @@ def no_drift_counterexample(
             sv, _ = shortest_with_region(basis, eps=eps, margin=1e-9)
             lam = sv.length
             max_lambda1 = max(max_lambda1, lam)
-            # explicit near-vector: scan q for a point whose flowed image
-            # sits within eps of e^u e_1 in the sup norm
-            grow2 = math.exp(s)
-            shrink3 = math.exp(-(s + u))
-            found_dist = math.inf
-            found_q = 0
-            q = 1
-            while q * shrink3 < eps:
-                r2 = y2 * q
-                a2 = -round(r2)
-                if grow2 * abs(r2 + a2) < eps:
-                    a1 = 1 - round(y1 * q)
-                    v = basis.columns @ np.array([a1, a2, q], dtype=float)
-                    dist = float(np.max(np.abs(v - target)))
-                    if dist < eps:
-                        found_dist = dist
-                        found_q = q
-                        break
-                q += 1
+            found_q, found_dist = _near_vector(basis, y1, y2, s, u, eps)
             ok = (primitive_ok and lam < eps and found_q != 0)
             if found_q != 0 and lam > found_dist + 1e-9:
                 raise ParameterError(

@@ -6,7 +6,8 @@ drives every solvability routine.  The shortest-vector computation is a
 floating-point basis reduction (preconditioner only) followed by exact
 depth-first enumeration of integer coefficients over a provably
 sufficient search region, so the returned minimum is certified up to
-double-precision evaluation of the candidate norms.
+double-precision evaluation of the candidate norms.  Both run on Python
+floats, with the change of basis in exact Python integers.
 
 Stacks of lattices go through the one batch kernel shortest_supnorm_batch,
 which falls back to that exact route where its certificate fails.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ MAX_DIM = 6
 _REDUCE_ITER_CAP = 20_000
 _LLL_DELTA = 0.99
 _TAG_UNIMODULAR = 11
+_UNIMODULAR_ATTEMPTS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,22 +135,22 @@ def integer_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def _gram_schmidt(B):
-    """Orthogonalization profile of the columns: (Bstar, mu, norms2)."""
-    k = B.shape[1]
-    Bstar = np.zeros_like(B)
-    mu = np.zeros((k, k))
-    norms2 = np.zeros(k)
-    for i in range(k):
-        v = B[:, i].copy()
+def _gram_schmidt(cols):
+    """Orthogonalization profile of columns given as lists of floats:
+    (mu, norms2), where mu[i] lists the coefficients mu_ij, j < i."""
+    star, mu, norms2 = [], [], []
+    for i, b in enumerate(cols):
+        v = b
+        mu.append([])
         for j in range(i):
             if norms2[j] <= 0.0:
                 raise DegenerateBasisError("Gram-Schmidt collapsed at column %d" % j)
-            mu[i, j] = float(np.dot(B[:, i], Bstar[:, j])) / norms2[j]
-            v -= mu[i, j] * Bstar[:, j]
-        Bstar[:, i] = v
-        norms2[i] = float(np.dot(v, v))
-    return Bstar, mu, norms2
+            m = sum(map(operator.mul, b, star[j])) / norms2[j]
+            mu[i].append(m)
+            v = [x - m * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms2.append(sum(map(operator.mul, v, v)))
+    return mu, norms2
 
 
 def reduce_basis(basis: LatticeBasis) -> BasisReduction:
@@ -156,23 +159,12 @@ def reduce_basis(basis: LatticeBasis) -> BasisReduction:
     The float basis is only a preconditioner for enumeration, but the
     transform is kept in exact Python integers (entries can exceed
     int64 for very skewed bases), so the original lattice is provably
-    preserved.
+    preserved.  The k <= MAX_DIM columns are lists of Python floats; one
+    Gram-Schmidt runs per step, and size reduction updates mu in place.
     """
     k = basis.k
-    B = basis.columns.astype(float).copy()
-    # transform columns, exact integers
-    U = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def add_col(dst, src, c):
-        # column_dst += c * column_src
-        B[:, dst] += float(c) * B[:, src]
-        for r in range(k):
-            U[r][dst] += c * U[r][src]
-
-    def swap_cols(a, b):
-        B[:, [a, b]] = B[:, [b, a]]
-        for r in range(k):
-            U[r][a], U[r][b] = U[r][b], U[r][a]
+    B = basis.columns.T.tolist()  # B[j] is column j
+    T = [[int(r == j) for r in range(k)] for j in range(k)]  # T[j]: coefficients of B[j]
 
     iters = 0
     i = 1
@@ -182,30 +174,31 @@ def reduce_basis(basis: LatticeBasis) -> BasisReduction:
             raise DegenerateBasisError(
                 "basis reduction did not converge within %d iterations" % _REDUCE_ITER_CAP
             )
-        _, mu, norms2 = _gram_schmidt(B[:, : i + 1])
+        mu, norms2 = _gram_schmidt(B[: i + 1])
         for j in range(i - 1, -1, -1):
-            r = round(mu[i, j])
+            r = round(mu[i][j])
             if r != 0:
-                add_col(i, j, -int(r))
-                _, mu, norms2 = _gram_schmidt(B[:, : i + 1])
-        if norms2[i] >= (_LLL_DELTA - mu[i, i - 1] ** 2) * norms2[i - 1]:
+                B[i] = [x - r * y for x, y in zip(B[i], B[j])]
+                T[i] = [x - r * y for x, y in zip(T[i], T[j])]
+                mu[i][:j] = [x - r * y for x, y in zip(mu[i], mu[j])]
+                mu[i][j] -= r
+        if norms2[i] >= (_LLL_DELTA - mu[i][i - 1] ** 2) * norms2[i - 1]:
             i += 1
         else:
-            swap_cols(i, i - 1)
+            B[i - 1], B[i] = B[i], B[i - 1]
+            T[i - 1], T[i] = T[i], T[i - 1]
             i = max(i - 1, 1)
 
-    detU = integer_det(U)
+    detU = integer_det(T)
+    if detU not in (1, -1):
+        raise DegenerateBasisError("reduction transform determinant %d, expected +-1" % detU)
     if detU == -1:
         # keep orientation so the result is a valid LatticeBasis
-        B[:, k - 1] = -B[:, k - 1]
-        for r in range(k):
-            U[r][k - 1] = -U[r][k - 1]
-        detU = 1
-    if detU != 1:
-        raise DegenerateBasisError("reduction transform determinant %d, expected +-1" % detU)
+        B[k - 1] = [-x for x in B[k - 1]]
+        T[k - 1] = [-x for x in T[k - 1]]
 
-    transform = np.array(U, dtype=object)
-    return BasisReduction(reduced=LatticeBasis(B), transform=transform)
+    transform = np.array(T, dtype=object).T.copy()
+    return BasisReduction(reduced=LatticeBasis(np.array(B).T), transform=transform)
 
 
 def _canonical_coeffs(c):
@@ -224,46 +217,47 @@ def _enumerate_shortest(B, U, node_cap):
     radius sqrt(k) * L_best (inclusive, with a hair of slack for float
     rounding) cannot miss an improvement or a tie.  Ties are resolved
     by lexicographic order of the sign-canonicalized coefficients in
-    the ORIGINAL basis.
+    the ORIGINAL basis, U @ c.
     """
-    k = B.shape[0]
-    _, mu, norms2 = _gram_schmidt(B)
-    if np.any(norms2 <= 0.0):
+    rows = np.asarray(B, dtype=float).tolist()
+    cols = [list(col) for col in zip(*rows)]
+    U = np.asarray(U, dtype=object).tolist()
+    k = len(cols)
+    mu, norms2 = _gram_schmidt(cols)
+    if min(norms2) <= 0.0:
         raise DegenerateBasisError("degenerate Gram-Schmidt profile")
 
     # initial upper bound: best single reduced column
-    col_sup = np.max(np.abs(B), axis=0)
-    j0 = int(np.argmin(col_sup))
-    best_len = float(col_sup[j0])
+    col_sup = [max(abs(x) for x in col) for col in cols]
+    j0 = col_sup.index(min(col_sup))
+    best_len = col_sup[j0]
     best_orig = _canonical_coeffs(tuple(U[r][j0] for r in range(k)))
 
     c = [0] * k
     nodes = 0
     slack = 1.0 + 1e-12
 
-    def radius2():
-        return k * best_len * best_len * slack
-
     def consider(cvec):
         nonlocal best_len, best_orig
-        img = B @ np.array(cvec, dtype=float)
-        length = float(np.max(np.abs(img)))
+        length = max(abs(sum(map(operator.mul, row, cvec))) for row in rows)
+        if not length <= best_len:
+            return
         orig = _canonical_coeffs(tuple(
             sum(U[r][j] * cvec[j] for j in range(k)) for r in range(k)
         ))
-        if length < best_len or (length == best_len and orig < best_orig):
+        if length < best_len or orig < best_orig:
             best_len = length
             best_orig = orig
 
     # DFS over levels k-1 .. 0; partial[i] = sum_{l>i} z_l^2 |b*_l|^2
     def dfs(level, partial, centers):
         nonlocal nodes
-        r2 = radius2()
+        r2 = k * best_len * best_len * slack
         if partial > r2:
             return
         if level < 0:
             if any(c):
-                consider(list(c))
+                consider(c)
             return
         rem = r2 - partial
         halfwidth = math.sqrt(max(rem, 0.0) / norms2[level])
@@ -284,13 +278,11 @@ def _enumerate_shortest(B, U, node_cap):
             z = ci + center
             part = partial + z * z * norms2[level]
             if part <= r2:
-                new_centers = centers.copy()
-                for j in range(level):
-                    new_centers[j] += ci * mu[level, j]
-                dfs(level - 1, part, new_centers)
+                dfs(level - 1, part,
+                    [x + ci * m for x, m in zip(centers, mu[level])])
         c[level] = 0
 
-    dfs(k - 1, 0.0, np.zeros(k))
+    dfs(k - 1, 0.0, [0.0] * k)
     return best_orig, best_len
 
 
@@ -350,30 +342,30 @@ def random_unimodular(seed: int, k: int, spread: float = 1.0) -> LatticeBasis:
         raise ParameterError("spread must be positive, got %r" % (spread,))
     gen = _rng.stream(seed, 0, tag=_TAG_UNIMODULAR)
     shear_mag = max(1, int(round(spread)))
-    U = np.eye(k)
-    for _ in range(3 * k):
-        i, j = gen.choice(k, size=2, replace=False)
-        c = int(gen.integers(-shear_mag, shear_mag + 1))
-        E = np.eye(k)
-        E[i, j] = c
-        U = U @ E
-    # small perturbation, renormalized to determinant exactly ~1
-    for _ in range(100):
-        A = np.eye(k) + 0.05 * spread * gen.standard_normal((k, k))
-        d = float(np.linalg.det(A))
-        if d > 0.1:
-            break
-    else:
-        raise DegenerateBasisError("could not draw a well-conditioned perturbation")
-    A /= d ** (1.0 / k)
-    B = A @ U
-    # two renormalization passes pull the float determinant within 1e-12
-    for _ in range(2):
-        d = float(np.linalg.det(B))
-        B /= d ** (1.0 / k)
-    if abs(float(np.linalg.det(B)) - 1.0) > 1e-12:
-        raise DegenerateBasisError("unimodular renormalization failed")
-    return LatticeBasis(B)
+    # shears that grow the entries too far fail the determinant check: redraw
+    for _ in range(_UNIMODULAR_ATTEMPTS):
+        U = np.eye(k)
+        for _ in range(3 * k):
+            i, j = gen.choice(k, size=2, replace=False)
+            U[:, j] += int(gen.integers(-shear_mag, shear_mag + 1)) * U[:, i]
+        # small perturbation, renormalized to determinant exactly ~1
+        for _ in range(100):
+            A = np.eye(k) + 0.05 * spread * gen.standard_normal((k, k))
+            d = float(np.linalg.det(A))
+            if d > 0.1:
+                break
+        else:
+            raise DegenerateBasisError("could not draw a well-conditioned perturbation")
+        A /= d ** (1.0 / k)
+        B = A @ U
+        # two renormalization passes pull the float determinant within 1e-12
+        for _ in range(2):
+            d = float(np.linalg.det(B))
+            B /= d ** (1.0 / k)
+        if abs(float(np.linalg.det(B)) - 1.0) <= 1e-12:
+            return LatticeBasis(B)
+    raise DegenerateBasisError(
+        "unimodular renormalization failed in %d attempts" % _UNIMODULAR_ATTEMPTS)
 
 
 def _gram_schmidt_batch(cols):

@@ -7,6 +7,7 @@ and share no code with the production paths they check.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -66,3 +67,31 @@ def exterior_matrix(A, grade):
         for b, J in enumerate(subsets):
             out[a, b] = np.linalg.det(A[np.ix_(I, J)])
     return subsets, out
+
+
+def near_vector_scan(basis, y1, y2, s, u, eps):
+    """The counterexample's near-vector scan as one scalar loop over q.
+
+    Returns (found_q, found_dist): the first q >= 1 with q e^-(s+u) < eps
+    whose flowed lattice vector sits within sup-distance eps of e^u e_1,
+    or (0, inf) when none does.
+    """
+    target = np.array([math.exp(u), 0.0, 0.0])
+    grow2 = math.exp(s)
+    shrink3 = math.exp(-(s + u))
+    found_dist = math.inf
+    found_q = 0
+    q = 1
+    while q * shrink3 < eps:
+        r2 = y2 * q
+        a2 = -round(r2)
+        if grow2 * abs(r2 + a2) < eps:
+            a1 = 1 - round(y1 * q)
+            v = basis.columns @ np.array([a1, a2, q], dtype=float)
+            dist = float(np.max(np.abs(v - target)))
+            if dist < eps:
+                found_dist = dist
+                found_q = q
+                break
+        q += 1
+    return found_q, found_dist

@@ -15,6 +15,7 @@ from dirichlet_lab.experiments import (
     CounterexampleRecord,
     _collect_in_ball,
     _lambda1_rows_batch,
+    _near_vector,
     equidist_test_k2,
     escape_table,
     haar_sample_k2,
@@ -35,6 +36,8 @@ from dirichlet_lab.flows import (
 from dirichlet_lab.lattice import shortest_vector_supnorm
 from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS, sample
 from dirichlet_lab.rng import BLOCK
+
+from oracles import near_vector_scan
 
 V2 = MapSpec.veronese(2)
 LEB01 = LebesgueBox((0.0,), (1.0,))
@@ -373,6 +376,40 @@ def test_counterexample_fixed_vector_coefficients():
     target = np.array([1.5, 0.0, 0.0])
     coeff = np.linalg.solve(basis.columns, target)
     assert np.allclose(coeff, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def _near_vector_cases():
+    u = math.log(1.5)
+    for index in range(50):
+        Y = random_forms(index, 2, 1, scale=3.0)
+        for s in range(3, 13):
+            yield flowed_basis(Y, WeightVector(2, 1, (u, s, s + u))), Y, s, u
+    # outside the window: no q at all (0.9 e^0.1 < 1); q up to 6 but none
+    # close enough in the second coordinate; e^u > 2 eps, so the first
+    # coordinate rejects some q that pass the second
+    for y, s, u in (((0.4, 0.29), 0.05, 0.05), ((0.4, 0.29), 2.0, 0.05),
+                    ((0.4, 0.21), 3.0, 1.2)):
+        Y = LinearFormSystem(np.array([[y[0]], [y[1]]]))
+        yield flowed_basis(Y, WeightVector(2, 1, (u, s, s + u))), Y, s, u
+
+
+def test_near_vector_scan_matches_the_scalar_loop(monkeypatch):
+    eps = 0.9
+    found = []
+    for basis, Y, s, u in _near_vector_cases():
+        y1, y2 = float(Y.Y[0, 0]), float(Y.Y[1, 0])
+        expected = near_vector_scan(basis, y1, y2, s, u, eps)
+        assert _near_vector(basis, y1, y2, s, u, eps) == expected
+        found.append(expected[0])
+        if expected[0] <= 2000:
+            # chunks of 7 put chunk boundaries inside the scan
+            with monkeypatch.context() as m:
+                m.setattr(experiments, "_NEAR_VECTOR_CHUNK", 7)
+                assert _near_vector(basis, y1, y2, s, u, eps) == expected
+    assert found[-3:-1] == [0, 0]
+    q = np.arange(1, found[-1])
+    assert np.any(math.exp(3.0) * np.abs(0.21 * q - np.rint(0.21 * q)) < eps)
+    assert max(found) > experiments._NEAR_VECTOR_CHUNK
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from dirichlet_lab import lattice
 from dirichlet_lab.errors import CapacityError, ParameterError
+from dirichlet_lab.flows import WeightVector, flowed_basis, random_forms
 from dirichlet_lab.lattice import (
     LatticeBasis,
     ThickRegion,
@@ -151,6 +152,66 @@ def test_random_unimodular_deterministic_and_tight():
     np.testing.assert_array_equal(a.columns, b.columns)
     c = random_unimodular(seed=1, k=3, spread=2.0)
     assert abs(np.linalg.det(c.columns) - 1.0) <= 1e-12
+
+
+def test_random_unimodular_draws_every_seed():
+    # shears that grow the entries past the 1e-12 determinant check are
+    # drawn again from the same stream (seed 68 at k = 5, spread 2 needs it)
+    for seed in range(200):
+        for k in range(2, 7):
+            for spread in (1.0, 2.0, 3.0):
+                basis = random_unimodular(seed=seed, k=k, spread=spread)
+                assert abs(np.linalg.det(basis.columns) - 1.0) <= 1e-12
+
+
+def _counterexample_bases(systems=4):
+    u = math.log(1.5)
+    for index in range(systems):
+        Y = random_forms(index, 2, 1, scale=3.0)
+        for s in range(3, 13):
+            yield flowed_basis(Y, WeightVector(2, 1, (u, s, s + u)))
+
+
+def _reduction_cases():
+    for k in range(2, 7):
+        for seed in range(8):
+            yield random_unimodular(seed=seed, k=k, spread=3.0)
+    yield from _counterexample_bases()
+
+
+def test_reduction_is_lll_reduced_by_an_exact_unimodular_transform():
+    for basis in _reduction_cases():
+        red = reduce_basis(basis)
+        assert all(isinstance(x, int) for x in red.transform.flat)
+        assert integer_det(red.transform) == 1
+        T = red.transform.astype(float)
+        R = red.reduced.columns
+        np.testing.assert_allclose(basis.columns @ T, R, rtol=1e-9,
+                                   atol=1e-9 * np.abs(basis.columns).max())
+        # Gram-Schmidt from a QR factorization: b*_i has length |r_ii|,
+        # mu_ij = r_ji / r_jj
+        r = np.linalg.qr(R, mode="r")
+        mu = (r / np.diag(r)[:, None]).T
+        norms2 = np.diag(r) ** 2
+        k = basis.k
+        for i in range(1, k):
+            assert np.all(np.abs(mu[i, :i]) <= 0.5 + 1e-9)
+            assert norms2[i] >= (lattice._LLL_DELTA - mu[i, i - 1] ** 2) * norms2[i - 1] * (1 - 1e-9)
+
+
+def test_counterexample_lattices_match_brute_force():
+    # the shortest vector of a flowed basis has coefficients up to e^(s+u);
+    # the brute-force scan runs over the reduced basis, whose coefficients
+    # are small, and maps its minimizer back through the exact transform
+    for basis in _counterexample_bases():
+        red = reduce_basis(basis)
+        coeffs, length = brute_force_shortest_supnorm(red.reduced.columns, coeff_bound=6)
+        sv = shortest_vector_supnorm(basis)
+        orig = red.transform.dot(np.array(coeffs, dtype=object))
+        first = next(x for x in orig if x != 0)
+        assert sv.coeffs == tuple(int(x) if first > 0 else -int(x) for x in orig)
+        # the reduced columns carry the rounding of the column operations
+        assert sv.length == pytest.approx(length, rel=1e-6)
 
 
 def test_random_unimodular_all_distinct():
