@@ -33,8 +33,8 @@ from .flows import (
     dirichlet_solvable_direct,
     dirichlet_solvable_lattice,
     flow_matrix,
+    flowed_bases,
     flowed_basis,
-    forms_basis,
     golden_system,
     liouville_system,
     random_forms,

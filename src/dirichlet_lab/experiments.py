@@ -35,7 +35,7 @@ from .errors import CapacityError, ParameterError
 from .flows import (
     LinearFormSystem,
     WeightVector,
-    flow_exponents,
+    flowed_bases,
     flowed_basis,
     random_forms,
     trajectory_lambda1,
@@ -127,13 +127,7 @@ def _lambda1_rows_batch(
     if t.m != 1:
         raise ParameterError("batch profile covers single-form systems only")
     _check_flow_skew(t)
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != t.n:
-        raise ParameterError("rows must have shape (N, %d)" % t.n)
-    bases = np.tile(np.eye(t.k), (rows.shape[0], 1, 1))  # flowed_basis of each row
-    bases[:, 0, 1:] = rows
-    bases *= np.exp(flow_exponents(t))[:, None]
-    lam = shortest_supnorm_batch(bases, cap)
+    lam = shortest_supnorm_batch(flowed_bases(rows[:, None], t), cap)
     return np.where(lam <= cap, lam, cap + 1.0)
 
 
@@ -440,19 +434,13 @@ def equidist_test_k2(
     reference comes from haar_sample_k2 with the same sample budget.
     """
     (lo, hi), t = _equidist_weights(interval, y0, flow_time, eps, samples, margin)
-    exps = flow_exponents(t)
-    grow = math.exp(exps[0])
-    shrink = math.exp(exps[1])
 
     def draw(gen, c):
         return gen.uniform(lo, hi, size=c)
 
     x = _rng.sample_batched(draw, samples, seed, tag=_TAG_TRANSLATE, workers=workers)
-    bases = np.zeros((samples, 2, 2))
-    bases[:, 0, 0] = grow
-    bases[:, 0, 1] = grow * (x + y0)
-    bases[:, 1, 1] = shrink
-    translate_est, t_n, t_bn = thick_fraction_k2(bases, eps, margin)
+    translate_est, t_n, t_bn = thick_fraction_k2(flowed_bases((x + y0)[:, None, None], t),
+                                                 eps, margin)
     haar = haar_sample_k2(seed, samples)
     haar_est, h_n, h_bn = thick_fraction_k2(haar.matrices, eps, margin)
     return EquidistReport(float(y0), (lo, hi), t.t, eps, translate_est, haar_est,
@@ -581,7 +569,7 @@ def no_drift_counterexample(
                 and math.gcd(math.gcd(int(coeff_int[0]), int(coeff_int[1])),
                              int(coeff_int[2])) == 1
             )
-            sv, _ = shortest_with_region(basis, eps=eps, margin=1e-9)
+            sv, _ = shortest_with_region(basis, eps=eps)
             lam = sv.length
             max_lambda1 = max(max_lambda1, lam)
             found_q, found_dist = _near_vector(basis, y1, y2, s, u, eps)

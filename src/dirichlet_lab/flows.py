@@ -13,6 +13,10 @@ the sup-norm shortest vector of the flowed lattice.  They must agree
 away from the decision margin; that cross-check is the central test of
 this module.
 
+flowed_bases is the one builder of the flowed lattice g_t (I_m, Y; 0, I_n)
+Z^k, for one system (flowed_basis) and for the stacks the experiments
+decide in one batch.
+
 Weight vectors t live on the cone where every coordinate is positive
 and the first m sum to the same value as the last n.
 """
@@ -229,19 +233,6 @@ def golden_system(digits: int = 60) -> LinearFormSystem:
 # ---------------------------------------------------------------------------
 
 
-def forms_basis(Y: LinearFormSystem) -> LatticeBasis:
-    """Upper block-triangular basis (I_m, Y; 0, I_n).
-
-    Its lattice is exactly {(Yq - p, q) : p, q integer} with the sign
-    convention p -> -p absorbed into the integer coefficients: the
-    coefficient vector (a, q) maps to the point (Yq + a, q).
-    """
-    m, n = Y.m, Y.n
-    M = np.eye(m + n)
-    M[:m, m:] = Y.Y
-    return LatticeBasis(M)
-
-
 def flow_exponents(t: WeightVector) -> np.ndarray:
     """Signed exponents (t_1..t_m, -t_{m+1}..-t_k)."""
     return np.concatenate([np.array(t.t[: t.m]), -np.array(t.t[t.m:])])
@@ -257,11 +248,28 @@ def _check_sizes(Y: LinearFormSystem, t: WeightVector) -> None:
         raise ParameterError("Y is %dx%d but t is for m=%d, n=%d" % (Y.m, Y.n, t.m, t.n))
 
 
+def flowed_bases(Y, t: WeightVector) -> np.ndarray:
+    """g_t (I_m, Y; 0, I_n) for every system in a stack Y of shape (N, m, n).
+
+    Returns the bases as an array (N, k, k).  The lattice of one basis is
+    {(Yq + a, q) : a, q integer} before the flow: the coefficient vector
+    (-p, q) lands on (Yq - p, q).  g_t acts as row scaling: entry (i, j)
+    is the i-th diagonal entry of g_t times the forms-basis entry, rounded
+    once.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 3 or Y.shape[1:] != (t.m, t.n):
+        raise ParameterError("Y stack has shape %r, expected (N, %d, %d)"
+                             % (Y.shape, t.m, t.n))
+    bases = np.tile(np.eye(t.k), (Y.shape[0], 1, 1))
+    bases[:, : t.m, t.m:] = Y
+    bases *= np.exp(flow_exponents(t))[:, None]
+    return bases
+
+
 def flowed_basis(Y: LinearFormSystem, t: WeightVector) -> LatticeBasis:
-    """g_t applied to the forms basis, as row scaling (exact diagonal action)."""
-    _check_sizes(Y, t)
-    scale = np.exp(flow_exponents(t))
-    return LatticeBasis(scale[:, None] * forms_basis(Y).columns)
+    """flowed_bases of the one system Y."""
+    return LatticeBasis(flowed_bases(Y.Y[None], t)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -390,10 +390,13 @@ def _lll_batch(B: np.ndarray) -> np.ndarray:
     lattice index last, returned in the same layout.
 
     A sweep size-reduces columns 1..k-1 in turn and swaps each with its
-    predecessor where the Lovasz condition fails; only bases a sweep changed
-    are swept again.  Sweeps update integer coefficients T, not vectors:
-    float column operations pile up rounding that, on skewed bases, leaves
-    the lattice.
+    predecessor where the Lovasz condition fails.  A basis is done after a
+    sweep that swaps nothing: each column was then size-reduced against
+    final predecessors, and the Lovasz condition holds everywhere.
+    Size-reduction alone must not keep a basis active: with mu near +-1/2,
+    rint of the recomputed mu can flip sign in every sweep.  Sweeps update
+    integer coefficients T, not vectors: float column operations pile up
+    rounding that, on skewed bases, leaves the lattice.
     """
     k, n = B.shape[0], B.shape[2]
     T = [np.repeat(row[:, None], n, axis=1) for row in np.eye(k)]  # coefficients of column j
@@ -402,7 +405,7 @@ def _lll_batch(B: np.ndarray) -> np.ndarray:
         if active.size == 0:
             return np.einsum("rcn,jcn->rjn", B, np.array(T))
         Ba, Ta = B[:, :, active], [u[:, active] for u in T]
-        changed = np.zeros(active.size, dtype=bool)
+        swapped = np.zeros(active.size, dtype=bool)
         for i in range(1, k):
             mu, norms2, _ = _gram_schmidt_batch(
                 [np.einsum("rcn,cn->rn", Ba, u) for u in Ta[: i + 1]])
@@ -410,13 +413,12 @@ def _lll_batch(B: np.ndarray) -> np.ndarray:
                 r = np.rint(mu[i, j])
                 Ta[i] -= r * Ta[j]
                 mu[i, : j + 1] -= r * mu[j, : j + 1]
-                changed |= r != 0
             swap = norms2[i] < (_LLL_DELTA - mu[i, i - 1] ** 2) * norms2[i - 1]
             Ta[i - 1], Ta[i] = np.where(swap, Ta[i], Ta[i - 1]), np.where(swap, Ta[i - 1], Ta[i])
-            changed |= swap
+            swapped |= swap
         for u, s in zip(T, Ta):
             u[:, active] = s
-        active = active[changed]
+        active = active[swapped]
     raise DegenerateBasisError(
         "batched reduction did not converge within %d sweeps" % _REDUCE_ITER_CAP
     )

@@ -324,6 +324,13 @@ def test_equidist_base_point_irrelevant(y0):
     assert abs(r.discrepancy) <= 0.02
 
 
+def test_equidist_runs_near_the_precision_cap():
+    # at flow time 12 one translate lattice has a float mu at +-1/2, whose
+    # size-reduction steps alone must not keep the batch reduction sweeping
+    r = equidist_test_k2((0.0, 1.0), 0.3, 12.0, 0.5, samples=100_000, seed=0)
+    assert abs(r.discrepancy) <= 0.02
+
+
 def test_equidist_validation():
     with pytest.raises(ParameterError):
         equidist_test_k2((1.0, 0.0), 0.0, 9.0, 0.5, samples=100, seed=0)

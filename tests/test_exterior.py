@@ -14,7 +14,7 @@ from dirichlet_lab.exterior import (
     shear_action,
     weight_exponent,
 )
-from dirichlet_lab.flows import LinearFormSystem, WeightVector, flow_matrix, forms_basis
+from dirichlet_lab.flows import WeightVector, flow_matrix, flowed_bases
 
 from oracles import exterior_matrix, wedge_coordinates
 
@@ -199,8 +199,9 @@ def test_flow_after_shear_matches_direct_exterior_power():
 def test_shear_is_forms_basis_for_one_form():
     # the shear is exactly the basis map of a single linear form
     y = np.array([0.3, -1.2])
-    B = forms_basis(LinearFormSystem(np.array([[0.3, -1.2]])))
-    np.testing.assert_allclose(shear_matrix(y), B.columns)
+    t = one_form_weights([0.7, 1.1])
+    np.testing.assert_array_equal(flow_matrix(t) @ shear_matrix(y),
+                                  flowed_bases(y[None, None], t)[0])
 
 
 def test_pairing_is_affine_midpoint_identity():

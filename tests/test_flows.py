@@ -25,8 +25,8 @@ from dirichlet_lab.flows import (
     dirichlet_solvable_direct,
     dirichlet_solvable_lattice,
     flow_matrix,
+    flowed_bases,
     flowed_basis,
-    forms_basis,
     golden_system,
     liouville_sum,
     liouville_system,
@@ -35,7 +35,7 @@ from dirichlet_lab.flows import (
     trajectory_lambda1,
     witness_holds,
 )
-from dirichlet_lab.lattice import DEFAULT_MARGIN, ThickRegion, trichotomy
+from dirichlet_lab.lattice import DEFAULT_MARGIN, MAX_DIM, ThickRegion, trichotomy
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +90,32 @@ def test_flow_overflow_guard():
 
 
 def test_forms_basis_embedding():
-    Y = LinearFormSystem([[0.5]])
-    basis = forms_basis(Y)
-    np.testing.assert_allclose(basis.columns, [[1.0, 0.5], [0.0, 1.0]])
-    # coefficients (-p, q) land on (Yq - p, q)
-    point = basis.columns @ np.array([-1, 2])
-    np.testing.assert_allclose(point, [0.5 * 2 - 1, 2])
+    t = WeightVector(1, 1, (2.0, 2.0))
+    basis = flowed_bases([[[0.5]]], t)[0]
+    # coefficients (-p, q) land on g_t (Yq - p, q)
+    point = basis @ np.array([-1, 2])
+    np.testing.assert_allclose(point, [math.exp(2.0) * (0.5 * 2 - 1), math.exp(-2.0) * 2])
+
+
+def test_flowed_bases_is_the_flow_times_the_forms_basis():
+    # a diagonal product adds only exact zeros, so the match is bit for bit
+    gen = np.random.default_rng(41)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            r, s = gen.uniform(0.2, 1.0, m), gen.uniform(0.2, 1.0, n)
+            t = WeightVector.weighted(r / r.sum(), s / s.sum(), 7.0)
+            Y = gen.uniform(-3.0, 3.0, size=(5, m, n))
+            got = flowed_bases(Y, t)
+            for Yi, Bi in zip(Y, got):
+                forms = np.block([[np.eye(m), Yi], [np.zeros((n, m)), np.eye(n)]])
+                np.testing.assert_array_equal(Bi, flow_matrix(t) @ forms)
+            if m + n <= MAX_DIM:  # the largest LatticeBasis
+                system = LinearFormSystem(Y[0])
+                np.testing.assert_array_equal(flowed_basis(system, t).columns,
+                                              flowed_bases(system.Y[None], t)[0])
+            for bad in (Y[0], Y[:, :, :-1], Y[..., None], np.zeros((5, m + 1, n))):
+                with pytest.raises(ParameterError):
+                    flowed_bases(bad, t)
 
 
 def test_exact_carrier_validation():

@@ -185,18 +185,19 @@ def test_reduction_is_lll_reduced_by_an_exact_unimodular_transform():
         assert all(isinstance(x, int) for x in red.transform.flat)
         assert integer_det(red.transform) == 1
         T = red.transform.astype(float)
-        R = red.reduced.columns
-        np.testing.assert_allclose(basis.columns @ T, R, rtol=1e-9,
+        np.testing.assert_allclose(basis.columns @ T, red.reduced.columns, rtol=1e-9,
                                    atol=1e-9 * np.abs(basis.columns).max())
-        # Gram-Schmidt from a QR factorization: b*_i has length |r_ii|,
-        # mu_ij = r_ji / r_jj
-        r = np.linalg.qr(R, mode="r")
-        mu = (r / np.diag(r)[:, None]).T
-        norms2 = np.diag(r) ** 2
-        k = basis.k
-        for i in range(1, k):
-            assert np.all(np.abs(mu[i, :i]) <= 0.5 + 1e-9)
-            assert norms2[i] >= (lattice._LLL_DELTA - mu[i, i - 1] ** 2) * norms2[i - 1] * (1 - 1e-9)
+        # the batch reduction returns its reduced columns only
+        for R in (red.reduced.columns, lattice._lll_batch(basis.columns[:, :, None])[:, :, 0]):
+            # Gram-Schmidt from a QR factorization: b*_i has length |r_ii|,
+            # mu_ij = r_ji / r_jj
+            r = np.linalg.qr(R, mode="r")
+            mu = (r / np.diag(r)[:, None]).T
+            norms2 = np.diag(r) ** 2
+            for i in range(1, basis.k):
+                assert np.all(np.abs(mu[i, :i]) <= 0.5 + 1e-9)
+                assert (norms2[i] >= (lattice._LLL_DELTA - mu[i, i - 1] ** 2)
+                        * norms2[i - 1] * (1 - 1e-9))
 
 
 def test_counterexample_lattices_match_brute_force():
@@ -244,6 +245,16 @@ def test_batch_agrees_with_enumeration(k):
     got = shortest_supnorm_batch(np.array([b.columns for b in bases]))
     expected = [shortest_vector_supnorm(b).length for b in bases]
     np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_batch_reduction_ends_when_a_sweep_swaps_nothing():
+    # g_t tau(y) at t = (11.76, 11.76), from an equidist run: the recomputed
+    # mu of its reduced pair alternates between +0.5000001 and -0.5000023,
+    # so rint size-reduces by +-1 in every sweep
+    B = np.array([[128027.45345226408, 126482.1238378278], [0.0, 7.810824733562767e-06]])
+    tol = 64.0 * 2.0 ** -52 * math.exp(2 * 11.76)
+    exact = shortest_vector_supnorm(LatticeBasis(B)).length
+    assert abs(shortest_supnorm_batch(B[None])[0] - exact) <= tol
 
 
 def test_batch_without_a_certificate_falls_back_to_enumeration(monkeypatch):
