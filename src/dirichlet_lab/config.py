@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .flows import MAX_FORMS, LinearFormSystem, WeightVector
+from .lattice import MAX_DIM
 from .measures import LebesgueBox, MapSpec, MeasureSpec, SelfSimilarIFS
 
 # keys a run writes first, in this order (report format 1); the rest follow
@@ -259,6 +260,8 @@ def parse_trajectory(records, m: int, n: int) -> tuple[WeightVector, ...]:
     Either exactly one ray record, or any number of explicit records
     forming one explicit list; mixing the two is an error.
     """
+    if m + n > MAX_DIM:
+        raise ParameterError("the lattice route needs m + n <= %d, got %d" % (MAX_DIM, m + n))
     records = [r.strip() for r in records if r.strip()]
     if not records:
         raise ParameterError("no trajectory records given")

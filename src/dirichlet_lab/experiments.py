@@ -42,12 +42,11 @@ from .flows import (
 )
 from .lattice import (
     DEFAULT_MARGIN,
-    ThickRegion,
     _check_margin,
+    _region_code,
     shortest_supnorm_batch,
     shortest_supnorm_k2_batch,
     shortest_with_region,
-    trichotomy,
 )
 from .measures import (
     DEFAULT_IFS_DEPTH,
@@ -71,15 +70,13 @@ MAX_FLOW_SKEW = 24.0
 
 
 def _region_counts(lam: np.ndarray, eps: float, margin: float) -> tuple:
-    """(outside, inside, boundary) counts of the trichotomy of lam against eps."""
-    region = trichotomy(lam, eps, margin)
-    return tuple(int(np.count_nonzero(region == r))
-                 for r in (ThickRegion.OUTSIDE, ThickRegion.INSIDE, ThickRegion.BOUNDARY))
+    """(outside, boundary, inside) counts of the trichotomy of lam against eps."""
+    return tuple(int(c) for c in np.bincount(_region_code(lam, eps, margin), minlength=3))
 
 
 def _fraction_with_margin(lam: np.ndarray, eps: float, margin: float):
     """(fraction, half_width, boundary_count) for the event lam < eps."""
-    hits, _, boundary = _region_counts(lam, eps, margin)
+    hits, boundary, _ = _region_counts(lam, eps, margin)
     n_eff = lam.size - boundary
     if n_eff == 0:
         return 0.0, 0.0, boundary
@@ -388,7 +385,7 @@ def thick_fraction_k2(
     margin: float = DEFAULT_MARGIN,
 ):
     """Fraction of 2x2 bases whose lattice avoids vectors shorter than eps."""
-    outside, inside, boundary = _region_counts(shortest_supnorm_k2_batch(matrices),
+    outside, boundary, inside = _region_counts(shortest_supnorm_k2_batch(matrices),
                                                eps, margin)
     n_eff = outside + inside
     if n_eff == 0:

@@ -36,6 +36,7 @@ NODE_CAP = 10_000_000
 MAX_DIM = 6
 
 _REDUCE_ITER_CAP = 20_000
+_CHUNK = 16384  # bases per step of shortest_supnorm_batch
 _LLL_DELTA = 0.99
 _TAG_UNIMODULAR = 11
 _UNIMODULAR_ATTEMPTS = 8
@@ -57,9 +58,8 @@ class LatticeBasis:
         if k < 2:
             raise ParameterError("dimension must be >= 2, got %d" % k)
         if k > MAX_DIM:
-            raise ParameterError(
-                "dimension %d exceeds supported desk scale (k <= %d)" % (k, MAX_DIM)
-            )
+            raise ParameterError("dimension %d exceeds supported desk scale (k <= %d)"
+                                 % (k, MAX_DIM))
         det = float(np.linalg.det(M))
         if abs(det - 1.0) > DET_TOLERANCE:
             raise ParameterError(
@@ -105,9 +105,7 @@ class ThickRegion(enum.Enum):
     BOUNDARY = "boundary"
 
 
-# indexed by 1 + (inside test) - (outside test), see trichotomy
-_REGIONS = np.array([ThickRegion.OUTSIDE, ThickRegion.BOUNDARY, ThickRegion.INSIDE],
-                    dtype=object)
+_REGIONS = np.array([ThickRegion.OUTSIDE, ThickRegion.BOUNDARY, ThickRegion.INSIDE], dtype=object)
 
 
 def integer_det(M) -> int:
@@ -171,9 +169,8 @@ def reduce_basis(basis: LatticeBasis) -> BasisReduction:
     while i < k:
         iters += 1
         if iters > _REDUCE_ITER_CAP:
-            raise DegenerateBasisError(
-                "basis reduction did not converge within %d iterations" % _REDUCE_ITER_CAP
-            )
+            raise DegenerateBasisError("basis reduction did not converge within %d iterations"
+                                       % _REDUCE_ITER_CAP)
         mu, norms2 = _gram_schmidt(B[: i + 1])
         for j in range(i - 1, -1, -1):
             r = round(mu[i][j])
@@ -304,6 +301,15 @@ def _check_margin(margin: float) -> None:
         raise ParameterError("margin must be >= 0")
 
 
+def _region_code(lam, eps: float, margin: float):
+    """trichotomy as an index into _REGIONS: 0 OUTSIDE, 1 BOUNDARY, 2 INSIDE."""
+    if eps <= 0:
+        raise ParameterError("eps must be positive, got %r" % (eps,))
+    _check_margin(margin)
+    lam = np.asarray(lam, dtype=float)
+    return 1 + (lam >= eps + margin).astype(np.intp) - (lam < eps - margin)
+
+
 def trichotomy(lam, eps: float, margin: float):
     """The one decision rule placing shortest-vector lengths against eps.
 
@@ -313,11 +319,7 @@ def trichotomy(lam, eps: float, margin: float):
     array gives an object array of them.  Callers must treat BOUNDARY as
     indeterminate, never coerce it.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive, got %r" % (eps,))
-    _check_margin(margin)
-    lam = np.asarray(lam, dtype=float)
-    return _REGIONS[1 + (lam >= eps + margin).astype(np.intp) - (lam < eps - margin)]
+    return _REGIONS[_region_code(lam, eps, margin)]
 
 
 def shortest_with_region(
@@ -385,6 +387,11 @@ def _gram_schmidt_batch(cols):
     return mu, norms2, star
 
 
+def _combine(B: np.ndarray, u) -> np.ndarray:
+    """Sum over c of B[:, c] * u[c], added in the order c = 0, 1, ... (see _lll_batch)."""
+    return sum((B[:, c] * u[c] for c in range(1, len(u))), B[:, 0] * u[0])
+
+
 def _lll_batch(B: np.ndarray) -> np.ndarray:
     """LLL reduction (delta = _LLL_DELTA) of every basis in a stack (k, k, N),
     lattice index last, returned in the same layout.
@@ -396,32 +403,32 @@ def _lll_batch(B: np.ndarray) -> np.ndarray:
     Size-reduction alone must not keep a basis active: with mu near +-1/2,
     rint of the recomputed mu can flip sign in every sweep.  Sweeps update
     integer coefficients T, not vectors: float column operations pile up
-    rounding that, on skewed bases, leaves the lattice.
+    rounding that, on skewed bases, leaves the lattice.  B and T hold active
+    bases only: after each sweep the done ones go to the output and `take`
+    drops them.  _combine fixes the order of sums; einsum's varies with N.
     """
     k, n = B.shape[0], B.shape[2]
     T = [np.repeat(row[:, None], n, axis=1) for row in np.eye(k)]  # coefficients of column j
-    active = np.arange(n)
+    out, index = np.empty_like(B), np.arange(n)
     for _ in range(_REDUCE_ITER_CAP):
-        if active.size == 0:
-            return np.einsum("rcn,jcn->rjn", B, np.array(T))
-        Ba, Ta = B[:, :, active], [u[:, active] for u in T]
-        swapped = np.zeros(active.size, dtype=bool)
+        if index.size == 0:
+            return out
+        swapped = np.zeros(index.size, dtype=bool)
         for i in range(1, k):
-            mu, norms2, _ = _gram_schmidt_batch(
-                [np.einsum("rcn,cn->rn", Ba, u) for u in Ta[: i + 1]])
+            mu, norms2, _ = _gram_schmidt_batch([_combine(B, u) for u in T[: i + 1]])
             for j in range(i - 1, -1, -1):
                 r = np.rint(mu[i, j])
-                Ta[i] -= r * Ta[j]
+                T[i] -= r * T[j]
                 mu[i, : j + 1] -= r * mu[j, : j + 1]
             swap = norms2[i] < (_LLL_DELTA - mu[i, i - 1] ** 2) * norms2[i - 1]
-            Ta[i - 1], Ta[i] = np.where(swap, Ta[i], Ta[i - 1]), np.where(swap, Ta[i - 1], Ta[i])
+            T[i - 1], T[i] = np.where(swap, T[i], T[i - 1]), np.where(swap, T[i - 1], T[i])
             swapped |= swap
-        for u, s in zip(T, Ta):
-            u[:, active] = s
-        active = active[swapped]
-    raise DegenerateBasisError(
-        "batched reduction did not converge within %d sweeps" % _REDUCE_ITER_CAP
-    )
+        done, keep = np.flatnonzero(~swapped), np.flatnonzero(swapped)
+        Bd = B.take(done, axis=2)
+        out[:, :, index[done]] = np.stack([_combine(Bd, u.take(done, axis=1)) for u in T], 1)
+        B, T, index = B.take(keep, axis=2), [u.take(keep, axis=1) for u in T], index[keep]
+    raise DegenerateBasisError("batched reduction did not converge within %d sweeps"
+                               % _REDUCE_ITER_CAP)
 
 
 def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarray:
@@ -433,19 +440,24 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
     c = B^-1 v with |c|_inf <= ||B^-1||_inf min(L, cap).  Where that bound
     is below 2, c was scanned; elsewhere exact enumeration decides.  At
     k = 2 the bound is at most sqrt(2) |u| |v| <= 1.64 for a reduced pair.
+    Chunks of _CHUNK bases keep the arrays in cache.  With ordered sums and
+    per-basis steps, a value does not depend on the rest of the stack.
     """
     B = np.array(bases, dtype=float)
     if not (B.ndim == 3 and B.shape[1] == B.shape[2] and 2 <= B.shape[1] <= MAX_DIM
             and np.all(np.isfinite(B))):
         raise ParameterError("expected finite bases of shape (N, k, k), 2 <= k <= %d, "
                              "got shape %r" % (MAX_DIM, B.shape))
+    if B.shape[0] > _CHUNK:
+        return np.concatenate([shortest_supnorm_batch(B[i:i + _CHUNK], cap)
+                               for i in range(0, B.shape[0], _CHUNK)])
     k = B.shape[1]
     R = _lll_batch(np.ascontiguousarray(B.transpose(1, 2, 0)))
     # lexicographically after the zero vector: the first nonzero entry is 1
     stencil = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))[3 ** k // 2 + 1:]
     lam = np.full(B.shape[0], math.inf)
     for c in stencil:
-        np.minimum(lam, np.abs(np.einsum("j,rjn->rn", c, R)).max(axis=0), out=lam)
+        np.minimum(lam, np.abs(_combine(R, c)).max(axis=0), out=lam)
     # the rows of R^-1 are the dual basis d_i = b*_i / |b*_i|^2 - sum_{j>i} mu_ji d_j
     mu, norms2, star = _gram_schmidt_batch([R[:, j] for j in range(k)])
     dual = []

@@ -214,14 +214,15 @@ def sample(
     elif isinstance(measure, SelfSimilarIFS):
         ratios = np.array(measure.ratios)
         trans = np.array(measure.translations)
-        probs = np.array(measure.probs)
+        cdf = np.cumsum(measure.probs)
+        cdf /= cdf[-1]  # as in gen.choice(len(ratios), size, p=probs): the same digits
         # start at the fixed point of the deepest digit's map so an
         # eventually-constant address lands exactly on the attractor
         fixed = trans / (1.0 - ratios)[:, None]
         tag = _TAG_IFS_ADDRESS
 
         def draw(gen, c):
-            digits = gen.choice(len(ratios), size=(c, depth), p=probs)
+            digits = cdf.searchsorted(gen.random((c, depth)), side="right")
             x = fixed[digits[:, depth - 1]]
             for level in range(depth - 2, -1, -1):
                 a = digits[:, level]

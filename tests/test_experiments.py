@@ -16,6 +16,7 @@ from dirichlet_lab.experiments import (
     _collect_in_ball,
     _lambda1_rows_batch,
     _near_vector,
+    _region_counts,
     equidist_test_k2,
     escape_table,
     haar_sample_k2,
@@ -33,7 +34,7 @@ from dirichlet_lab.flows import (
     liouville_system,
     random_forms,
 )
-from dirichlet_lab.lattice import shortest_vector_supnorm
+from dirichlet_lab.lattice import ThickRegion, shortest_vector_supnorm, trichotomy
 from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS, sample
 from dirichlet_lab.rng import BLOCK
 
@@ -298,6 +299,21 @@ def test_thick_mass_nonincreasing_in_eps():
 def test_haar_validation():
     with pytest.raises(ParameterError):
         haar_sample_k2(0, 0)
+
+
+def test_region_counts_count_the_trichotomy():
+    eps, margin = 0.5, 1e-3
+    edges = [eps - margin, eps + margin, np.nextafter(eps - margin, 0.0),
+             np.nextafter(eps + margin, 0.0), eps, np.nan, np.inf, -np.inf, 0.0, 2.0]
+    lam = np.array(edges * 3 + list(np.random.default_rng(0).uniform(0.49, 0.51, 500)))
+    region = list(trichotomy(lam, eps, margin))
+    assert _region_counts(lam, eps, margin) == tuple(
+        region.count(r) for r in (ThickRegion.OUTSIDE, ThickRegion.BOUNDARY, ThickRegion.INSIDE))
+    # NaN and the band's lower edge are boundary; its upper edge is inside
+    assert _region_counts(np.array([np.nan, eps - margin, eps]), eps, margin) == (0, 3, 0)
+    below = np.nextafter(eps - margin, 0.0)
+    assert _region_counts(np.array([below, eps + margin]), eps, margin) == (1, 0, 1)
+    assert _region_counts(np.array([], dtype=float), eps, margin) == (0, 0, 0)
 
 
 def test_equidist_discrepancy_small_at_long_times():

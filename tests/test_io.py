@@ -402,6 +402,11 @@ _GOOD_FLAGS = ["--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
                "--ball-center", "0.5", "--ball-radius", "0.5", "--samples", "100"]
 _CANTOR = "ifs ratios=1/3,1/3 trans=0,2/3"
 _COUNTEREXAMPLE = ["counterexample", "--eps", "0.9", "--u", "0.4054651"]
+# m + n = 7 forms: inside flows.MAX_FORMS, beyond lattice.MAX_DIM
+_SEVEN_FORMS = ["--m", "3", "--n", "4",
+                "--Y", "0.1,0.2,0.3,0.4;0.5,0.6,0.7,0.8;0.9,0.11,0.12,0.13",
+                "--family", "ray r=0.3333333333333333,0.3333333333333333,0.3333333333333334 "
+                "s=0.25,0.25,0.25,0.25 t=1:2:1"]
 
 
 def _escape_with_t(command, t):
@@ -480,6 +485,8 @@ def _on_cantor(argv):
     (["equidist", "--interval", "0,1", "--y0", "inf", "--flow-time", "1", "--eps", "0.5",
       "--samples", "10"], 2),
     (["escape"] + _ESCAPE_FLAGS[:5] + ["nan"] + _ESCAPE_FLAGS[6:] + ["--samples", "50"], 2),
+    (["trajectory"] + _SEVEN_FORMS, 2),
+    (["di"] + _SEVEN_FORMS + ["--eps", "0.5", "--horizon", "0.34"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -498,7 +505,8 @@ def _on_cantor(argv):
         "good-test-ifs-zero-depth", "federer-ifs-zero-depth", "nonplanar-ifs-zero-depth",
         "escape-ball-off-dimension", "nonplanar-map-off-dimension",
         "federer-region-off-dimension", "escape-negative-margin", "di-negative-margin",
-        "equidist-infinite-y0", "escape-nan-ball-center"])
+        "equidist-infinite-y0", "escape-nan-ball-center", "trajectory-over-max-dim",
+        "di-over-max-dim"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same first error line

@@ -5,7 +5,7 @@ import pytest
 
 from dirichlet_lab import lattice
 from dirichlet_lab.errors import CapacityError, ParameterError
-from dirichlet_lab.flows import WeightVector, flowed_basis, random_forms
+from dirichlet_lab.flows import WeightVector, flowed_bases, flowed_basis, random_forms
 from dirichlet_lab.lattice import (
     LatticeBasis,
     ThickRegion,
@@ -255,6 +255,27 @@ def test_batch_reduction_ends_when_a_sweep_swaps_nothing():
     tol = 64.0 * 2.0 ** -52 * math.exp(2 * 11.76)
     exact = shortest_vector_supnorm(LatticeBasis(B)).length
     assert abs(shortest_supnorm_batch(B[None])[0] - exact) <= tol
+
+
+@pytest.mark.parametrize("t", [(10.0, 5.0, 5.0), (18.0, 6.0, 6.0, 6.0)])
+def test_a_lattice_gets_the_same_bits_alone_and_in_a_stack(t):
+    # one-form rows as decay and escape build them; the kernel adds every sum
+    # in a fixed order, so a stack of one gives the bits of a larger stack
+    rows = np.random.default_rng(1).random((120, len(t) - 1))
+    S = flowed_bases(rows[:, None], WeightVector(1, len(t) - 1, t))
+    stack = shortest_supnorm_batch(S)
+    alone = np.array([shortest_supnorm_batch(S[i:i + 1])[0] for i in range(len(S))])
+    assert np.array_equal(stack, alone)
+
+
+def test_chunk_boundaries_do_not_change_the_values():
+    y = np.random.default_rng(2).random(lattice._CHUNK + 3)
+    S = flowed_bases(y[:, None, None], WeightVector(1, 1, (9.0, 9.0)))
+    whole = shortest_supnorm_batch(S)
+    for a, b in ((1, lattice._CHUNK + 1), (5000, lattice._CHUNK + 2)):
+        pieces = [shortest_supnorm_batch(S[:a]), shortest_supnorm_batch(S[a:b]),
+                  shortest_supnorm_batch(S[b:])]
+        assert np.array_equal(whole, np.concatenate(pieces))
 
 
 def test_batch_without_a_certificate_falls_back_to_enumeration(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_lab import measures
 from dirichlet_lab.errors import EmptySupportError, ParameterError
 from dirichlet_lab.measures import (
     Ball,
@@ -89,6 +90,26 @@ def test_window_equals_the_slice_of_a_longer_run(measure, workers):
             np.testing.assert_array_equal(window, whole[start:])
     with pytest.raises(ParameterError, match="start must be nonnegative"):
         sample(measure, 11, 3, start=-1)
+
+
+def test_ifs_digits_are_those_of_generator_choice(monkeypatch):
+    # the digit draw must give the digits of gen.choice(len(ratios), size,
+    # p=probs) and leave the generator in the same state; the maps' images
+    # of [0, 1] are disjoint, so equal points mean equal digits
+    ifs = SelfSimilarIFS((0.25, 0.3, 0.2), ((0.0,), (0.35,), (0.8,)), (0.2, 0.5, 0.3))
+    draws = []
+    monkeypatch.setattr(measures._rng, "sample_batched", lambda draw, *a, **k: draws.append(draw))
+    depth = 7
+    sample(ifs, 0, 10, depth=depth)
+    ratios, trans = np.array(ifs.ratios), np.array(ifs.translations)
+    for seed in range(50):
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        digits = ref.choice(3, size=(300, depth), p=ifs.probs)
+        x = (trans / (1.0 - ratios)[:, None])[digits[:, -1]]
+        for level in range(depth - 2, -1, -1):
+            x = ratios[digits[:, level]][:, None] * x + trans[digits[:, level]]
+        np.testing.assert_array_equal(draws[0](gen, 300), x)
+        assert gen.random() == ref.random()
 
 
 def test_sample_rejects_bad_count():
