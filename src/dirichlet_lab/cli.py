@@ -54,6 +54,7 @@ from .experiments import (
 )
 from .flows import (
     _ba_weights,
+    _check_lattice_reach,
     _di_tested,
     _direct_bounds,
     ba_quality,
@@ -246,6 +247,7 @@ def _cmd_check(v):
 def _cmd_trajectory(v):
     Y = parse_forms(v.Y, v.m, v.n)
     family = parse_trajectory(v.trajectory, v.m, v.n)
+    _check_lattice_reach(family)
     yield
     series = trajectory_lambda1(Y, family)
     records = [
@@ -315,8 +317,6 @@ def _cmd_decay(v):
 
 
 def _cmd_equidist(v):
-    if len(v.interval) != 2:
-        raise ParameterError("--interval takes two numbers lo,hi")
     eps = _one_eps(v, "equidist")
     _equidist_weights(v.interval, v.y0, v.flow_time, eps, v.samples, v.margin)
     yield
@@ -372,7 +372,7 @@ def _cmd_good_test(v):
 def _cmd_federer_test(v):
     measure = parse_measure(v.measure)
     region = Ball(v.ball_center, v.ball_radius)
-    _federer_radii(v.ball_count, v.radius_range)
+    _federer_radii(v.ball_count, v.radius_range, v.center_fraction)
     _check_dims(measure, region)
     _check_sample(measure, v.samples, v.depth)
     yield

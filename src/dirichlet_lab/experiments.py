@@ -19,8 +19,8 @@ binomial half-widths, and samples within the decision margin of an
 eps-threshold are excluded from fractions and counted separately.
 
 Escape, decay and equidist take lambda1 from lattice.shortest_supnorm_batch,
-whose float values lose about 2^-52 e^S at flow skew S; past MAX_FLOW_SKEW
-they refuse to run (CapacityError).
+whose float values lose about 2^-52 e^S at flow skew S; past
+flows.MAX_FLOW_SKEW they refuse to run (CapacityError).
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .flows import (
     LinearFormSystem,
     WeightVector,
+    _check_flow_skew,
     flowed_bases,
     flowed_basis,
     random_forms,
@@ -64,9 +65,6 @@ _TAG_TRANSLATE = 53
 _HAAR_Y_MAX = 1.0e3
 # q values per numpy step of the counterexample's near-vector scan
 _NEAR_VECTOR_CHUNK = 4096
-
-# the float error of a lambda1 value at the cap is about 2^-52 e^24 ~ 6e-6
-MAX_FLOW_SKEW = 24.0
 
 
 def _region_counts(lam: np.ndarray, eps: float, margin: float) -> tuple:
@@ -98,16 +96,6 @@ def _collect_in_ball(
         return sample(measure, seed, size, depth=depth, workers=workers, start=start)
 
     return _rng.first_kept(window, ball.contains, count)
-
-
-def _check_flow_skew(t: WeightVector) -> None:
-    """CapacityError once the flow skew max(t_front) + max(t_back) passes
-    MAX_FLOW_SKEW."""
-    skew = max(t.t[: t.m]) + max(t.t[t.m:])
-    if skew > MAX_FLOW_SKEW:
-        raise CapacityError(
-            "flow skew %g exceeds the float precision cap %g" % (skew, MAX_FLOW_SKEW)
-        )
 
 
 def _lambda1_rows_batch(
@@ -396,7 +384,9 @@ def thick_fraction_k2(
 def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples: int,
                       margin: float) -> tuple:
     """((lo, hi), flow weights), once every equidist_test_k2 input is checked."""
-    lo, hi = (float(interval[0]), float(interval[1]))
+    if len(interval) != 2:
+        raise ParameterError("interval takes two numbers lo, hi")
+    lo, hi = (float(x) for x in interval)
     if not lo < hi:
         raise ParameterError("interval needs lo < hi")
     if not all(map(math.isfinite, (lo, hi, y0))):

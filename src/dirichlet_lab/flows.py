@@ -45,6 +45,8 @@ MAX_FORMS = 4
 DIRECT_BUDGET = 100_000_000
 BA_BUDGET = 10_000_000
 FLOW_OVERFLOW_GUARD = 300.0
+# the float error of a lambda1 value at the cap is about 2^-52 e^24 ~ 6e-6
+MAX_FLOW_SKEW = 24.0
 
 _TAG_FORMS = 23
 
@@ -136,6 +138,22 @@ class WeightVector:
         if scale <= 0:
             raise ParameterError("scale must be positive")
         return cls(len(r), len(s), tuple(x * scale for x in r + s))
+
+
+def _check_flow_skew(t: WeightVector) -> None:
+    """CapacityError once the flow skew max(t_front) + max(t_back) passes
+    MAX_FLOW_SKEW."""
+    skew = max(t.t[: t.m]) + max(t.t[t.m:])
+    if skew > MAX_FLOW_SKEW:
+        raise CapacityError("flow skew %g exceeds the float precision cap %g"
+                            % (skew, MAX_FLOW_SKEW))
+
+
+def _check_lattice_reach(family) -> None:
+    """_check_flow_skew of each weight at k >= 3; k = 2 takes exact convergents."""
+    for w in family:
+        if w.k > 2:
+            _check_flow_skew(w)
 
 
 def _check_unit_weights(r, s):
@@ -479,6 +497,7 @@ def shortest_forms_vector(y: float | Fraction, t_left: float, t_right: float
 def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:
     """(lambda1, p, q) of the flowed forms lattice and its shortest vector."""
     _check_sizes(Y, t)
+    _check_lattice_reach((t,))
     if Y.k == 2:
         lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
         # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
@@ -582,8 +601,8 @@ def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float
                margin: float) -> list:
     """The family's weights with norm <= horizon, once the horizon is
     positive, the family nonempty, its tested part reaches the final
-    stretch (norms >= 0.9 * horizon), eps suits the lattice route and the
-    margin is >= 0."""
+    stretch (norms >= 0.9 * horizon), eps suits the lattice route, the
+    margin is >= 0 and every tested weight is in reach (_check_lattice_reach)."""
     if horizon_norm <= 0:
         raise ParameterError("horizon_norm must be positive")
     if not family:
@@ -597,6 +616,7 @@ def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float
         )
     _check_lattice_eps(eps)
     _check_margin(margin)
+    _check_lattice_reach(tested)
     return tested
 
 

@@ -3,14 +3,15 @@
 The whole package measures lattices with the sup norm: the membership
 question "does the lattice contain a nonzero vector shorter than eps"
 drives every solvability routine.  The shortest-vector computation is a
-floating-point basis reduction (preconditioner only) followed by exact
-depth-first enumeration of integer coefficients over a provably
-sufficient search region, so the returned minimum is certified up to
-double-precision evaluation of the candidate norms.  Both run on Python
-floats, with the change of basis in exact Python integers.
+floating-point basis reduction (preconditioner only) on Python floats,
+with the change of basis in exact Python integers, followed by an exact
+scan of the box of integer coefficients that the inverse of the reduced
+basis proves sufficient, so the returned minimum is certified up to
+double-precision evaluation of the candidate norms.
 
 Stacks of lattices go through the one batch kernel shortest_supnorm_batch,
-which falls back to that exact route where its certificate fails.
+which certifies with the same bound and falls back to that exact route
+where the bound exceeds its {-1, 0, 1}^k stencil.
 
 Sign conventions: bases are k x k matrices whose COLUMNS generate the
 lattice, with determinant +1 (tolerance 1e-9, inputs outside are
@@ -20,7 +21,7 @@ rejected, never renormalized).
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,6 +38,9 @@ MAX_DIM = 6
 
 _REDUCE_ITER_CAP = 20_000
 _CHUNK = 16384  # bases per step of shortest_supnorm_batch
+_BOX_SLICE = 4096  # candidates per step of _enumerate_shortest
+_BOX_CACHE = 64  # slices _half_box keeps
+_BOX_SLACK = 1e-9  # relative slack on the bounds of _enumerate_shortest
 _LLL_DELTA = 0.99
 _TAG_UNIMODULAR = 11
 _UNIMODULAR_ATTEMPTS = 8
@@ -200,87 +204,50 @@ def reduce_basis(basis: LatticeBasis) -> BasisReduction:
 
 def _canonical_coeffs(c):
     """Flip sign so the first nonzero coefficient is positive."""
-    for x in c:
-        if x != 0:
-            return tuple(c) if x > 0 else tuple(-v for v in c)
-    return tuple(c)
+    sign = next((1 if x > 0 else -1 for x in c if x != 0), 1)
+    return tuple(sign * x for x in c)
+
+
+@functools.lru_cache(maxsize=_BOX_CACHE)
+def _half_box(bounds: tuple, part: int) -> np.ndarray:
+    """Slice ``part`` (_BOX_SLICE rows) of the integer vectors c, |c_i| <= bounds[i],
+    whose first nonzero entry is positive, one of each +-pair: in the C order
+    of the box, the entries after its center.  Read-only floats."""
+    shape = tuple(2 * b + 1 for b in bounds)
+    first = math.prod(shape) // 2 + 1 + part * _BOX_SLICE
+    flat = np.arange(first, min(first + _BOX_SLICE, math.prod(shape)))
+    box = np.stack(np.unravel_index(flat, shape), axis=1) - np.array(bounds, dtype=float)
+    box.setflags(write=False)
+    return box
 
 
 def _enumerate_shortest(B, U, node_cap):
-    """Exact DFS over integer coefficients of the reduced columns B.
+    """Exact scan of a box of integer coefficients c of the reduced columns B;
+    returns the winner's sign-canonical coefficients in the original basis, U @ c.
 
-    Sufficiency of the search region: a vector of sup-norm < L has
-    Euclidean norm < sqrt(k) * L, so enumerating the Euclidean ball of
-    radius sqrt(k) * L_best (inclusive, with a hair of slack for float
-    rounding) cannot miss an improvement or a tie.  Ties are resolved
-    by lexicographic order of the sign-canonicalized coefficients in
-    the ORIGINAL basis, U @ c.
+    With L the least sup norm of a column and d_i the rows of B^-1, a vector
+    v = B c with |v|_inf <= L has |c_i| = |d_i . v| <= |d_i|_1 L (the batch
+    kernel's bound, row by row): the box |c_i| <= floor(|d_i|_1 L) holds every
+    vector as short as that column.  _BOX_SLACK covers the rounding of B^-1,
+    of order k cond(B) 2^-53.  The half box (c and -c have one length) is
+    scanned in slices: at most _BOX_CACHE + 1 slices of _BOX_SLICE x k floats
+    (13 MB at k = 6) are held whatever the box size.  Past node_cap candidates,
+    CapacityError.  Ties go to the lexicographically least of those coefficients.
     """
-    rows = np.asarray(B, dtype=float).tolist()
-    cols = [list(col) for col in zip(*rows)]
-    U = np.asarray(U, dtype=object).tolist()
-    k = len(cols)
-    mu, norms2 = _gram_schmidt(cols)
-    if min(norms2) <= 0.0:
-        raise DegenerateBasisError("degenerate Gram-Schmidt profile")
-
-    # initial upper bound: best single reduced column
-    col_sup = [max(abs(x) for x in col) for col in cols]
-    j0 = col_sup.index(min(col_sup))
-    best_len = col_sup[j0]
-    best_orig = _canonical_coeffs(tuple(U[r][j0] for r in range(k)))
-
-    c = [0] * k
-    nodes = 0
-    slack = 1.0 + 1e-12
-
-    def consider(cvec):
-        nonlocal best_len, best_orig
-        length = max(abs(sum(map(operator.mul, row, cvec))) for row in rows)
-        if not length <= best_len:
-            return
-        orig = _canonical_coeffs(tuple(
-            sum(U[r][j] * cvec[j] for j in range(k)) for r in range(k)
-        ))
-        if length < best_len or orig < best_orig:
-            best_len = length
-            best_orig = orig
-
-    # DFS over levels k-1 .. 0; partial[i] = sum_{l>i} z_l^2 |b*_l|^2
-    def dfs(level, partial, centers):
-        nonlocal nodes
-        r2 = k * best_len * best_len * slack
-        if partial > r2:
-            return
-        if level < 0:
-            if any(c):
-                consider(c)
-            return
-        rem = r2 - partial
-        halfwidth = math.sqrt(max(rem, 0.0) / norms2[level])
-        center = centers[level]
-        lo = math.ceil(-center - halfwidth - 1e-12)
-        hi = math.floor(-center + halfwidth + 1e-12)
-        # enumerate only the half-space where the top-most nonzero coefficient
-        # is positive; each +-pair is covered once
-        if level == k - 1 or not any(c[level + 1:]):
-            lo = max(lo, 0)
-        for ci in range(lo, hi + 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise CapacityError(
-                    "shortest-vector enumeration exceeded node cap %d" % node_cap
-                )
-            c[level] = ci
-            z = ci + center
-            part = partial + z * z * norms2[level]
-            if part <= r2:
-                dfs(level - 1, part,
-                    [x + ci * m for x, m in zip(centers, mu[level])])
-        c[level] = 0
-
-    dfs(k - 1, 0.0, [0.0] * k)
-    return best_orig, best_len
+    L = np.abs(B).max(axis=0).min()
+    row_norms = np.abs(np.linalg.inv(B)).sum(axis=1)
+    bounds = tuple(int(x) for x in row_norms * L * (1.0 + _BOX_SLACK))
+    size = math.prod(2 * b + 1 for b in bounds) // 2
+    if size > node_cap:
+        raise CapacityError("shortest-vector enumeration exceeded node cap %d" % node_cap)
+    best_len, ties = math.inf, []
+    for part in range(-(-size // _BOX_SLICE)):
+        C = _half_box(bounds, part)
+        lengths = np.abs(_combine(B[:, :, None], C.T)).max(axis=0)
+        if lengths.min() < best_len:
+            best_len, ties = lengths.min(), []
+        ties += C[lengths == best_len].astype(int).tolist()
+    return min(_canonical_coeffs(U.dot(np.array(c, dtype=object))) for c in ties)
 
 
 def shortest_vector_supnorm(
@@ -289,11 +256,9 @@ def shortest_vector_supnorm(
 ) -> ShortestVectorResult:
     """Globally minimal nonzero lattice vector in the sup norm."""
     red = reduce_basis(basis)
-    coeffs, _ = _enumerate_shortest(red.reduced.columns, red.transform, node_cap)
+    coeffs = _enumerate_shortest(red.reduced.columns, red.transform, node_cap)
     image = basis.columns @ np.array(coeffs, dtype=float)
-    length = float(np.max(np.abs(image)))
-    return ShortestVectorResult(coeffs=tuple(int(x) for x in coeffs),
-                                image=image, length=length)
+    return ShortestVectorResult(coeffs, image, float(np.max(np.abs(image))))
 
 
 def _check_margin(margin: float) -> None:
@@ -453,10 +418,8 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
                                for i in range(0, B.shape[0], _CHUNK)])
     k = B.shape[1]
     R = _lll_batch(np.ascontiguousarray(B.transpose(1, 2, 0)))
-    # lexicographically after the zero vector: the first nonzero entry is 1
-    stencil = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))[3 ** k // 2 + 1:]
     lam = np.full(B.shape[0], math.inf)
-    for c in stencil:
+    for c in _half_box((1,) * k, 0):
         np.minimum(lam, np.abs(_combine(R, c)).max(axis=0), out=lam)
     # the rows of R^-1 are the dual basis d_i = b*_i / |b*_i|^2 - sum_{j>i} mu_ji d_j
     mu, norms2, star = _gram_schmidt_batch([R[:, j] for j in range(k)])

@@ -296,14 +296,13 @@ class CGoodEstimate:
 
 
 def _cgood_grid(alpha: float, eps_grid) -> tuple:
-    """The eps grid as floats, once alpha is in (0, 1] and the grid increases."""
+    """The eps grid as floats, once alpha is in (0, 1] and 0 < eps_1 < ... < inf."""
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("alpha must lie in (0, 1]")
     grid = tuple(float(e) for e in eps_grid)
-    if not grid or any(e <= 0 for e in grid) or any(
-        b <= a for a, b in zip(grid, grid[1:])
-    ):
-        raise ParameterError("eps_grid must be positive and strictly increasing")
+    # each entry below the next, the last below inf; NaN fails every comparison
+    if not grid or not all(0 < a < b for a, b in zip(grid, grid[1:] + (math.inf,))):
+        raise ParameterError("eps_grid must be finite, positive and strictly increasing")
     return grid
 
 
@@ -365,10 +364,13 @@ class FedererEstimate:
     worst_radius: float
 
 
-def _federer_radii(ball_count: int, radius_range) -> tuple:
-    """(lo, hi) of radius_range, once ball_count >= 1 and 0 < lo <= hi <= 1."""
+def _federer_radii(ball_count: int, radius_range, center_fraction: float) -> tuple:
+    """(lo, hi) of radius_range, once ball_count >= 1, 0 < lo <= hi <= 1 and
+    0 < center_fraction <= 1."""
     if ball_count < 1:
         raise ParameterError("ball_count must be >= 1")
+    if not 0.0 < center_fraction <= 1.0:
+        raise ParameterError("center_fraction must lie in (0, 1]")
     if len(radius_range) != 2:
         raise ParameterError("radius_range takes two numbers lo, hi")
     lo_r, hi_r = radius_range
@@ -396,7 +398,7 @@ def federer_empirical(
     lower bound for the true Federer constant: only finitely many balls
     are examined.
     """
-    lo_r, hi_r = _federer_radii(ball_count, radius_range)
+    lo_r, hi_r = _federer_radii(ball_count, radius_range, center_fraction)
     _check_dims(measure, region)
     pts = sample(measure, seed, samples, depth=depth, workers=workers)
     center = np.array(region.center)

@@ -356,6 +356,12 @@ def test_equidist_validation():
         equidist_test_k2((0.0, 1.0), 0.0, -1.0, 0.5, samples=100, seed=0)
 
 
+@pytest.mark.parametrize("interval", [(0.0,), (0.0, 1.0, 2.0)])
+def test_equidist_interval_takes_two_numbers(interval):
+    with pytest.raises(ParameterError, match="interval takes two numbers"):
+        equidist_test_k2(interval, 0.0, 9.0, 0.5, samples=100, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # frozen-coordinate counterexample
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from dirichlet_lab.config import parse_trajectory
 from dirichlet_lab.errors import CapacityError, ParameterError
-from dirichlet_lab.experiments import MAX_FLOW_SKEW, _lambda1_rows_batch
+from dirichlet_lab.experiments import _lambda1_rows_batch
 from dirichlet_lab.flows import (
+    MAX_FLOW_SKEW,
     DirichletWitness,
     LinearFormSystem,
     Solvability,
@@ -371,6 +372,23 @@ def test_classify_liouville_improvable():
                       eps=0.1, horizon_norm=30.0)
     assert rep.verdict is Verdict.IMPROVABLE_UP_TO_HORIZON
     assert rep.last_not_solvable_norm == 16.0
+
+
+def test_the_lattice_route_refuses_past_the_precision_cap_at_k3():
+    # (16, 8, 24) has flow skew 16 + 24 = 40: refused, though its value is
+    # still right; k = 2 takes exact convergents and has no cap
+    for t in (WeightVector(2, 1, (16.0, 8.0, 24.0)), WeightVector(1, 2, (30.0, 20.0, 10.0))):
+        Y = random_forms(5, t.m, t.n)
+        with pytest.raises(CapacityError, match="precision cap"):
+            trajectory_lambda1(Y, (t,))
+        with pytest.raises(CapacityError, match="precision cap"):
+            dirichlet_solvable_lattice(Y, t, 0.5)
+        with pytest.raises(CapacityError, match="precision cap"):
+            di_classify(Y, (t,), eps=0.5, horizon_norm=t.norm)
+    at_cap = WeightVector(2, 1, (10.0, 4.0, 14.0))
+    assert 0.0 < trajectory_lambda1(random_forms(5, 2, 1), (at_cap,))[0][1] <= 1.0
+    lam = trajectory_lambda1(LinearFormSystem([[0.0]]), (WeightVector(1, 1, (60.0, 60.0)),))
+    assert lam[0][1] == pytest.approx(math.exp(-60.0), rel=1e-12)
 
 
 def test_classify_requires_stretch_coverage():

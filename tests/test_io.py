@@ -487,6 +487,13 @@ def _on_cantor(argv):
     (["escape"] + _ESCAPE_FLAGS[:5] + ["nan"] + _ESCAPE_FLAGS[6:] + ["--samples", "50"], 2),
     (["trajectory"] + _SEVEN_FORMS, 2),
     (["di"] + _SEVEN_FORMS + ["--eps", "0.5", "--horizon", "0.34"], 2),
+    (["trajectory", "--m", "2", "--n", "1", "--Y", "0.5;0.3", "--family",
+      "explicit 200 100 300"], 3),
+    (["di", "--m", "2", "--n", "1", "--Y", "0.41421356;0.7320508", "--family",
+      "explicit 40 30 70", "--horizon", "70", "--eps", "0.5"], 3),
+    (["good-test"] + _GOOD_FLAGS + ["--alpha", "0.5", "--eps", "nan"], 2),
+    (["federer-test"] + _GOOD_FLAGS[2:] + ["--center-fraction", "-1"], 2),
+    (["federer-test"] + _GOOD_FLAGS[2:] + ["--center-fraction", "nan"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -506,7 +513,9 @@ def _on_cantor(argv):
         "escape-ball-off-dimension", "nonplanar-map-off-dimension",
         "federer-region-off-dimension", "escape-negative-margin", "di-negative-margin",
         "equidist-infinite-y0", "escape-nan-ball-center", "trajectory-over-max-dim",
-        "di-over-max-dim"])
+        "di-over-max-dim", "trajectory-past-precision-cap", "di-past-precision-cap",
+        "good-test-nan-eps", "federer-negative-center-fraction",
+        "federer-nan-center-fraction"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same first error line

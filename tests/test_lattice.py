@@ -93,6 +93,85 @@ def test_shortest_matches_brute_force():
     assert hits > 60
 
 
+@pytest.mark.parametrize("k,bound", [(4, 3), (5, 2), (6, 2)])
+def test_box_scan_matches_brute_force_in_higher_dimensions(k, bound):
+    # the brute-force scan runs over the reduced columns, where the
+    # minimizer's coefficients are small, and maps back through the transform
+    for seed in range(12):
+        basis = random_unimodular(seed=seed, k=k, spread=1.0)
+        red = reduce_basis(basis)
+        coeffs, length = brute_force_shortest_supnorm(red.reduced.columns, coeff_bound=bound)
+        orig = red.transform.dot(np.array(coeffs, dtype=object))
+        first = next(x for x in orig if x != 0)
+        sv = shortest_vector_supnorm(basis)
+        assert sv.coeffs == tuple(int(x) if first > 0 else -int(x) for x in orig)
+        assert sv.length == pytest.approx(length, rel=1e-12)
+
+
+def test_ties_go_to_the_least_canonical_coefficients_in_the_original_basis():
+    # Z^k in the sup norm has every nonzero vector of {-1, 0, 1}^k as a
+    # minimizer; under a shear the winner's original coefficients differ
+    # from its reduced ones
+    for k in (2, 3, 4):
+        shear = np.eye(k) + np.eye(k, k, 1) - 2.0 * np.eye(k, k, 2)
+        for columns in (np.eye(k), shear):
+            sv = shortest_vector_supnorm(LatticeBasis(columns))
+            assert sv.coeffs == brute_force_shortest_supnorm(columns, coeff_bound=4)[0]
+            assert sv.length == 1.0
+
+
+def _root_lattices():
+    """A_2..A_6 and D_3..D_6 from their Gram matrices, scaled to covolume 1,
+    as given and turned by a random rotation."""
+    rotations = np.random.default_rng(5)
+    for k in range(2, 7):
+        path = 2.0 * np.eye(k) - np.eye(k, k, 1) - np.eye(k, k, -1)
+        fork = path.copy()
+        fork[k - 1, k - 2] = fork[k - 2, k - 1] = 0.0
+        fork[k - 1, k - 3] = fork[k - 3, k - 1] = -1.0
+        for gram in (path, fork) if k > 2 else (path,):
+            b = np.linalg.cholesky(gram).T
+            b /= np.linalg.det(b) ** (1.0 / k)
+            q, _ = np.linalg.qr(rotations.standard_normal((k, k)))
+            q[:, 0] *= np.sign(np.linalg.det(q))
+            yield b
+            yield q @ b
+
+
+def test_box_scan_finds_the_minimum_of_root_lattices():
+    # root lattices have many minimal vectors of one length: the scan must
+    # reach the same minimum as a full scan of the reduced coefficients
+    for basis in map(LatticeBasis, _root_lattices()):
+        red = reduce_basis(basis)
+        _, length = brute_force_shortest_supnorm(red.reduced.columns, coeff_bound=2)
+        sv = shortest_vector_supnorm(basis)
+        assert sv.length == pytest.approx(length, rel=1e-12)
+        assert np.max(np.abs(basis.columns @ np.array(sv.coeffs, dtype=float))) == sv.length
+
+
+def test_half_box_is_the_box_up_to_sign():
+    # each box fits one slice; test_box_slices_do_not_change_the_minimizer splits them
+    for bounds in ((1, 1), (2, 0, 1), (1,) * 6, (3, 1, 2, 1)):
+        box = lattice._half_box(bounds, 0)
+        grid = np.stack(np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij"),
+                        axis=-1).reshape(-1, len(bounds))
+        # lexicographic order, each nonzero vector or its negative once
+        assert [tuple(c) for c in box] == sorted(tuple(c) for c in grid if tuple(c) > (0,) * len(c))
+
+
+def test_box_slices_do_not_change_the_minimizer(monkeypatch):
+    bases = [random_unimodular(seed=seed, k=k, spread=2.0) for k in (5, 6) for seed in range(6)]
+    bases += [LatticeBasis(b) for b in _root_lattices()]
+    whole = [shortest_vector_supnorm(b).coeffs for b in bases]
+    monkeypatch.setattr(lattice, "_BOX_SLICE", 7)
+    lattice._half_box.cache_clear()
+    try:
+        assert [shortest_vector_supnorm(b).coeffs for b in bases] == whole
+    finally:
+        monkeypatch.undo()
+        lattice._half_box.cache_clear()
+
+
 def test_shortest_invariant_under_recoordination():
     # orientation-preserving column permutations and paired sign flips
     basis = random_unimodular(seed=42, k=3, spread=2.0)
