@@ -125,7 +125,7 @@ def _kv_tokens(tokens, context: str) -> dict:
 def _num_list(text: str, context: str) -> tuple:
     try:
         return tuple(float(Fraction(tok)) for tok in text.split(",") if tok != "")
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ParameterError("%s: bad number list %r" % (context, text))
 
 

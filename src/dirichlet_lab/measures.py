@@ -136,6 +136,8 @@ class LebesgueBox:
             raise ParameterError("box corners must have equal positive length")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ParameterError("box must be nondegenerate (lower < upper)")
+        if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+            raise ParameterError("box corners and widths must be finite")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -163,11 +165,13 @@ class SelfSimilarIFS:
             raise ParameterError("IFS needs >= 2 aligned (ratio, translation, prob) triples")
         if not all(0.0 < r < 1.0 for r in ratios):
             raise ParameterError("contraction ratios must lie in (0,1)")
-        if any(p <= 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        if not (all(p > 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9):
             raise ParameterError("probabilities must be positive and sum to 1")
         dims = {len(t) for t in trans}
         if len(dims) != 1:
             raise ParameterError("translations must share one dimension")
+        if not all(map(math.isfinite, sum(trans, ()))):
+            raise ParameterError("translations must be finite")
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "translations", trans)
@@ -201,7 +205,15 @@ def sample(
     workers: int = 1,
     start: int = 0,
 ) -> np.ndarray:
-    """Stream positions start .. start + count - 1, shape (count, measure.d)."""
+    """Stream positions start .. start + count - 1, shape (count, measure.d).
+
+    Fixed like ``rng.BLOCK``: an IFS block of c points is one call
+    ``gen.random((c, depth))``, a digit counts the normalised cdf entries <= u
+    (as ``gen.choice`` does), and x -> r x + b multiplies, then adds, from the
+    deepest level up, starting at the deepest digit's fixed point so that an
+    eventually-constant address lands exactly on the attractor.  Changing any
+    of this changes every sampled IFS point.
+    """
     _check_sample(measure, count, depth)
     if isinstance(measure, LebesgueBox):
         lo = np.array(measure.lower)
@@ -213,21 +225,21 @@ def sample(
 
     elif isinstance(measure, SelfSimilarIFS):
         ratios = np.array(measure.ratios)
-        trans = np.array(measure.translations)
+        trans_t = np.array(measure.translations).T  # (d, maps)
         cdf = np.cumsum(measure.probs)
         cdf /= cdf[-1]  # as in gen.choice(len(ratios), size, p=probs): the same digits
-        # start at the fixed point of the deepest digit's map so an
-        # eventually-constant address lands exactly on the attractor
-        fixed = trans / (1.0 - ratios)[:, None]
+        fixed_t = trans_t / (1.0 - ratios)
+        zero = np.min_scalar_type(ratios.size - 1).type(0)  # uint8 digits up to 256 maps
         tag = _TAG_IFS_ADDRESS
 
         def draw(gen, c):
-            digits = cdf.searchsorted(gen.random((c, depth)), side="right")
-            x = fixed[digits[:, depth - 1]]
+            u = gen.random((c, depth))  # below cdf[-1] = 1, which never counts
+            digits = sum((u >= b for b in cdf[:-1]), zero).T.copy()  # (depth, c)
+            x = fixed_t.take(digits[depth - 1], axis=1)  # (d, c)
             for level in range(depth - 2, -1, -1):
-                a = digits[:, level]
-                x = ratios[a][:, None] * x + trans[a]
-            return x
+                a = digits[level]
+                x = ratios.take(a) * x + trans_t.take(a, axis=1)
+            return x.T
 
     else:
         raise ParameterError("unknown measure spec %r" % (measure,))

@@ -102,6 +102,11 @@ def test_parse_measure_lebesgue():
         parse_measure("lebesgue d=2 box=0,1")
     with pytest.raises(ParameterError):
         parse_measure("lebesgue d=1 box=0,1 extra=2")
+    # a number too large for a float once escaped as OverflowError
+    with pytest.raises(ParameterError, match="bad number list"):
+        parse_measure("lebesgue d=1 box=0,1e400")
+    with pytest.raises(ParameterError, match="finite"):
+        parse_measure("lebesgue d=1 box=-1e308,1e308")
 
 
 def test_parse_measure_ifs_matches_cantor():

@@ -22,6 +22,7 @@ from dirichlet_lab.measures import (
 
 LEB01 = LebesgueBox((0.0,), (1.0,))
 CANTOR = SelfSimilarIFS.cantor_middle_thirds()
+IFS2D = SelfSimilarIFS((0.5, 0.4, 0.3), ((0.0, 0.0), (0.5, 0.1), (0.2, 0.6)), (0.3, 0.3, 0.4))
 UNIT = Ball.interval(0.0, 1.0)
 
 
@@ -43,6 +44,13 @@ def test_box_validation():
         LebesgueBox((0.0,), (0.0,))
     with pytest.raises(ParameterError):
         LebesgueBox((0.0, 1.0), (1.0,))
+    # non-finite corners, and a width that overflows: sample once raised
+    # numpy's OverflowError on these
+    for lo, hi in (((0.0,), (math.inf,)), ((-math.inf,), (0.0,)), ((math.nan,), (1.0,)),
+                   ((0.0, -math.inf), (1.0, math.inf)), ((-1e308,), (1e308,))):
+        with pytest.raises(ParameterError):
+            LebesgueBox(lo, hi)
+    assert sample(LebesgueBox((-1e307,), (1e307,)), 0, 4).shape == (4, 1)
 
 
 def test_ifs_validation():
@@ -52,6 +60,16 @@ def test_ifs_validation():
         SelfSimilarIFS((0.5, 0.5), ((0.0,), (0.5,)), (0.7, 0.5))
     with pytest.raises(ParameterError):
         SelfSimilarIFS((0.5,), ((0.0,),), (1.0,))  # needs >= 2 maps
+    # a NaN or inf translation once sampled NaN or inf points, so an in-ball
+    # run drew 1000 x samples rows before giving up; a NaN probability
+    # once sampled only the first map
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="translations must be finite"):
+            SelfSimilarIFS((0.5, 0.5), ((bad,), (0.5,)), (0.5, 0.5))
+        with pytest.raises(ParameterError, match="translations must be finite"):
+            SelfSimilarIFS((0.5, 0.5), ((0.0, 0.0), (0.5, bad)), (0.5, 0.5))
+    with pytest.raises(ParameterError, match="probabilities"):
+        SelfSimilarIFS((0.5, 0.5), ((0.0,), (0.5,)), (math.nan, 0.5))
 
 
 # -- sampling ----------------------------------------------------------------
@@ -79,7 +97,7 @@ def test_cantor_samples_lie_on_the_attractor():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("measure", [LEB01, CANTOR], ids=["box", "cantor"])
+@pytest.mark.parametrize("measure", [LEB01, CANTOR, IFS2D], ids=["box", "cantor", "ifs2d"])
 def test_window_equals_the_slice_of_a_longer_run(measure, workers):
     # windows that start and end on, just before, just after and across
     # the 4096-point block edges
@@ -92,24 +110,79 @@ def test_window_equals_the_slice_of_a_longer_run(measure, workers):
         sample(measure, 11, 3, start=-1)
 
 
+def _untemper(y: int) -> int:
+    """The MT19937 state word that tempers to the output word y: the four
+    tempering steps undone in reverse order, a left or right shift-xor by
+    iterating it to its fixed point."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
+
+
+def _generator_of(doubles) -> np.random.Generator:
+    """A generator whose first random() doubles are ``doubles`` (at most 312
+    multiples of 2**-53): MT19937 makes a double of two 32-bit words, the
+    top 27 and 26 bits, and each word is a tempered state word."""
+    words = []
+    for u in doubles:
+        k = int(u * 2 ** 53)
+        words += [(k >> 26) << 5, (k & (2 ** 26 - 1)) << 6]
+    key = [_untemper(w) for w in words] + [0] * (624 - len(words))
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(key, dtype=np.uint32), "pos": 0}}
+    return np.random.Generator(bits)
+
+
 def test_ifs_digits_are_those_of_generator_choice(monkeypatch):
     # the digit draw must give the digits of gen.choice(len(ratios), size,
     # p=probs) and leave the generator in the same state; the maps' images
-    # of [0, 1] are disjoint, so equal points mean equal digits
-    ifs = SelfSimilarIFS((0.25, 0.3, 0.2), ((0.0,), (0.35,), (0.8,)), (0.2, 0.5, 0.3))
+    # of [0, 1]^d are disjoint, so equal points mean equal digits
+    shapes = [
+        ((0.25, 0.3, 0.2), ((0.0,), (0.35,), (0.8,)), (0.2, 0.5, 0.3)),
+        ((1 / 3, 1 / 3), ((0.0,), (2 / 3,)), (0.5, 0.5)),
+        ((0.4, 0.3), ((0.0, 0.1), (0.6, 0.65)), (0.7, 0.3)),
+        ((0.2, 0.3, 0.25, 0.1), ((0.0, 0.0), (0.65, 0.0), (0.0, 0.7), (0.8, 0.85)),
+         (0.25, 0.5, 0.125, 0.125)),
+        # cdf [0.5, 0.5, 1.0]: a tie, and the middle map is never drawn
+        ((0.3, 0.2, 0.25), ((0.0, 0.0, 0.0), (0.4, 0.1, 0.5), (0.7, 0.7, 0.7)),
+         (0.5, 1e-17, 0.5)),
+        ((0.2, 0.2, 0.2, 0.2), ((0.0, 0.0, 0.0), (0.7, 0.0, 0.3), (0.0, 0.75, 0.1),
+                                (0.5, 0.5, 0.8)), (0.1, 0.2, 0.3, 0.4)),
+    ]
     draws = []
     monkeypatch.setattr(measures._rng, "sample_batched", lambda draw, *a, **k: draws.append(draw))
-    depth = 7
-    sample(ifs, 0, 10, depth=depth)
-    ratios, trans = np.array(ifs.ratios), np.array(ifs.translations)
-    for seed in range(50):
-        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        digits = ref.choice(3, size=(300, depth), p=ifs.probs)
-        x = (trans / (1.0 - ratios)[:, None])[digits[:, -1]]
-        for level in range(depth - 2, -1, -1):
-            x = ratios[digits[:, level]][:, None] * x + trans[digits[:, level]]
-        np.testing.assert_array_equal(draws[0](gen, 300), x)
-        assert gen.random() == ref.random()
+    for ratios, trans, probs in shapes:
+        ifs = SelfSimilarIFS(ratios, trans, probs)
+        r, b = np.array(ratios), np.array(trans)
+        cdf = np.cumsum(probs) / np.cumsum(probs)[-1]  # normalised as gen.choice does
+        # every cdf entry that random() can return, and the draws 2**-53 apart
+        edges = [e + h for e in cdf[:-1] if e * 2 ** 53 == int(e * 2 ** 53)
+                 for h in (-2.0 ** -53, 0.0, 2.0 ** -53)]
+        for depth in (1, 2, 20):
+            draws.clear()
+            sample(ifs, 0, 10, depth=depth)
+            c = 300 // depth
+            gens = [(np.random.default_rng(seed), np.random.default_rng(seed))
+                    for seed in range(50)]
+            if edges:
+                u = (edges * c * depth)[:c * depth]
+                assert np.array_equal(_generator_of(u).random(c * depth), u)
+                gens.append((_generator_of(u), _generator_of(u)))
+            for gen, ref in gens:
+                digits = ref.choice(len(ratios), size=(c, depth), p=probs)
+                x = (b / (1.0 - r)[:, None])[digits[:, -1]]
+                for level in range(depth - 2, -1, -1):
+                    x = r[digits[:, level]][:, None] * x + b[digits[:, level]]
+                np.testing.assert_array_equal(draws[0](gen, c), x)
+                assert gen.random() == ref.random()
 
 
 def test_sample_rejects_bad_count():
