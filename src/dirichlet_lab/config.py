@@ -154,6 +154,11 @@ def parse_measure(decl: str) -> MeasureSpec:
             raise ParameterError("measure ifs takes ratios=, trans= and optional probs=")
         ratios = _num_list(kv["ratios"], "measure ifs")
         trans = _num_list(kv["trans"], "measure ifs")
+        d = len(trans) // max(len(ratios), 1)
+        if d < 1 or len(trans) != d * len(ratios):
+            raise ParameterError("measure ifs: trans needs d numbers per map, a multiple "
+                                 "of the %d ratios, got %d" % (len(ratios), len(trans)))
+        trans = [trans[i:i + d] for i in range(0, len(trans), d)]
         if "probs" in kv:
             probs = _num_list(kv["probs"], "measure ifs")
         else:

@@ -63,6 +63,8 @@ _TAG_HAAR = 47
 _TAG_TRANSLATE = 53
 # the Haar y-proposal is truncated here; HaarSampleK2 records the lost mass
 _HAAR_Y_MAX = 1.0e3
+# rows per step of haar_sample_k2; any size gives the same bits
+_HAAR_SLICE = _rng.BLOCK
 # q values per numpy step of the counterexample's near-vector scan
 _NEAR_VECTOR_CHUNK = 4096
 
@@ -310,7 +312,10 @@ def haar_sample_k2(seed: int, count: int) -> HaarSampleK2:
     exact 1/y^2 marginal on [sqrt(3)/2, y_max], rejection keeps the
     points above the unit circle, and an independent uniform rotation
     restores the full invariant measure.  Acceptance is decided in
-    stream order, so the output is reproducible.
+    stream order, so the output is reproducible.  The bases are built
+    _HAAR_SLICE rows at a time, so the working set is one slice beside the
+    output; each basis is its own 2x2 product, so the bits do not depend
+    on the slice size.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
@@ -335,19 +340,14 @@ def haar_sample_k2(seed: int, count: int) -> HaarSampleK2:
     x, y, theta = _rng.first_kept(window, above_circle, count).T
     # lattice of the modular point x + iy: periods (1, x + iy) / sqrt(y),
     # so the hyperbolic height is recoverable as 1 / |first column|^2
-    root = np.sqrt(y)
-    upper = np.zeros((count, 2, 2))
-    upper[:, 0, 0] = 1.0 / root
-    upper[:, 0, 1] = x / root
-    upper[:, 1, 1] = root
-    cos = np.cos(theta)
-    sin = np.sin(theta)
-    rot = np.zeros((count, 2, 2))
-    rot[:, 0, 0] = cos
-    rot[:, 0, 1] = -sin
-    rot[:, 1, 0] = sin
-    rot[:, 1, 1] = cos
-    return HaarSampleK2(rot @ upper, _HAAR_Y_MAX, truncated)
+    bases = np.empty((count, 2, 2))
+    for lo in range(0, count, _HAAR_SLICE):
+        s = slice(lo, lo + _HAAR_SLICE)
+        root, cos, sin = np.sqrt(y[s]), np.cos(theta[s]), np.sin(theta[s])
+        upper = np.stack([1.0 / root, x[s] / root, np.zeros_like(root), root], axis=1)
+        rot = np.stack([cos, -sin, sin, cos], axis=1)
+        np.matmul(rot.reshape(-1, 2, 2), upper.reshape(-1, 2, 2), out=bases[s])
+    return HaarSampleK2(bases, _HAAR_Y_MAX, truncated)
 
 
 @dataclass(frozen=True)

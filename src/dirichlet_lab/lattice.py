@@ -244,10 +244,13 @@ def _enumerate_shortest(B, U, node_cap):
     for part in range(-(-size // _BOX_SLICE)):
         C = _half_box(bounds, part)
         lengths = np.abs(_combine(B[:, :, None], C.T)).max(axis=0)
-        if lengths.min() < best_len:
-            best_len, ties = lengths.min(), []
+        least = lengths.min()
+        if least < best_len:
+            best_len, ties = least, []
         ties += C[lengths == best_len].astype(int).tolist()
-    return min(_canonical_coeffs(U.dot(np.array(c, dtype=object))) for c in ties)
+    rows = U.tolist()
+    return min(_canonical_coeffs([sum(map(operator.mul, row, c)) for row in rows])
+               for c in ties)
 
 
 def shortest_vector_supnorm(
@@ -406,9 +409,10 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
     is below 2, c was scanned; elsewhere exact enumeration decides.  At
     k = 2 the bound is at most sqrt(2) |u| |v| <= 1.64 for a reduced pair.
     Chunks of _CHUNK bases keep the arrays in cache.  With ordered sums and
-    per-basis steps, a value does not depend on the rest of the stack.
+    per-basis steps, a value does not depend on the rest of the stack.  The
+    stack is only read: it is never copied whole, nor written.
     """
-    B = np.array(bases, dtype=float)
+    B = np.asarray(bases, dtype=float)
     if not (B.ndim == 3 and B.shape[1] == B.shape[2] and 2 <= B.shape[1] <= MAX_DIM
             and np.all(np.isfinite(B))):
         raise ParameterError("expected finite bases of shape (N, k, k), 2 <= k <= %d, "
@@ -417,7 +421,7 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
         return np.concatenate([shortest_supnorm_batch(B[i:i + _CHUNK], cap)
                                for i in range(0, B.shape[0], _CHUNK)])
     k = B.shape[1]
-    R = _lll_batch(np.ascontiguousarray(B.transpose(1, 2, 0)))
+    R = _lll_batch(B.transpose(1, 2, 0).copy())
     lam = np.full(B.shape[0], math.inf)
     for c in _half_box((1,) * k, 0):
         np.minimum(lam, np.abs(_combine(R, c)).max(axis=0), out=lam)

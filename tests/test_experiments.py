@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from dirichlet_lab import experiments
+from dirichlet_lab import experiments, lattice
 from dirichlet_lab.errors import CapacityError, EmptySupportError, ParameterError
 from dirichlet_lab.experiments import (
     CounterexampleRecord,
@@ -299,6 +300,48 @@ def test_thick_mass_nonincreasing_in_eps():
 def test_haar_validation():
     with pytest.raises(ParameterError):
         haar_sample_k2(0, 0)
+
+
+def test_haar_slices_change_no_bit(monkeypatch):
+    # the reference builds rot @ upper on the whole stack of the same accepted rows
+    kept, first_kept = [], experiments._rng.first_kept
+    monkeypatch.setattr(experiments._rng, "first_kept",
+                        lambda *args: kept.append(first_kept(*args)) or kept[-1])
+    count = 2 * experiments._HAAR_SLICE + 7
+    got = haar_sample_k2(3, count).matrices
+    x, y, theta = kept[0].T
+    root, cos, sin = np.sqrt(y), np.cos(theta), np.sin(theta)
+    upper = np.zeros((count, 2, 2))
+    upper[:, 0, 0], upper[:, 0, 1], upper[:, 1, 1] = 1.0 / root, x / root, root
+    rot = np.zeros((count, 2, 2))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = cos, -sin, sin, cos
+    assert np.array_equal(got, rot @ upper)
+
+
+def test_equidist_report_does_not_depend_on_slice_sizes(monkeypatch):
+    args = ((0.0, 1.0), 0.0, 9.0, 0.5)
+    whole = equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5)
+    monkeypatch.setattr(experiments, "_HAAR_SLICE", 1000)
+    monkeypatch.setattr(lattice, "_CHUNK", 1000)
+    assert equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5) == whole
+
+
+def test_equidist_working_set_is_about_one_slice():
+    # Traced peak of one call at 100 000 samples.  Whole-stack Haar bases
+    # (rot, upper and their product at 3.2 MB each, beside the accepted
+    # rows) peaked at 14.5 MB.  Built slice by slice, the peak is 9.1 MB,
+    # in the kernel: the 3.2 MB Haar stack plus one chunk's working set.
+    # 11 MB leaves room for numpy versions and fails if any whole-stack
+    # temporary of 3.2 MB comes back.
+    args = ((0.0, 1.0), 0.0, 9.0, 0.5)
+    equidist_test_k2(*args, samples=100_000, seed=0)  # caches and imports
+    tracemalloc.start()
+    try:
+        equidist_test_k2(*args, samples=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2 ** 20
 
 
 def test_region_counts_count_the_trichotomy():

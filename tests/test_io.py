@@ -122,6 +122,15 @@ def test_parse_measure_ifs_matches_cantor():
         parse_measure("gaussian sigma=1")
 
 
+def test_parse_measure_ifs_in_the_plane():
+    # trans= lists d numbers per map, map by map
+    m = parse_measure("ifs ratios=1/2,2/5,3/10 trans=0,0,1/2,1/10,1/5,3/5")
+    assert m.d == 2
+    assert m.translations == ((0.0, 0.0), (0.5, 0.1), (0.2, 0.6))
+    with pytest.raises(ParameterError, match="multiple of the 3 ratios, got 5"):
+        parse_measure("ifs ratios=1/2,2/5,3/10 trans=0,0,1/2,1/10,1/5")
+
+
 def test_parse_map_veronese_and_poly():
     assert parse_map("veronese n=3") == MapSpec.veronese(3)
     p = parse_map("map_is_not_a_token")if False else parse_map(
@@ -327,6 +336,17 @@ def test_cli_dry_run_writes_nothing(rundir, capsys):
     assert code == 0
     assert "dry-run" in out and "[run]" in out
     assert not (rundir / "runs").exists()
+
+
+def test_cli_planar_ifs_dry_run_and_run(rundir, capsys):
+    argv = ["federer-test", "--measure", "ifs ratios=1/2,2/5,3/10 trans=0,0,1/2,1/10,1/5,3/5",
+            "--ball-center", "0.3,0.3", "--ball-radius", "0.5", "--samples", "2000",
+            "--ball-count", "20"]
+    assert main(argv + ["--dry-run"]) == 0
+    assert "trans=0,0,1/2,1/10,1/5,3/5" in capsys.readouterr().out
+    assert not (rundir / "runs").exists()
+    assert main(argv) == 0
+    assert (rundir / "runs" / "federer-test" / "report.jsonl").exists()
 
 
 def test_cli_constants_table(rundir, capsys):

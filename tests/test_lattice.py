@@ -357,6 +357,17 @@ def test_chunk_boundaries_do_not_change_the_values():
         assert np.array_equal(whole, np.concatenate(pieces))
 
 
+@pytest.mark.parametrize("t", [(9.0, 9.0), (10.0, 5.0, 5.0)])
+def test_batch_reads_a_read_only_stack(t):
+    rows = np.random.default_rng(4).random((lattice._CHUNK + 5, len(t) - 1))
+    S = flowed_bases(rows[:, None], WeightVector(1, len(t) - 1, t))
+    S.setflags(write=False)
+    before = S.copy()
+    got = shortest_supnorm_batch(S)
+    assert np.array_equal(got, shortest_supnorm_batch(S.copy()))
+    assert np.array_equal(S, before)
+
+
 def test_batch_without_a_certificate_falls_back_to_enumeration(monkeypatch):
     # the root lattice A_6 (Gram matrix 2 on the diagonal, -1 beside it) is
     # LLL-reduced as given, yet ||B^-1||_inf * L = 2.12 >= 2: no certificate
