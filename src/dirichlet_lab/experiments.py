@@ -9,7 +9,8 @@ Four studies live here, all built from the lattice/flow/measure layers:
   the hyperbolic fundamental domain gives an exact volume oracle;
 * the m = 2, n = 1 construction showing that along weight rays with a
   frozen first coordinate EVERY system of forms is eps-improvable for
-  suitable eps, so drifting away from the walls is genuinely needed;
+  suitable eps, so drifting away from the walls is genuinely needed
+  (checked one s at a time on the stack of all systems);
 * shortest-vector profiles along central rays of one-form systems
   (rational, golden ratio, near-Liouville), separating singular from
   badly approximable inputs.
@@ -19,14 +20,15 @@ binomial half-widths, and samples within the decision margin of an
 eps-threshold are excluded from fractions and counted separately.
 
 Escape, decay and equidist take lambda1 from lattice.shortest_supnorm_batch,
-whose float values lose about 2^-52 e^S at flow skew S; past
-flows.MAX_FLOW_SKEW they refuse to run (CapacityError).
+and the counterexample from lattice.shortest_with_region one lattice at a
+time.  Their float values lose about 2^-52 e^S at flow skew S; past
+flows.MAX_FLOW_SKEW all four refuse to run (CapacityError).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +67,10 @@ _TAG_TRANSLATE = 53
 _HAAR_Y_MAX = 1.0e3
 # rows per step of haar_sample_k2; any size gives the same bits
 _HAAR_SLICE = _rng.BLOCK
-# q values per numpy step of the counterexample's near-vector scan
+# q values and systems per numpy step of the counterexample's near-vector
+# scan; its working set is about one tile x chunk of doubles
 _NEAR_VECTOR_CHUNK = 4096
+_NEAR_VECTOR_TILE = 8
 
 
 def _region_counts(lam: np.ndarray, eps: float, margin: float) -> tuple:
@@ -464,13 +468,16 @@ class CounterexampleRecord:
     max_lambda1: float
 
     def to_records(self) -> list:
-        return [{"experiment": "no-drift-counterexample", "eps": self.eps, "u": self.u,
-                 **asdict(c)} for c in self.cases]
+        # vars(c) holds the case's fields in declaration order, as asdict
+        # would, without its recursive deep copy
+        head = {"experiment": "no-drift-counterexample", "eps": self.eps, "u": self.u}
+        return [{**head, **vars(c)} for c in self.cases]
 
 
 def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
     """(e^u, the weights (u, s, s + u) per s), once 0 < eps < 1,
-    1/eps^2 < e^u < 2 eps, every s > 0 and systems >= 1 are checked."""
+    1/eps^2 < e^u < 2 eps, every s > 0, systems >= 1 and each weight's flow
+    skew are checked."""
     if not (0.0 < eps < 1.0):
         raise ParameterError("eps must lie in (0, 1)")
     try:
@@ -487,32 +494,57 @@ def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
         raise ParameterError("s values must be positive")
     if systems < 1:
         raise ParameterError("systems must be >= 1")
-    return eu, tuple(WeightVector(2, 1, (u, s, s + u)) for s in s_list)
+    weights = tuple(WeightVector(2, 1, (u, s, s + u)) for s in s_list)
+    for t in weights:
+        _check_flow_skew(t)
+    return eu, weights
 
 
-def _near_vector(basis, y1: float, y2: float, s: float, u: float, eps: float) -> tuple:
-    """(q, distance) of the first q >= 1 with q e^-(s+u) < eps whose flowed
+def _near_vectors(bases: np.ndarray, Y: np.ndarray, s: float, u: float,
+                  eps: float) -> tuple:
+    """(q, distance) arrays: per system of the stack Y (N, 2, 1) with flowed
+    bases (N, 3, 3), the first q >= 1 with q e^-(s+u) < eps whose flowed
     lattice vector sits within sup-distance eps of e^u e_1, or (0, inf).
-    Numpy tests e^s |y2 q - rint(y2 q)| < eps on chunks of q; the q that
-    pass are checked in order in scalar arithmetic."""
+
+    The scan takes _NEAR_VECTOR_TILE systems and _NEAR_VECTOR_CHUNK values
+    of q at a time.  Numpy tests e^s |y2 q - rint(y2 q)| < eps on the whole
+    tile; the (system, q) pairs that pass are checked in q order per system,
+    each with its own 3x3 product, and a system leaves the tile once one
+    passes.  So the first passing q and its distance do not depend on the
+    tile or chunk size.
+    """
+    n = len(bases)
+    y1, y2 = Y[:, 0, 0], Y[:, 1, 0]
     grow2 = math.exp(s)
     shrink3 = math.exp(-(s + u))
     target = np.array([math.exp(u), 0.0, 0.0])
-    start = 1
-    while True:
-        qs = np.arange(start, start + _NEAR_VECTOR_CHUNK, dtype=float)
-        qs = qs[qs * shrink3 < eps]
-        r2 = y2 * qs
-        for q in qs[grow2 * np.abs(r2 - np.rint(r2)) < eps].astype(np.int64).tolist():
-            a2 = -round(y2 * q)
-            a1 = 1 - round(y1 * q)
-            v = basis.columns @ np.array([a1, a2, q], dtype=float)
-            dist = float(np.max(np.abs(v - target)))
-            if dist < eps:
-                return q, dist
-        if qs.size < _NEAR_VECTOR_CHUNK:
-            return 0, math.inf
-        start += _NEAR_VECTOR_CHUNK
+    found_q = np.zeros(n, dtype=np.int64)
+    found_dist = np.full(n, math.inf)
+    for lo in range(0, n, _NEAR_VECTOR_TILE):
+        active = np.arange(lo, min(lo + _NEAR_VECTOR_TILE, n))
+        start = 1
+        while active.size:
+            qs = np.arange(start, start + _NEAR_VECTOR_CHUNK, dtype=float)
+            qs = qs[qs * shrink3 < eps]
+            off = np.multiply.outer(y2[active], qs)
+            off -= np.rint(off)
+            np.abs(off, out=off)
+            off *= grow2
+            rows, cols = np.nonzero(off < eps)
+            system, q = active[rows], qs[cols]
+            coeff = np.stack([1.0 - np.rint(y1[system] * q), -np.rint(y2[system] * q), q], axis=1)
+            dist = np.max(np.abs(np.matmul(bases[system], coeff[..., None])[..., 0] - target),
+                          axis=1)
+            hits = np.flatnonzero(dist < eps)
+            # candidates run system by system, q ascending: keep each first hit
+            winners, first = np.unique(system[hits], return_index=True)
+            found_q[winners] = q[hits[first]]
+            found_dist[winners] = dist[hits[first]]
+            if qs.size < _NEAR_VECTOR_CHUNK:
+                break
+            active = active[found_q[active] == 0]
+            start += _NEAR_VECTOR_CHUNK
+    return found_q, found_dist
 
 
 def no_drift_counterexample(
@@ -536,41 +568,44 @@ def no_drift_counterexample(
     (c) implies (b) — the scan's vector differs from +-e^u e_1 by a
     lattice vector of length < eps — and that implication is asserted
     on every case.
+
+    The work runs one s at a time on the stack of all systems: (a) and (c)
+    on the flowed_bases stack, (b) lattice by lattice through flowed_basis
+    and shortest_with_region.  Cases are listed system by system, in s_list
+    order within a system.  The flow skew 2s + u must stay within
+    flows.MAX_FLOW_SKEW (s < about 11.8 in the window), or the run refuses
+    (CapacityError): past it the float lambda1 drifts from the exact
+    length of its own winner vector.
     """
     eu, weights = _counterexample_window(eps, u, s_list, systems)
-    cases = []
-    all_pass = True
-    max_lambda1 = 0.0
-    for index in range(systems):
-        Y = random_forms(seed + index, 2, 1, scale=3.0)
-        y1, y2 = (float(y) for y in Y.Y[:, 0])
-        for t in weights:
-            s = t.t[1]
-            basis = flowed_basis(Y, t)
-            target = np.array([eu, 0.0, 0.0])
-            coeff = np.linalg.solve(basis.columns, target)
-            coeff_int = np.rint(coeff).astype(np.int64)
-            residual = float(np.max(np.abs(basis.columns @ coeff_int - target)))
-            primitive_ok = (
-                residual <= 1e-9 * eu
-                and math.gcd(math.gcd(int(coeff_int[0]), int(coeff_int[1])),
-                             int(coeff_int[2])) == 1
+    forms = [random_forms(seed + index, 2, 1, scale=3.0) for index in range(systems)]
+    Y = np.stack([f.Y for f in forms])
+    target = np.array([eu, 0.0, 0.0])
+    by_s = []
+    for t in weights:
+        s = t.t[1]
+        bases = flowed_bases(Y, t)
+        # (a): the rounded float coefficients of e^u e_1 rebuild it within
+        # 1e-9 e^u and have gcd 1
+        coeff = np.rint(np.linalg.solve(bases, target)).astype(np.int64)
+        residual = np.max(np.abs(np.matmul(bases, coeff[..., None])[..., 0] - target), axis=1)
+        primitive = ((residual <= 1e-9 * eu) & (np.gcd.reduce(coeff, axis=1) == 1)).tolist()
+        lams = [shortest_with_region(flowed_basis(f, t), eps=eps)[0].length for f in forms]
+        found_q, found_dist = (a.tolist() for a in _near_vectors(bases, Y, s, u, eps))
+        by_s.append([CounterexampleCase(index, s, ok, lam, lam < eps, dist, q)
+                     for index, (ok, lam, dist, q)
+                     in enumerate(zip(primitive, lams, found_dist, found_q))])
+    cases = tuple(case for row in zip(*by_s) for case in row)
+    for c in cases:
+        if c.near_vector_q != 0 and c.lambda1 > c.near_vector_distance + 1e-9:
+            raise ParameterError(
+                "internal inconsistency: lambda1 %g exceeds witness distance %g"
+                % (c.lambda1, c.near_vector_distance)
             )
-            sv, _ = shortest_with_region(basis, eps=eps)
-            lam = sv.length
-            max_lambda1 = max(max_lambda1, lam)
-            found_q, found_dist = _near_vector(basis, y1, y2, s, u, eps)
-            ok = (primitive_ok and lam < eps and found_q != 0)
-            if found_q != 0 and lam > found_dist + 1e-9:
-                raise ParameterError(
-                    "internal inconsistency: lambda1 %g exceeds witness distance %g"
-                    % (lam, found_dist)
-                )
-            all_pass = all_pass and ok
-            cases.append(CounterexampleCase(index, s, primitive_ok, lam, lam < eps,
-                                            found_dist, found_q))
-    return CounterexampleRecord(eps, u, tuple(t.t[1] for t in weights), systems,
-                                tuple(cases), all_pass, max_lambda1)
+    all_pass = all(c.primitive_ok and c.lambda1_below_eps and c.near_vector_q != 0
+                   for c in cases)
+    return CounterexampleRecord(eps, u, tuple(t.t[1] for t in weights), systems, cases,
+                                all_pass, max([0.0] + [c.lambda1 for c in cases]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dirichlet_lab.experiments import (
     CounterexampleRecord,
     _collect_in_ball,
     _lambda1_rows_batch,
-    _near_vector,
+    _near_vectors,
     _region_counts,
     equidist_test_k2,
     escape_table,
@@ -30,6 +30,7 @@ from dirichlet_lab.config import parse_map
 from dirichlet_lab.flows import (
     LinearFormSystem,
     WeightVector,
+    flowed_bases,
     flowed_basis,
     golden_system,
     liouville_system,
@@ -39,7 +40,7 @@ from dirichlet_lab.lattice import ThickRegion, shortest_vector_supnorm, trichoto
 from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS, sample
 from dirichlet_lab.rng import BLOCK
 
-from oracles import near_vector_scan
+from oracles import counterexample_cases, near_vector_scan
 
 V2 = MapSpec.veronese(2)
 LEB01 = LebesgueBox((0.0,), (1.0,))
@@ -450,38 +451,85 @@ def test_counterexample_fixed_vector_coefficients():
     assert np.allclose(coeff, [1.0, 0.0, 0.0], atol=1e-12)
 
 
-def _near_vector_cases():
+def _near_vector_stacks():
+    """(systems, s, u) groups, each scanned as one stack."""
     u = math.log(1.5)
-    for index in range(50):
-        Y = random_forms(index, 2, 1, scale=3.0)
-        for s in range(3, 13):
-            yield flowed_basis(Y, WeightVector(2, 1, (u, s, s + u))), Y, s, u
+    forms = [random_forms(index, 2, 1, scale=3.0) for index in range(50)]
+    for s in range(3, 13):
+        yield forms, s, u
     # outside the window: no q at all (0.9 e^0.1 < 1); q up to 6 but none
     # close enough in the second coordinate; e^u > 2 eps, so the first
     # coordinate rejects some q that pass the second
     for y, s, u in (((0.4, 0.29), 0.05, 0.05), ((0.4, 0.29), 2.0, 0.05),
                     ((0.4, 0.21), 3.0, 1.2)):
-        Y = LinearFormSystem(np.array([[y[0]], [y[1]]]))
-        yield flowed_basis(Y, WeightVector(2, 1, (u, s, s + u))), Y, s, u
+        yield [LinearFormSystem(np.array([[y[0]], [y[1]]]))], s, u
 
 
 def test_near_vector_scan_matches_the_scalar_loop(monkeypatch):
     eps = 0.9
     found = []
-    for basis, Y, s, u in _near_vector_cases():
-        y1, y2 = float(Y.Y[0, 0]), float(Y.Y[1, 0])
-        expected = near_vector_scan(basis, y1, y2, s, u, eps)
-        assert _near_vector(basis, y1, y2, s, u, eps) == expected
-        found.append(expected[0])
-        if expected[0] <= 2000:
-            # chunks of 7 put chunk boundaries inside the scan
-            with monkeypatch.context() as m:
-                m.setattr(experiments, "_NEAR_VECTOR_CHUNK", 7)
-                assert _near_vector(basis, y1, y2, s, u, eps) == expected
+    for forms, s, u in _near_vector_stacks():
+        t = WeightVector(2, 1, (u, s, s + u))
+        Y = np.stack([f.Y for f in forms])
+        bases = flowed_bases(Y, t)
+        expected = [near_vector_scan(flowed_basis(f, t), float(f.Y[0, 0]), float(f.Y[1, 0]),
+                                     s, u, eps) for f in forms]
+        q, dist = _near_vectors(bases, Y, s, u, eps)
+        assert list(zip(q.tolist(), dist.tolist())) == expected
+        found.extend(e[0] for e in expected)
+        # chunks of 7 and tiles of 3 put chunk and tile boundaries inside
+        # the scan; the stack keeps the systems whose scan ends by q = 2000
+        near = [i for i, e in enumerate(expected) if e[0] <= 2000]
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_NEAR_VECTOR_CHUNK", 7)
+            m.setattr(experiments, "_NEAR_VECTOR_TILE", 3)
+            q, dist = _near_vectors(bases[near], Y[near], s, u, eps)
+        assert list(zip(q.tolist(), dist.tolist())) == [expected[i] for i in near]
     assert found[-3:-1] == [0, 0]
     q = np.arange(1, found[-1])
     assert np.any(math.exp(3.0) * np.abs(0.21 * q - np.rint(0.21 * q)) < eps)
     assert max(found) > experiments._NEAR_VECTOR_CHUNK
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_counterexample_matches_the_per_case_loop(seed):
+    u = math.log(1.5)
+    s_list = tuple(range(3, 12))
+    rec = no_drift_counterexample(0.9, u, s_list, systems=30, seed=seed)
+    cases, all_pass, max_lambda1 = counterexample_cases(0.9, u, s_list, 30, seed)
+    assert [asdict(c) for c in rec.cases] == cases
+    assert (rec.all_pass, rec.max_lambda1) == (all_pass, max_lambda1)
+    head = {"experiment": "no-drift-counterexample", "eps": 0.9, "u": u}
+    records = rec.to_records()
+    assert records == [{**head, **asdict(c)} for c in rec.cases]
+    # the key order is the report's byte order
+    assert all(list(r) == list(head) + list(c) for r, c in zip(records, cases))
+
+
+def test_counterexample_refuses_past_the_precision_cap():
+    # flow skew max(u, s) + s + u: 24.4 at s = 12 passes the cap of 24,
+    # 23.9 at s = 11.5 stays under it
+    u = math.log(1.5)
+    with pytest.raises(CapacityError, match="precision cap"):
+        no_drift_counterexample(0.9, u, [3.0, 12.0], systems=1)
+    assert no_drift_counterexample(0.9, u, [11.5], systems=2).all_pass
+
+
+def test_counterexample_working_set_is_about_one_tile():
+    # Traced peak of one call with 200 systems at s = 3..8, where each
+    # scan is one chunk of 4096 q.  Tiles of 8 systems peak at 0.7 MB, the
+    # per-case scan at 0.4 MB; one untiled 200 x 4096 scan peaks at
+    # 12.5 MB.  1.5 MB leaves room for numpy versions and fails if the
+    # scan's working set grows past a few tiles.
+    args = (0.9, math.log(1.5), (3, 4, 5, 6, 7, 8))
+    no_drift_counterexample(*args, systems=200)  # caches and imports
+    tracemalloc.start()
+    try:
+        no_drift_counterexample(*args, systems=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

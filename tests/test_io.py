@@ -519,6 +519,8 @@ def _on_cantor(argv):
     (["good-test"] + _GOOD_FLAGS + ["--alpha", "0.5", "--eps", "nan"], 2),
     (["federer-test"] + _GOOD_FLAGS[2:] + ["--center-fraction", "-1"], 2),
     (["federer-test"] + _GOOD_FLAGS[2:] + ["--center-fraction", "nan"], 2),
+    (_COUNTEREXAMPLE + ["--s", "3,12"], 3),
+    (_COUNTEREXAMPLE + ["--s", "3,12", "--dry-run"], 3),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -540,7 +542,8 @@ def _on_cantor(argv):
         "equidist-infinite-y0", "escape-nan-ball-center", "trajectory-over-max-dim",
         "di-over-max-dim", "trajectory-past-precision-cap", "di-past-precision-cap",
         "good-test-nan-eps", "federer-negative-center-fraction",
-        "federer-nan-center-fraction"])
+        "federer-nan-center-fraction", "counterexample-past-precision-cap",
+        "counterexample-past-precision-cap-dry-run"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same first error line
