@@ -412,10 +412,11 @@ def _cmd_ba(v):
 
 
 def _cmd_constants(v):
+    registry = epsilon0_registry(v.max_n)
     yield
     records = [
         {"name": name, "value": value, "source": source}
-        for name, (value, source) in epsilon0_registry(v.max_n).items()
+        for name, (value, source) in registry.items()
     ]
     width = max(len(r["name"]) for r in records)
     lines = ["%-*s  %-12.6g  %s" % (width, r["name"], r["value"], r["source"])

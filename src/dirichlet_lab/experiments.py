@@ -393,8 +393,9 @@ def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples
     lo, hi = (float(x) for x in interval)
     if not lo < hi:
         raise ParameterError("interval needs lo < hi")
-    if not all(map(math.isfinite, (lo, hi, y0))):
-        raise ParameterError("interval and y0 must be finite")
+    if not all(map(math.isfinite, (lo, hi, y0, hi - lo, lo + y0, hi + y0))):
+        raise ParameterError("interval, y0, hi - lo and the translates lo + y0, hi + y0 "
+                             "must be finite")
     if not (0.0 < eps < 1.0):
         raise ParameterError("eps must lie in (0, 1)")
     if flow_time <= 0:

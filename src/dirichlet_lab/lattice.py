@@ -3,11 +3,13 @@
 The whole package measures lattices with the sup norm: the membership
 question "does the lattice contain a nonzero vector shorter than eps"
 drives every solvability routine.  The shortest-vector computation is a
-floating-point basis reduction (preconditioner only) on Python floats,
-with the change of basis in exact Python integers, followed by an exact
-scan of the box of integer coefficients that the inverse of the reduced
-basis proves sufficient, so the returned minimum is certified up to
-double-precision evaluation of the candidate norms.
+basis reduction that returns only its change of basis T, in exact Python
+integers (its float columns are a preconditioner and stay inside it),
+followed by an exact scan of the box of integer coefficients that the
+inverse of the reduced columns proves sufficient.  The scan rebuilds those
+columns from the input as input . T with ordered sums, as the batch kernel
+does, so the returned minimum is certified up to double-precision
+evaluation of the candidate norms.
 
 Stacks of lattices go through the one batch kernel shortest_supnorm_batch,
 which certifies with the same bound and falls back to that exact route
@@ -84,21 +86,7 @@ class ShortestVectorResult:
     """Certified sup-norm minimum over nonzero integer combinations."""
 
     coeffs: tuple[int, ...]
-    image: np.ndarray
     length: float
-
-
-@dataclass(frozen=True, eq=False)
-class BasisReduction:
-    """Reduced basis plus the exact integer change of basis.
-
-    ``reduced.columns == original.columns @ transform`` up to float
-    rounding; ``transform`` is integer with determinant +1, so the
-    lattice is preserved and the reduction is auditable.
-    """
-
-    reduced: LatticeBasis
-    transform: np.ndarray
 
 
 class ThickRegion(enum.Enum):
@@ -110,31 +98,6 @@ class ThickRegion(enum.Enum):
 
 
 _REGIONS = np.array([ThickRegion.OUTSIDE, ThickRegion.BOUNDARY, ThickRegion.INSIDE], dtype=object)
-
-
-def integer_det(M) -> int:
-    """Exact determinant of a small integer matrix (fraction-free Bareiss)."""
-    A = [[int(x) for x in row] for row in M]
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ParameterError("integer_det needs a square matrix")
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if A[i][i] == 0:
-            for r in range(i + 1, n):
-                if A[r][i] != 0:
-                    A[i], A[r] = A[r], A[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                A[r][c] = (A[r][c] * A[i][i] - A[r][i] * A[i][c]) // prev
-            A[r][i] = 0
-        prev = A[i][i]
-    return sign * A[n - 1][n - 1]
 
 
 def _gram_schmidt(cols):
@@ -155,20 +118,24 @@ def _gram_schmidt(cols):
     return mu, norms2
 
 
-def reduce_basis(basis: LatticeBasis) -> BasisReduction:
-    """LLL-style reduction of the columns, tracking the integer transform.
+def reduce_basis(basis: LatticeBasis) -> np.ndarray:
+    """LLL-style reduction of the columns; returns only the change of basis T.
 
-    The float basis is only a preconditioner for enumeration, but the
-    transform is kept in exact Python integers (entries can exceed
-    int64 for very skewed bases), so the original lattice is provably
-    preserved.  The k <= MAX_DIM columns are lists of Python floats; one
-    Gram-Schmidt runs per step, and size reduction updates mu in place.
+    T is a k x k object array of exact Python integers (entries can exceed
+    int64 for very skewed bases) whose column j holds the coefficients of
+    reduced column j in the input basis, with det T = +1: size reduction is
+    an integer shear and each swap negates the determinant, so after an odd
+    number of swaps the last column is negated.  The k <= MAX_DIM float
+    columns are lists of Python floats and only a preconditioner: they pile
+    up the rounding of the column operations, so callers rebuild the reduced
+    columns from the input, as _enumerate_shortest does.  One Gram-Schmidt
+    runs per step, and size reduction updates mu in place.
     """
     k = basis.k
     B = basis.columns.T.tolist()  # B[j] is column j
     T = [[int(r == j) for r in range(k)] for j in range(k)]  # T[j]: coefficients of B[j]
 
-    iters = 0
+    iters = swaps = 0
     i = 1
     while i < k:
         iters += 1
@@ -188,18 +155,11 @@ def reduce_basis(basis: LatticeBasis) -> BasisReduction:
         else:
             B[i - 1], B[i] = B[i], B[i - 1]
             T[i - 1], T[i] = T[i], T[i - 1]
+            swaps += 1
             i = max(i - 1, 1)
-
-    detU = integer_det(T)
-    if detU not in (1, -1):
-        raise DegenerateBasisError("reduction transform determinant %d, expected +-1" % detU)
-    if detU == -1:
-        # keep orientation so the result is a valid LatticeBasis
-        B[k - 1] = [-x for x in B[k - 1]]
+    if swaps % 2:
         T[k - 1] = [-x for x in T[k - 1]]
-
-    transform = np.array(T, dtype=object).T.copy()
-    return BasisReduction(reduced=LatticeBasis(np.array(B).T), transform=transform)
+    return np.array(T, dtype=object).T.copy()
 
 
 def _canonical_coeffs(c):
@@ -221,25 +181,31 @@ def _half_box(bounds: tuple, part: int) -> np.ndarray:
     return box
 
 
-def _enumerate_shortest(B, U, node_cap):
-    """Exact scan of a box of integer coefficients c of the reduced columns B;
-    returns the winner's sign-canonical coefficients in the original basis, U @ c.
+def _enumerate_shortest(A, U):
+    """Exact scan of a box of integer coefficients c of the reduced columns
+    B = A U, A the input columns and U = reduce_basis's transform; returns the
+    winner's sign-canonical coefficients in the input basis, U @ c.
 
-    With L the least sup norm of a column and d_i the rows of B^-1, a vector
-    v = B c with |v|_inf <= L has |c_i| = |d_i . v| <= |d_i|_1 L (the batch
-    kernel's bound, row by row): the box |c_i| <= floor(|d_i|_1 L) holds every
-    vector as short as that column.  _BOX_SLACK covers the rounding of B^-1,
-    of order k cond(B) 2^-53.  The half box (c and -c have one length) is
-    scanned in slices: at most _BOX_CACHE + 1 slices of _BOX_SLICE x k floats
-    (13 MB at k = 6) are held whatever the box size.  Past node_cap candidates,
-    CapacityError.  Ties go to the lexicographically least of those coefficients.
+    B is rebuilt from A as _lll_batch builds its output, column j the ordered
+    sum of A[:, c] U[c, j] over c (_combine), so no rounding of the
+    reduction's column operations reaches the ranking.  With L the least sup
+    norm of a column and d_i the rows of B^-1, a vector v = B c with
+    |v|_inf <= L has |c_i| = |d_i . v| <= |d_i|_1 L (the batch kernel's bound,
+    row by row): the box |c_i| <= floor(|d_i|_1 L) holds every vector as short
+    as that column.  _BOX_SLACK covers the rounding of B^-1, of order
+    k cond(B) 2^-53.  The half box (c and -c have one length) is scanned in
+    slices: at most _BOX_CACHE + 1 slices of _BOX_SLICE x k floats (13 MB at
+    k = 6) are held whatever the box size.  Past NODE_CAP candidates,
+    CapacityError.  Ties go to the lexicographically least of those
+    coefficients.
     """
+    B = _combine(A[:, :, None], U.astype(float))
     L = np.abs(B).max(axis=0).min()
     row_norms = np.abs(np.linalg.inv(B)).sum(axis=1)
     bounds = tuple(int(x) for x in row_norms * L * (1.0 + _BOX_SLACK))
     size = math.prod(2 * b + 1 for b in bounds) // 2
-    if size > node_cap:
-        raise CapacityError("shortest-vector enumeration exceeded node cap %d" % node_cap)
+    if size > NODE_CAP:
+        raise CapacityError("shortest-vector enumeration exceeded node cap %d" % NODE_CAP)
     best_len, ties = math.inf, []
     for part in range(-(-size // _BOX_SLICE)):
         C = _half_box(bounds, part)
@@ -253,15 +219,11 @@ def _enumerate_shortest(B, U, node_cap):
                for c in ties)
 
 
-def shortest_vector_supnorm(
-    basis: LatticeBasis,
-    node_cap: int = NODE_CAP,
-) -> ShortestVectorResult:
+def shortest_vector_supnorm(basis: LatticeBasis) -> ShortestVectorResult:
     """Globally minimal nonzero lattice vector in the sup norm."""
-    red = reduce_basis(basis)
-    coeffs = _enumerate_shortest(red.reduced.columns, red.transform, node_cap)
-    image = basis.columns @ np.array(coeffs, dtype=float)
-    return ShortestVectorResult(coeffs, image, float(np.max(np.abs(image))))
+    coeffs = _enumerate_shortest(basis.columns, reduce_basis(basis))
+    length = np.abs(basis.columns @ np.array(coeffs, dtype=float)).max()
+    return ShortestVectorResult(coeffs, float(length))
 
 
 def _check_margin(margin: float) -> None:

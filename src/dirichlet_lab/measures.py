@@ -22,13 +22,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as _rng
-from .errors import EmptySupportError, ParameterError
+from .errors import CapacityError, EmptySupportError, ParameterError
 
 _TAG_BOX = 31
 _TAG_IFS_ADDRESS = 37
 _TAG_BALL_GEOMETRY = 41
 
 DEFAULT_IFS_DEPTH = 20
+# deepest IFS address whose one-block draw gen.random((rng.BLOCK, depth)) fits 128 MB
+MAX_IFS_DEPTH = 128 * 2 ** 20 // (8 * _rng.BLOCK)
 NONPLANAR_SVD_FLOOR = 1e-8
 
 # z-value for the reported ~95% binomial half-widths
@@ -193,8 +195,12 @@ def _check_sample(measure: MeasureSpec, count: int, depth: int, least: int = 1) 
     at least ``least`` points."""
     if count < least:
         raise ParameterError("count must be >= %d" % least)
-    if isinstance(measure, SelfSimilarIFS) and depth < 1:
-        raise ParameterError("depth must be >= 1")
+    if isinstance(measure, SelfSimilarIFS):
+        if depth < 1:
+            raise ParameterError("depth must be >= 1")
+        if depth > MAX_IFS_DEPTH:
+            raise CapacityError("IFS depth %d exceeds the cap %d (one block of addresses "
+                                "within 128 MB)" % (depth, MAX_IFS_DEPTH))
 
 
 def sample(
@@ -500,10 +506,16 @@ def nonplanar_test(
 
 
 def nondivergence_veronese(n: int) -> float:
-    """Improvability threshold for (x, ..., x^n) from the nondivergence route."""
+    """Improvability threshold for (x, ..., x^n) from the nondivergence route;
+    ParameterError where it is below the least normal double (n >= 30)."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    return 1.0 / (n ** n * (n + 1) ** 2 * 2 ** (n * n + n))
+    # from n = 32 on, 2^(n^2 + n) alone passes 2^1022: n^n is never formed
+    denominator = n ** n * (n + 1) ** 2 * 2 ** (n * n + n) if n < 32 else math.inf
+    if denominator > 2 ** 1022:
+        raise ParameterError("nondivergence_veronese(n=%d) is below the least normal "
+                             "double" % n)
+    return 1.0 / denominator
 
 
 def drv_manifolds(n: int) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +37,22 @@ def brute_force_shortest_supnorm(columns, coeff_bound: int = 25):
             c = tuple(-x for x in c)
         cands.append(c)
     return min(cands), best
+
+
+def integer_det(M) -> int:
+    """Exact determinant of a small integer matrix, by cofactor expansion
+    along the first row."""
+    A = [[int(x) for x in row] for row in M]
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * integer_det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j in range(len(A)) if A[0][j])
+
+
+def exact_supnorm(columns, coeffs) -> Fraction:
+    """Sup norm of columns @ coeffs, summed exactly over the float entries."""
+    return max(abs(sum(Fraction(float(a)) * int(c) for a, c in zip(row, coeffs)))
+               for row in np.asarray(columns, dtype=float))
 
 
 def wedge_coordinates(vectors):

@@ -521,6 +521,11 @@ def _on_cantor(argv):
     (["federer-test"] + _GOOD_FLAGS[2:] + ["--center-fraction", "nan"], 2),
     (_COUNTEREXAMPLE + ["--s", "3,12"], 3),
     (_COUNTEREXAMPLE + ["--s", "3,12", "--dry-run"], 3),
+    (["equidist", "--interval=-1e308,1e308", "--flow-time", "2", "--eps", "0.5"], 2),
+    (["equidist", "--interval", "0,1e308", "--y0", "1e308", "--flow-time", "2",
+      "--eps", "0.5"], 2),
+    (["constants", "--max-n", "30"], 2),
+    (_on_cantor(["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--depth", "1000000000"]), 3),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -543,7 +548,9 @@ def _on_cantor(argv):
         "di-over-max-dim", "trajectory-past-precision-cap", "di-past-precision-cap",
         "good-test-nan-eps", "federer-negative-center-fraction",
         "federer-nan-center-fraction", "counterexample-past-precision-cap",
-        "counterexample-past-precision-cap-dry-run"])
+        "counterexample-past-precision-cap-dry-run", "equidist-interval-width-overflow",
+        "equidist-translate-overflow", "constants-threshold-underflow",
+        "escape-ifs-depth-over-cap"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same first error line

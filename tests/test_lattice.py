@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from dirichlet_lab.flows import WeightVector, flowed_bases, flowed_basis, random
 from dirichlet_lab.lattice import (
     LatticeBasis,
     ThickRegion,
-    integer_det,
     random_unimodular,
     reduce_basis,
     shortest_supnorm_batch,
@@ -19,7 +19,16 @@ from dirichlet_lab.lattice import (
     trichotomy,
 )
 
-from oracles import brute_force_shortest_supnorm
+from oracles import brute_force_shortest_supnorm, exact_supnorm, integer_det
+
+
+def _reduced(basis):
+    """reduce_basis's transform T, checked to be integer with det +1, and the
+    reduced columns basis.columns @ T."""
+    T = reduce_basis(basis)
+    assert all(isinstance(x, int) for x in T.flat)
+    assert integer_det(T) == 1
+    return T, basis.columns @ T.astype(float)
 
 
 def test_rejects_non_unimodular():
@@ -40,27 +49,26 @@ def test_rejects_tiny_and_huge_dimensions():
 
 
 def test_reduce_identity_is_identity():
-    red = reduce_basis(LatticeBasis(np.eye(3)))
-    np.testing.assert_allclose(red.reduced.columns, np.eye(3))
-    assert integer_det(red.transform) == 1
+    T, reduced = _reduced(LatticeBasis(np.eye(3)))
+    assert T.tolist() == np.eye(3, dtype=int).tolist()
+    np.testing.assert_array_equal(reduced, np.eye(3))
 
 
 def test_reduce_shear_example():
     basis = LatticeBasis(np.array([[1.0, 10.0], [0.0, 1.0]]))
-    red = reduce_basis(basis)
-    got = np.abs(red.reduced.columns)
+    _, reduced = _reduced(basis)
+    got = np.abs(reduced)
     np.testing.assert_allclose(np.sort(got.sum(axis=0)), [1.0, 1.0])
     np.testing.assert_allclose(got.max(axis=0), [1.0, 1.0])
 
 
 def test_reduce_preserves_lattice_seed7():
     basis = random_unimodular(seed=7, k=3, spread=3.0)
-    red = reduce_basis(basis)
-    # transform must be exactly integer, det +1, and reproduce the columns
-    T = np.array([[float(x) for x in row] for row in red.transform])
-    np.testing.assert_allclose(basis.columns @ T, red.reduced.columns,
-                               rtol=0, atol=1e-9)
-    assert integer_det(red.transform) == 1
+    # the transform is exactly integer with det +1, and it reduces: the
+    # reduced columns are no longer than the input's
+    T, reduced = _reduced(basis)
+    assert np.abs(reduced).max() < np.abs(basis.columns).max()
+    assert np.abs(T).max() > 1
 
 
 def test_shortest_standard_basis():
@@ -99,9 +107,9 @@ def test_box_scan_matches_brute_force_in_higher_dimensions(k, bound):
     # minimizer's coefficients are small, and maps back through the transform
     for seed in range(12):
         basis = random_unimodular(seed=seed, k=k, spread=1.0)
-        red = reduce_basis(basis)
-        coeffs, length = brute_force_shortest_supnorm(red.reduced.columns, coeff_bound=bound)
-        orig = red.transform.dot(np.array(coeffs, dtype=object))
+        T, reduced = _reduced(basis)
+        coeffs, length = brute_force_shortest_supnorm(reduced, coeff_bound=bound)
+        orig = T.dot(np.array(coeffs, dtype=object))
         first = next(x for x in orig if x != 0)
         sv = shortest_vector_supnorm(basis)
         assert sv.coeffs == tuple(int(x) if first > 0 else -int(x) for x in orig)
@@ -142,8 +150,7 @@ def test_box_scan_finds_the_minimum_of_root_lattices():
     # root lattices have many minimal vectors of one length: the scan must
     # reach the same minimum as a full scan of the reduced coefficients
     for basis in map(LatticeBasis, _root_lattices()):
-        red = reduce_basis(basis)
-        _, length = brute_force_shortest_supnorm(red.reduced.columns, coeff_bound=2)
+        _, length = brute_force_shortest_supnorm(_reduced(basis)[1], coeff_bound=2)
         sv = shortest_vector_supnorm(basis)
         assert sv.length == pytest.approx(length, rel=1e-12)
         assert np.max(np.abs(basis.columns @ np.array(sv.coeffs, dtype=float))) == sv.length
@@ -219,10 +226,11 @@ def test_trichotomy_edges():
         trichotomy(0.3, eps, -1e-9)
 
 
-def test_node_cap_raises_capacity_error():
+def test_node_cap_raises_capacity_error(monkeypatch):
     basis = random_unimodular(seed=3, k=4, spread=2.0)
+    monkeypatch.setattr(lattice, "NODE_CAP", 2)
     with pytest.raises(CapacityError):
-        shortest_vector_supnorm(basis, node_cap=2)
+        shortest_vector_supnorm(basis)
 
 
 def test_random_unimodular_deterministic_and_tight():
@@ -260,14 +268,9 @@ def _reduction_cases():
 
 def test_reduction_is_lll_reduced_by_an_exact_unimodular_transform():
     for basis in _reduction_cases():
-        red = reduce_basis(basis)
-        assert all(isinstance(x, int) for x in red.transform.flat)
-        assert integer_det(red.transform) == 1
-        T = red.transform.astype(float)
-        np.testing.assert_allclose(basis.columns @ T, red.reduced.columns, rtol=1e-9,
-                                   atol=1e-9 * np.abs(basis.columns).max())
-        # the batch reduction returns its reduced columns only
-        for R in (red.reduced.columns, lattice._lll_batch(basis.columns[:, :, None])[:, :, 0]):
+        # the scalar reduction returns its transform, the batch reduction its
+        # reduced columns only
+        for R in (_reduced(basis)[1], lattice._lll_batch(basis.columns[:, :, None])[:, :, 0]):
             # Gram-Schmidt from a QR factorization: b*_i has length |r_ii|,
             # mu_ij = r_ji / r_jj
             r = np.linalg.qr(R, mode="r")
@@ -284,14 +287,14 @@ def test_counterexample_lattices_match_brute_force():
     # the brute-force scan runs over the reduced basis, whose coefficients
     # are small, and maps its minimizer back through the exact transform
     for basis in _counterexample_bases():
-        red = reduce_basis(basis)
-        coeffs, length = brute_force_shortest_supnorm(red.reduced.columns, coeff_bound=6)
+        T, reduced = _reduced(basis)
+        coeffs, length = brute_force_shortest_supnorm(reduced, coeff_bound=6)
         sv = shortest_vector_supnorm(basis)
-        orig = red.transform.dot(np.array(coeffs, dtype=object))
+        orig = T.dot(np.array(coeffs, dtype=object))
         first = next(x for x in orig if x != 0)
         assert sv.coeffs == tuple(int(x) if first > 0 else -int(x) for x in orig)
-        # the reduced columns carry the rounding of the column operations
-        assert sv.length == pytest.approx(length, rel=1e-6)
+        # both lengths are sums over the input columns, in different orders
+        assert sv.length == pytest.approx(length, rel=1e-12)
 
 
 def test_random_unimodular_all_distinct():
@@ -299,9 +302,8 @@ def test_random_unimodular_all_distinct():
     seen = {}
     for seed in range(1000):
         basis = random_unimodular(seed=seed, k=2, spread=1.0)
-        red = reduce_basis(basis).reduced.columns
         cols = sorted(tuple(np.round(col * np.sign(col[np.argmax(np.abs(col))]), 9))
-                      for col in red.T)
+                      for col in _reduced(basis)[1].T)
         key = tuple(cols)
         assert key not in seen, "seeds %d and %d gave the same lattice" % (seen.get(key, -1), seed)
         seen[key] = seed
@@ -400,3 +402,47 @@ def test_batch_rejects_bad_stacks():
             shortest_supnorm_batch(bad)
     with pytest.raises(ParameterError):
         shortest_supnorm_k2_batch(np.tile(np.eye(3), (2, 1, 1)))
+
+
+def test_ties_are_ranked_in_the_input_basis_not_in_drifted_columns():
+    # two vectors of exactly one length over the float basis; reduced
+    # columns carried through the float column operations split the tie
+    # and picked (76, 29, -29)
+    basis = flowed_basis(random_forms(18, 1, 2), WeightVector(1, 2, (8.0, 4.0, 4.0)))
+    sv = shortest_vector_supnorm(basis)
+    assert sv.coeffs == (12, 29, 4)
+    assert exact_supnorm(basis.columns, (12, 29, 4)) == exact_supnorm(basis.columns,
+                                                                     (76, 29, -29))
+
+
+def _skewed_flowed_bases():
+    """Forms lattices at k = 3..5 under central weights of skew 12..24.  At
+    skew 12, seed 18 at (m, n) = (1, 2) and seed 16 at (1, 4) hold exact ties
+    that reduced columns carried through float column operations split."""
+    for m, n in ((1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4), (2, 3)):
+        for skew in (12.0, 16.0, 20.0, 24.0):
+            s = skew / (1.0 / m + 1.0 / n)
+            t = WeightVector(m, n, (s / m,) * m + (s / n,) * n)
+            for seed in range(16, 19):
+                yield flowed_basis(random_forms(seed, m, n), t)
+
+
+def test_winner_is_exactly_least_in_its_certified_box():
+    # every candidate of a box at least as large as the one the scan
+    # certifies, measured with exact sums over the float basis: none is
+    # shorter than the winner, and the winner is the least sign-canonical
+    # coefficient vector among those of its length
+    for basis in _skewed_flowed_bases():
+        T, reduced = _reduced(basis)
+        sv = shortest_vector_supnorm(basis)
+        best = exact_supnorm(basis.columns, sv.coeffs)
+        L = np.abs(reduced).max(axis=0).min()
+        bounds = np.abs(np.linalg.inv(reduced)).sum(axis=1) * L * (1.0 + 1e-6)
+        for c in itertools.product(*(range(-int(b), int(b) + 1) for b in bounds)):
+            q = T.dot(np.array(c, dtype=object))
+            if not any(q) or next(x for x in q if x != 0) < 0:
+                continue
+            q = tuple(int(x) for x in q)
+            length = exact_supnorm(basis.columns, q)
+            assert length >= best
+            assert length > best or sv.coeffs <= q

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dirichlet_lab import measures
-from dirichlet_lab.errors import EmptySupportError, ParameterError
+from dirichlet_lab.errors import CapacityError, EmptySupportError, ParameterError
 from dirichlet_lab.measures import (
     Ball,
     CGoodEstimate,
@@ -185,6 +185,17 @@ def test_ifs_digits_are_those_of_generator_choice(monkeypatch):
                 assert gen.random() == ref.random()
 
 
+def test_ifs_depth_is_capped_before_any_draw():
+    # one block's draw gen.random((rng.BLOCK, depth)) stays within 128 MB;
+    # at depth 10^9 it would ask numpy for 29.8 TiB
+    block = measures._rng.BLOCK
+    assert measures.MAX_IFS_DEPTH * block * 8 == 128 * 2 ** 20
+    pts = sample(CANTOR, seed=3, count=4, depth=measures.MAX_IFS_DEPTH)[:, 0]
+    assert max(map(cantor_distance, pts)) <= 1e-12
+    with pytest.raises(CapacityError):
+        sample(CANTOR, seed=3, count=block, depth=10 ** 9)
+
+
 def test_sample_rejects_bad_count():
     with pytest.raises(ParameterError):
         sample(LEB01, seed=0, count=0)
@@ -354,3 +365,15 @@ def test_threshold_registry_values():
     assert epsilon0_registry(1)["drv_manifolds(n=1)"][1] == "nondegenerate-manifold threshold"
     assert nondivergence_veronese(2) == pytest.approx(1.0 / (4 * 9 * 64), rel=1e-15)
     assert drv_manifolds(1) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
+def test_nondivergence_threshold_stops_at_the_least_normal_double():
+    # 1 / (n^n (n + 1)^2 2^(n^2 + n)) is 5.5e-308 at n = 29; at n = 30 the
+    # denominator no longer converts to a float
+    assert nondivergence_veronese(29) == pytest.approx(5.4969188275166e-308, rel=1e-12)
+    assert nondivergence_veronese(29) >= np.finfo(float).tiny
+    for n in (30, 31, 32, 10 ** 9):
+        with pytest.raises(ParameterError):
+            nondivergence_veronese(n)
+    with pytest.raises(ParameterError):
+        epsilon0_registry(30)
