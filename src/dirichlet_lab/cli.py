@@ -15,7 +15,8 @@ Handlers validate, then compute; --dry-run stops after validation and
 prints the plan.  Validation runs every input check the run makes, weight
 limits, scan budgets and dimensions included, through the library's own
 checks, so --dry-run exits 2 or 3 exactly when the run would; only a ball
-the sampled support misses (EmptySupportError) shows up in the run alone.
+the sampled support misses (EmptySupportError) and map values that are not
+finite at the sampled points (ParameterError) show up in the run alone.
 Runs write report.jsonl / report.csv / config.resolved into --output,
 else $DIRICHLET_LAB_OUTDIR/<experiment>, else ./runs/<experiment>.
 Exit codes: 0 success, 2 bad arguments, 3 capacity exceeded.
@@ -165,7 +166,11 @@ _COMMON = (
 
 def _read_config(path: str, experiment: str, params: tuple) -> RunConfig:
     """The config file, once every key is one the subcommand reads."""
-    cfg = parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError("config file %s is not UTF-8 text: %s" % (path, exc)) from None
+    cfg = parse_config(text)
     if cfg.experiment != experiment:
         raise ParameterError(
             "config is for experiment %r, not %r" % (cfg.experiment, experiment))

@@ -35,7 +35,9 @@ from .lattice import (
     DEFAULT_MARGIN,
     LatticeBasis,
     ThickRegion,
+    _BOX_SLICE,
     _check_margin,
+    _half_box,
     shortest_vector_supnorm,
     trichotomy,
 )
@@ -44,6 +46,7 @@ from . import rng as _rng
 MAX_FORMS = 4
 DIRECT_BUDGET = 100_000_000
 BA_BUDGET = 10_000_000
+_Q_CHUNK = 1 << 21  # candidates per slab of dirichlet_solvable_direct
 FLOW_OVERFLOW_GUARD = 300.0
 # the float error of a lambda1 value at the cap is about 2^-52 e^24 ~ 6e-6
 MAX_FLOW_SKEW = 24.0
@@ -159,9 +162,9 @@ def _check_lattice_reach(family) -> None:
 def _check_unit_weights(r, s):
     if not r or not s:
         raise ParameterError("weight tuples must be nonempty")
-    if any(x <= 0 for x in r) or any(x <= 0 for x in s):
+    if not (all(x > 0 for x in r) and all(x > 0 for x in s)):
         raise ParameterError("weights must be positive")
-    if abs(math.fsum(r) - 1.0) > 1e-9 or abs(math.fsum(s) - 1.0) > 1e-9:
+    if not (abs(math.fsum(r) - 1.0) <= 1e-9 and abs(math.fsum(s) - 1.0) <= 1e-9):
         raise ParameterError("weights must each sum to 1")
 
 
@@ -369,12 +372,12 @@ def _spiral_axis(bound: int) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
-def _iter_q_chunks(axes: list[np.ndarray], chunk: int = 1 << 21):
+def _iter_q_chunks(axes: list[np.ndarray]):
     """Yield (offset, Q) slabs of the product grid in C order, bounded memory."""
     shape = tuple(a.size for a in axes)
     total = int(np.prod([a.size for a in axes], dtype=np.int64))
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total))
+    for lo in range(0, total, _Q_CHUNK):
+        idx = np.arange(lo, min(lo + _Q_CHUNK, total))
         multi = np.unravel_index(idx, shape)
         yield lo, np.stack([ax[mi] for ax, mi in zip(axes, multi)], axis=1)
 
@@ -660,7 +663,8 @@ def trajectory_lambda1(
 
 
 def _ba_weights(Y: LinearFormSystem, r, s, q_max: int) -> tuple:
-    """(r, s) as floats, once they fit Y, q_max >= 1 and the scan fits BA_BUDGET."""
+    """(r, s) as floats and the size of the scan, once they fit Y, q_max >= 1
+    and the scan fits BA_BUDGET."""
     r = tuple(float(x) for x in r)
     s = tuple(float(x) for x in s)
     _check_unit_weights(r, s)
@@ -674,7 +678,7 @@ def _ba_weights(Y: LinearFormSystem, r, s, q_max: int) -> tuple:
         raise CapacityError(
             "quality scan needs %d evaluations, budget is %d" % (total, BA_BUDGET)
         )
-    return r, s
+    return r, s, total
 
 
 def ba_quality(Y: LinearFormSystem, r, s, q_max: int) -> float:
@@ -682,21 +686,17 @@ def ba_quality(Y: LinearFormSystem, r, s, q_max: int) -> float:
 
     {x} is the fractional part (one-sided approximation from above),
     and q runs over the canonical half grid whose first nonzero
-    coordinate is positive.  The value is nonincreasing in q_max; a
-    positive infimum over all q is the badly-approximable property for
-    the weights (r, s).  For the golden ratio with r = s = (1) this
+    coordinate is positive, in slices of lattice._half_box.  The value is
+    nonincreasing in q_max; a positive infimum over all q is the
+    badly-approximable property for the weights (r, s).  For the golden ratio with r = s = (1) this
     converges onto the classical 1/sqrt(5).
     """
-    r, s = _ba_weights(Y, r, s, q_max)
-    axes = [np.arange(-q_max, q_max + 1)] * Y.n
+    r, s, size = _ba_weights(Y, r, s, q_max)
     best = math.inf
     inv_r = 1.0 / np.array(r)
     inv_s = 1.0 / np.array(s)
-    for _, chunk in _iter_q_chunks(axes, chunk=1 << 18):
-        lead = chunk[np.arange(chunk.shape[0]), np.argmax(chunk != 0, axis=1)]
-        chunk = chunk[lead > 0].astype(float)
-        if chunk.shape[0] == 0:
-            continue
+    for part in range(-(-size // _BOX_SLICE)):
+        chunk = _half_box((q_max,) * Y.n, part)
         R = chunk @ Y.Y.T
         dist = R - np.floor(R)
         left = np.max(dist ** inv_r[None, :], axis=1)

@@ -7,13 +7,12 @@ basis reduction that returns only its change of basis T, in exact Python
 integers (its float columns are a preconditioner and stay inside it),
 followed by an exact scan of the box of integer coefficients that the
 inverse of the reduced columns proves sufficient.  The scan rebuilds those
-columns from the input as input . T with ordered sums, as the batch kernel
-does, so the returned minimum is certified up to double-precision
-evaluation of the candidate norms.
+columns from the input as input . T with ordered sums: the minimum is
+certified up to double-precision evaluation of the candidate norms.
 
-Stacks of lattices go through the one batch kernel shortest_supnorm_batch,
-which certifies with the same bound and falls back to that exact route
-where the bound exceeds its {-1, 0, 1}^k stencil.
+Stacks of lattices go through the one batch kernel shortest_supnorm_batch:
+its batched reduction returns T too, it certifies with the same bound, and
+where the bound exceeds its {-1, 0, 1}^k stencil the box scan runs on that T.
 
 Sign conventions: bases are k x k matrices whose COLUMNS generate the
 lattice, with determinant +1 (tolerance 1e-9, inputs outside are
@@ -123,11 +122,10 @@ def reduce_basis(basis: LatticeBasis) -> np.ndarray:
 
     T is a k x k object array of exact Python integers (entries can exceed
     int64 for very skewed bases) whose column j holds the coefficients of
-    reduced column j in the input basis, with det T = +1: size reduction is
-    an integer shear and each swap negates the determinant, so after an odd
-    number of swaps the last column is negated.  The k <= MAX_DIM float
-    columns are lists of Python floats and only a preconditioner: they pile
-    up the rounding of the column operations, so callers rebuild the reduced
+    reduced column j in the input basis; det T = +-1, unoriented, since the
+    box scan is symmetric under c -> -c.  The k <= MAX_DIM float columns are
+    lists of Python floats and only a preconditioner: they pile up the
+    rounding of the column operations, so callers rebuild the reduced
     columns from the input, as _enumerate_shortest does.  One Gram-Schmidt
     runs per step, and size reduction updates mu in place.
     """
@@ -135,7 +133,7 @@ def reduce_basis(basis: LatticeBasis) -> np.ndarray:
     B = basis.columns.T.tolist()  # B[j] is column j
     T = [[int(r == j) for r in range(k)] for j in range(k)]  # T[j]: coefficients of B[j]
 
-    iters = swaps = 0
+    iters = 0
     i = 1
     while i < k:
         iters += 1
@@ -155,10 +153,7 @@ def reduce_basis(basis: LatticeBasis) -> np.ndarray:
         else:
             B[i - 1], B[i] = B[i], B[i - 1]
             T[i - 1], T[i] = T[i], T[i - 1]
-            swaps += 1
             i = max(i - 1, 1)
-    if swaps % 2:
-        T[k - 1] = [-x for x in T[k - 1]]
     return np.array(T, dtype=object).T.copy()
 
 
@@ -183,11 +178,12 @@ def _half_box(bounds: tuple, part: int) -> np.ndarray:
 
 def _enumerate_shortest(A, U):
     """Exact scan of a box of integer coefficients c of the reduced columns
-    B = A U, A the input columns and U = reduce_basis's transform; returns the
-    winner's sign-canonical coefficients in the input basis, U @ c.
+    B = A U, A the input columns and U a reduction's transform (integers or
+    integer-valued floats); returns the winner's sign-canonical coefficients
+    in the input basis, U @ c, and their length |A @ (U @ c)|_inf.
 
-    B is rebuilt from A as _lll_batch builds its output, column j the ordered
-    sum of A[:, c] U[c, j] over c (_combine), so no rounding of the
+    B is rebuilt from A as the batch kernel rebuilds its stack, column j the
+    ordered sum of A[:, c] U[c, j] over c (_combine), so no rounding of the
     reduction's column operations reaches the ranking.  With L the least sup
     norm of a column and d_i the rows of B^-1, a vector v = B c with
     |v|_inf <= L has |c_i| = |d_i . v| <= |d_i|_1 L (the batch kernel's bound,
@@ -214,16 +210,14 @@ def _enumerate_shortest(A, U):
         if least < best_len:
             best_len, ties = least, []
         ties += C[lengths == best_len].astype(int).tolist()
-    rows = U.tolist()
-    return min(_canonical_coeffs([sum(map(operator.mul, row, c)) for row in rows])
-               for c in ties)
+    rows = [[int(x) for x in row] for row in U.tolist()]
+    coeffs = min(_canonical_coeffs([sum(map(operator.mul, r, c)) for r in rows]) for c in ties)
+    return coeffs, float(np.abs(A @ np.array(coeffs, dtype=float)).max())
 
 
 def shortest_vector_supnorm(basis: LatticeBasis) -> ShortestVectorResult:
     """Globally minimal nonzero lattice vector in the sup norm."""
-    coeffs = _enumerate_shortest(basis.columns, reduce_basis(basis))
-    length = np.abs(basis.columns @ np.array(coeffs, dtype=float)).max()
-    return ShortestVectorResult(coeffs, float(length))
+    return ShortestVectorResult(*_enumerate_shortest(basis.columns, reduce_basis(basis)))
 
 
 def _check_margin(margin: float) -> None:
@@ -324,7 +318,7 @@ def _combine(B: np.ndarray, u) -> np.ndarray:
 
 def _lll_batch(B: np.ndarray) -> np.ndarray:
     """LLL reduction (delta = _LLL_DELTA) of every basis in a stack (k, k, N),
-    lattice index last, returned in the same layout.
+    lattice index last; returns the transforms T (k, k, N) as reduce_basis does.
 
     A sweep size-reduces columns 1..k-1 in turn and swaps each with its
     predecessor where the Lovasz condition fails.  A basis is done after a
@@ -332,10 +326,10 @@ def _lll_batch(B: np.ndarray) -> np.ndarray:
     final predecessors, and the Lovasz condition holds everywhere.
     Size-reduction alone must not keep a basis active: with mu near +-1/2,
     rint of the recomputed mu can flip sign in every sweep.  Sweeps update
-    integer coefficients T, not vectors: float column operations pile up
-    rounding that, on skewed bases, leaves the lattice.  B and T hold active
-    bases only: after each sweep the done ones go to the output and `take`
-    drops them.  _combine fixes the order of sums; einsum's varies with N.
+    T, integer-valued floats exact below 2^53, not vectors: float column
+    operations pile up rounding that, on skewed bases, leaves the lattice.
+    B and T hold active bases only: after each sweep the done ones go to
+    the output and `take` drops them.  _combine fixes the order of sums; einsum's varies with N.
     """
     k, n = B.shape[0], B.shape[2]
     T = [np.repeat(row[:, None], n, axis=1) for row in np.eye(k)]  # coefficients of column j
@@ -354,8 +348,7 @@ def _lll_batch(B: np.ndarray) -> np.ndarray:
             T[i - 1], T[i] = np.where(swap, T[i], T[i - 1]), np.where(swap, T[i - 1], T[i])
             swapped |= swap
         done, keep = np.flatnonzero(~swapped), np.flatnonzero(swapped)
-        Bd = B.take(done, axis=2)
-        out[:, :, index[done]] = np.stack([_combine(Bd, u.take(done, axis=1)) for u in T], 1)
+        out[:, :, index[done]] = np.stack([u.take(done, axis=1) for u in T], 1)
         B, T, index = B.take(keep, axis=2), [u.take(keep, axis=1) for u in T], index[keep]
     raise DegenerateBasisError("batched reduction did not converge within %d sweeps"
                                % _REDUCE_ITER_CAP)
@@ -365,14 +358,19 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
     """Sup-norm first minimum of each basis in a stack of shape (N, k, k).
 
     Values up to ``cap`` are exact; above cap, a value only shows that the
-    minimum exceeds cap.  After LLL, L is the least length over coefficients
-    in {-1, 0, 1}^k, and a vector v of length <= min(L, cap) has coefficients
-    c = B^-1 v with |c|_inf <= ||B^-1||_inf min(L, cap).  Where that bound
-    is below 2, c was scanned; elsewhere exact enumeration decides.  At
-    k = 2 the bound is at most sqrt(2) |u| |v| <= 1.64 for a reduced pair.
-    Chunks of _CHUNK bases keep the arrays in cache.  With ordered sums and
-    per-basis steps, a value does not depend on the rest of the stack.  The
-    stack is only read: it is never copied whole, nor written.
+    minimum exceeds cap.  LLL gives each basis its transform T, and R = B T
+    is rebuilt with ordered sums from a second C-order copy of the chunk
+    (holding the first through _lll_batch, which drops it sweep by sweep,
+    would raise the peak memory; a strided R is slow).  L is the least
+    length of R over coefficients in {-1, 0, 1}^k, and a vector v of length
+    <= min(L, cap) has coefficients c = R^-1 v with |c|_inf <= ||R^-1||_inf
+    min(L, cap).  Where that bound is below 2, c was scanned; elsewhere
+    _enumerate_shortest decides from the same T, on a C-order B[i] (a
+    strided matmul adds in another order).  At k = 2 the bound is at most
+    sqrt(2) |u| |v| <= 1.64 for a reduced pair.  Chunks of _CHUNK bases keep
+    the arrays in cache.  With ordered sums and per-basis steps, a value
+    does not depend on the rest of the stack.  The stack is only read: it
+    is never copied whole, nor written.
     """
     B = np.asarray(bases, dtype=float)
     if not (B.ndim == 3 and B.shape[1] == B.shape[2] and 2 <= B.shape[1] <= MAX_DIM
@@ -383,7 +381,8 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
         return np.concatenate([shortest_supnorm_batch(B[i:i + _CHUNK], cap)
                                for i in range(0, B.shape[0], _CHUNK)])
     k = B.shape[1]
-    R = _lll_batch(B.transpose(1, 2, 0).copy())
+    T = _lll_batch(B.transpose(1, 2, 0).copy())
+    R = _combine(B.transpose(1, 2, 0).copy()[:, :, None], T)
     lam = np.full(B.shape[0], math.inf)
     for c in _half_box((1,) * k, 0):
         np.minimum(lam, np.abs(_combine(R, c)).max(axis=0), out=lam)
@@ -394,7 +393,7 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
         dual.insert(0, star[i] / norms2[i] - sum(mu[j, i] * d for j, d in enumerate(dual, i + 1)))
     inverse_norm = np.max([np.abs(d).sum(axis=0) for d in dual], axis=0)
     for i in np.flatnonzero(~(inverse_norm * np.minimum(lam, cap) < 2.0)):
-        lam[i] = shortest_vector_supnorm(LatticeBasis(B[i])).length
+        lam[i] = _enumerate_shortest(np.ascontiguousarray(B[i]), T[:, :, i])[1]
     return lam
 
 

@@ -107,15 +107,18 @@ class MapSpec:
         if pts.shape[1] != self.d:
             raise ParameterError("points must have %d columns" % self.d)
         out = np.zeros((pts.shape[0], self.n))
-        for j, terms in enumerate(self.coords):
-            acc = np.zeros(pts.shape[0])
-            for coeff, expo in terms:
-                term = np.full(pts.shape[0], float(coeff))
-                for axis, e in enumerate(expo):
-                    if e:
-                        term = term * pts[:, axis] ** e
-                acc += term
-            out[:, j] = acc
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, terms in enumerate(self.coords):
+                acc = np.zeros(pts.shape[0])
+                for coeff, expo in terms:
+                    term = np.full(pts.shape[0], float(coeff))
+                    for axis, e in enumerate(expo):
+                        if e:
+                            term = term * pts[:, axis] ** e
+                    acc += term
+                out[:, j] = acc
+        if not np.all(np.isfinite(out)):
+            raise ParameterError("map values are not finite at some sampled points")
         return out
 
 
@@ -515,7 +518,7 @@ def nondivergence_veronese(n: int) -> float:
     if denominator > 2 ** 1022:
         raise ParameterError("nondivergence_veronese(n=%d) is below the least normal "
                              "double" % n)
-    return 1.0 / denominator
+    return 1 / denominator  # int by int: correctly rounded
 
 
 def drv_manifolds(n: int) -> float:

@@ -39,6 +39,20 @@ def brute_force_shortest_supnorm(columns, coeff_bound: int = 25):
     return min(cands), best
 
 
+def ba_quality_scan(Y, r, s, q_max):
+    """ba_quality as one loop over the whole box |q|_sup <= q_max, keeping
+    the q whose first nonzero coordinate is positive."""
+    best = math.inf
+    for q in itertools.product(range(-q_max, q_max + 1), repeat=len(s)):
+        if next((x for x in q if x), 0) <= 0:
+            continue
+        R = np.asarray(Y, dtype=float) @ np.array(q, dtype=float)
+        left = max(float(d) ** (1.0 / ri) for d, ri in zip(R - np.floor(R), r))
+        right = max(abs(x) ** (1.0 / sj) for x, sj in zip(q, s))
+        best = min(best, left * right)
+    return best
+
+
 def integer_det(M) -> int:
     """Exact determinant of a small integer matrix, by cofactor expansion
     along the first row."""

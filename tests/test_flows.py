@@ -38,6 +38,8 @@ from dirichlet_lab.flows import (
 )
 from dirichlet_lab.lattice import DEFAULT_MARGIN, MAX_DIM, ThickRegion, trichotomy
 
+from oracles import ba_quality_scan
+
 
 # ---------------------------------------------------------------------------
 # weight vectors and flows
@@ -434,6 +436,26 @@ def test_ba_quality_nonincreasing():
 def test_ba_quality_budget():
     with pytest.raises(CapacityError):
         ba_quality(random_forms(1, 1, 2), (1.0,), (0.5, 0.5), 3000)
+
+
+@pytest.mark.parametrize("m,n,q_max", [(1, 1, 5000), (2, 1, 9000), (1, 2, 60), (1, 3, 12)])
+def test_ba_quality_scans_the_whole_half_grid(m, n, q_max):
+    # each case spans several slices of the half box
+    Y = random_forms(3, m, n)
+    r = (1.0 / m,) * m
+    s = (0.3,) + (0.7 / (n - 1),) * (n - 1) if n > 1 else (1.0,)
+    assert ba_quality(Y, r, s, q_max) == pytest.approx(ba_quality_scan(Y.Y, r, s, q_max),
+                                                        rel=1e-12)
+
+
+def test_ba_quality_refuses_weights_that_are_not_positive_reals():
+    Y = random_forms(1, 1, 2)
+    for r, s in (((math.nan,), (0.5, 0.5)), ((1.0,), (math.nan, math.nan)),
+                 ((1.0,), (0.5, math.nan)), ((1.0,), (math.inf, 0.5))):
+        with pytest.raises(ParameterError):
+            ba_quality(Y, r, s, 5)
+    with pytest.raises(ParameterError):
+        parse_trajectory(["ray r=nan s=1 t=1:1:1"], 1, 1)
 
 
 # ---------------------------------------------------------------------------

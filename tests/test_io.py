@@ -526,6 +526,10 @@ def _on_cantor(argv):
       "--eps", "0.5"], 2),
     (["constants", "--max-n", "30"], 2),
     (_on_cantor(["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--depth", "1000000000"]), 3),
+    (["constants", "--config", "latin1.cfg"], 2),
+    (["ba", "--Y", "0.5", "--r", "nan", "--s", "1", "--q-max", "5"], 2),
+    (["ba", "--m", "1", "--n", "2", "--Y", "0.5,0.3", "--r", "1", "--s", "nan,nan",
+      "--q-max", "5"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -550,10 +554,11 @@ def _on_cantor(argv):
         "federer-nan-center-fraction", "counterexample-past-precision-cap",
         "counterexample-past-precision-cap-dry-run", "equidist-interval-width-overflow",
         "equidist-translate-overflow", "constants-threshold-underflow",
-        "escape-ifs-depth-over-cap"])
+        "escape-ifs-depth-over-cap", "config-not-utf8", "ba-nan-r", "ba-nan-s"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same first error line
+    (rundir / "latin1.cfg").write_bytes(b"[run]\nexperiment = constants\nmax_n = 3 # \xff\n")
     if "--dry-run" in argv:
         twin = [arg for arg in argv if arg != "--dry-run"]
     else:
@@ -564,6 +569,26 @@ def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
         first_lines.append(capsys.readouterr().err.splitlines()[0])
     assert first_lines[0].startswith("error:")
     assert first_lines[0] == first_lines[1]
+    assert not (rundir / "runs").exists()
+
+
+_POWER_2000 = ["--map", "poly d=1 n=1 f1=x1^2000", "--measure", "lebesgue d=1 box=0,2",
+               "--ball-center", "1", "--ball-radius", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonplanar-test"] + _POWER_2000 + ["--samples", "100"],
+    ["escape"] + _POWER_2000 + ["--t", "2,2", "--eps", "0.4", "--samples", "50"],
+    ["good-test"] + _POWER_2000 + ["--alpha", "0.5", "--eps", "0.1", "--samples", "100"],
+], ids=["nonplanar-test", "escape", "good-test"])
+def test_cli_map_values_that_overflow_stop_the_run(rundir, capsys, argv):
+    # x1^2000 overflows beyond x1 = 1.43: only the sampled points show it,
+    # so --dry-run passes the plan, and the run exits 2 before it writes
+    assert main(argv + ["--dry-run"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: map values are not finite at some sampled points"]
     assert not (rundir / "runs").exists()
 
 

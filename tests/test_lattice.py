@@ -23,11 +23,11 @@ from oracles import brute_force_shortest_supnorm, exact_supnorm, integer_det
 
 
 def _reduced(basis):
-    """reduce_basis's transform T, checked to be integer with det +1, and the
+    """reduce_basis's transform T, checked to be integer with det +-1, and the
     reduced columns basis.columns @ T."""
     T = reduce_basis(basis)
     assert all(isinstance(x, int) for x in T.flat)
-    assert integer_det(T) == 1
+    assert abs(integer_det(T)) == 1
     return T, basis.columns @ T.astype(float)
 
 
@@ -64,7 +64,7 @@ def test_reduce_shear_example():
 
 def test_reduce_preserves_lattice_seed7():
     basis = random_unimodular(seed=7, k=3, spread=3.0)
-    # the transform is exactly integer with det +1, and it reduces: the
+    # the transform is exactly integer with det +-1, and it reduces: the
     # reduced columns are no longer than the input's
     T, reduced = _reduced(basis)
     assert np.abs(reduced).max() < np.abs(basis.columns).max()
@@ -268,9 +268,13 @@ def _reduction_cases():
 
 def test_reduction_is_lll_reduced_by_an_exact_unimodular_transform():
     for basis in _reduction_cases():
-        # the scalar reduction returns its transform, the batch reduction its
-        # reduced columns only
-        for R in (_reduced(basis)[1], lattice._lll_batch(basis.columns[:, :, None])[:, :, 0]):
+        # both reductions return only their transform T, integer with
+        # det +-1, and the caller rebuilds the reduced columns input . T
+        A = basis.columns
+        for T in (reduce_basis(basis), lattice._lll_batch(A[:, :, None].copy())[:, :, 0]):
+            assert all(float(x) == int(x) for x in T.flat)
+            assert abs(integer_det(T)) == 1
+            R = lattice._combine(A[:, :, None], T.astype(float))
             # Gram-Schmidt from a QR factorization: b*_i has length |r_ii|,
             # mu_ij = r_ji / r_jj
             r = np.linalg.qr(R, mode="r")
@@ -370,29 +374,72 @@ def test_batch_reads_a_read_only_stack(t):
     assert np.array_equal(S, before)
 
 
-def test_batch_without_a_certificate_falls_back_to_enumeration(monkeypatch):
-    # the root lattice A_6 (Gram matrix 2 on the diagonal, -1 beside it) is
-    # LLL-reduced as given, yet ||B^-1||_inf * L = 2.12 >= 2: no certificate
+def _a6():
+    """The root lattice A_6 (Gram matrix 2 on the diagonal, -1 beside it),
+    scaled to covolume 1: LLL-reduced as given, yet ||B^-1||_inf * L = 2.12
+    >= 2, so the batch kernel holds no certificate for it."""
     k = 6
     gram = 2.0 * np.eye(k) - np.eye(k, k, 1) - np.eye(k, k, -1)
     a6 = np.linalg.cholesky(gram).T
-    a6 /= np.linalg.det(a6) ** (1.0 / k)
-    bases = [LatticeBasis(a6)] + [random_unimodular(seed=seed, k=k) for seed in range(5)]
+    return a6 / np.linalg.det(a6) ** (1.0 / k)
+
+
+def _recording_fallbacks(monkeypatch):
+    """Patch lattice._enumerate_shortest to record the input columns and the
+    transform of every call; returns the list of (A, U)."""
+    calls, scan = [], lattice._enumerate_shortest
+
+    def recording(A, U):
+        calls.append((A.copy(), U.copy()))
+        return scan(A, U)
+
+    monkeypatch.setattr(lattice, "_enumerate_shortest", recording)
+    return calls
+
+
+def test_batch_without_a_certificate_falls_back_to_enumeration(monkeypatch):
+    a6 = _a6()
+    bases = [LatticeBasis(a6)] + [random_unimodular(seed=seed, k=6) for seed in range(5)]
     expected = [shortest_vector_supnorm(b).length for b in bases]
-    fallbacks = []
-
-    def recording(basis, *args):
-        fallbacks.append(basis.columns)
-        return shortest_vector_supnorm(basis, *args)
-
-    monkeypatch.setattr(lattice, "shortest_vector_supnorm", recording)
+    fallbacks = _recording_fallbacks(monkeypatch)
     got = shortest_supnorm_batch(np.array([b.columns for b in bases]))
-    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], a6)
+    # the fallback scans the input columns with the batch reduction's T
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0][0], a6)
+    assert np.array_equal(fallbacks[0][1],
+                          lattice._lll_batch(a6[:, :, None].copy())[:, :, 0])
     np.testing.assert_allclose(got, expected, rtol=1e-12)
     # a cap below L certifies with the smaller bound min(L, cap)
     fallbacks.clear()
     assert shortest_supnorm_batch(a6[None], cap=0.5)[0] > 0.5
     assert fallbacks == []
+
+
+def _stack_with_fallbacks():
+    """Random bases of spread 3 at k = 5 and 6, one stack per k, and A_6:
+    about one basis in twenty-five has no certificate (none at k = 3, 4)."""
+    for k in (5, 6):
+        bases = [random_unimodular(seed=seed, k=k, spread=3.0).columns for seed in range(200)]
+        yield np.array(bases + [_a6()] * (k == 6))
+
+
+def test_batch_finishes_its_own_fallback_rows(monkeypatch):
+    # the batch kernel never reduces a basis a second time, nor validates it,
+    # and a row without a certificate keeps the bits that a second, scalar
+    # reduction of that row gave: the winner's length over the input columns
+    def refuse(*args):
+        raise AssertionError("the batch kernel left its own reduction")
+
+    stacks = list(_stack_with_fallbacks())
+    fallbacks = _recording_fallbacks(monkeypatch)
+    with monkeypatch.context() as patch:
+        for name in ("reduce_basis", "shortest_vector_supnorm", "LatticeBasis"):
+            patch.setattr(lattice, name, refuse)
+        values = [shortest_supnorm_batch(S) for S in stacks]
+    rows = [(B, lam) for S, got in zip(stacks, values) for B, lam in zip(S, got)
+            if any(np.array_equal(B, A) for A, _ in fallbacks)]
+    assert len(rows) == len(fallbacks) >= 10
+    for B, lam in rows:
+        assert lam == shortest_vector_supnorm(LatticeBasis(B)).length
 
 
 def test_batch_rejects_bad_stacks():

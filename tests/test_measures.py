@@ -1,9 +1,12 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dirichlet_lab import measures
+from dirichlet_lab.config import parse_map
 from dirichlet_lab.errors import CapacityError, EmptySupportError, ParameterError
 from dirichlet_lab.measures import (
     Ball,
@@ -211,6 +214,17 @@ def test_veronese_map_values_and_degree():
     np.testing.assert_allclose(out, [[0.5, 0.25, 0.125], [2.0, 4.0, 8.0]])
 
 
+def test_map_values_that_overflow_are_refused():
+    # x^2000 overflows beyond x = 1.43, and x^2000 - x^2000 is then NaN
+    for f in ("f1=x1^2000", "f1=x1^2000-x1^2000"):
+        mapping = parse_map("poly d=1 n=1 " + f)
+        assert np.all(np.isfinite(mapping.evaluate(np.array([[0.5], [1.4]]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                mapping.evaluate(np.array([[0.5], [1.5]]))
+
+
 # -- (C, alpha)-good estimates ----------------------------------------------
 
 
@@ -368,8 +382,8 @@ def test_threshold_registry_values():
 
 
 def test_nondivergence_threshold_stops_at_the_least_normal_double():
-    # 1 / (n^n (n + 1)^2 2^(n^2 + n)) is 5.5e-308 at n = 29; at n = 30 the
-    # denominator no longer converts to a float
+    # 1 / (n^n (n + 1)^2 2^(n^2 + n)) is 5.5e-308 at n = 29; at n = 30 it
+    # is below the least normal double
     assert nondivergence_veronese(29) == pytest.approx(5.4969188275166e-308, rel=1e-12)
     assert nondivergence_veronese(29) >= np.finfo(float).tiny
     for n in (30, 31, 32, 10 ** 9):
@@ -377,3 +391,11 @@ def test_nondivergence_threshold_stops_at_the_least_normal_double():
             nondivergence_veronese(n)
     with pytest.raises(ParameterError):
         epsilon0_registry(30)
+
+
+def test_nondivergence_threshold_is_correctly_rounded():
+    # rounding the integer denominator to a float before dividing put
+    # n = 13, 21, 25 and 29 one ulp off
+    for n in range(1, 30):
+        denominator = n ** n * (n + 1) ** 2 * 2 ** (n * n + n)
+        assert nondivergence_veronese(n) == float(Fraction(1, denominator))
