@@ -9,8 +9,10 @@ Each subcommand declares its parameters once, in an ordered table
 (``_COMMANDS``) that gives the parser its flags and the config file its
 keys.  Every value comes from its flag, else the --config FILE key of
 the same name (``-`` becomes ``_``; ``--family`` is ``trajectory``),
-else its default, and is recorded in table order.  A config key the
-table lacks, or a repeated key whose flag does not repeat, is an error.
+else its default, and is recorded in table order.  Flag or key, its text
+takes one conversion (``_Param._convert``; argparse converts nothing), so
+a malformed value is a one-line ``error:``.  A config key the table lacks,
+or a repeated key whose flag does not repeat, is an error.
 Handlers validate, then compute; --dry-run stops after validation and
 prints the plan.  Validation runs every input check the run makes, weight
 limits, scan budgets and dimensions included, through the library's own
@@ -36,6 +38,7 @@ import numpy as np
 
 from .config import (
     RunConfig,
+    _num_list,
     parse_config,
     parse_forms,
     parse_map,
@@ -87,10 +90,6 @@ _ENV_OUTDIR = "DIRICHLET_LAB_OUTDIR"
 # ---------------------------------------------------------------------------
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
 def _parse_bool(text: str) -> bool:
     if text in ("true", "1", "yes"):
         return True
@@ -111,43 +110,41 @@ class _Param(NamedTuple):
     flag: str | None = None  # only where the flag name differs from the key
 
     @property
-    def name(self) -> str:
-        return self.flag or self.key
+    def option(self) -> str:
+        return "--" + (self.flag or self.key).replace("_", "-")
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         if self.kind == "switch":
-            extra = dict(action="store_true", default=None)
+            extra = dict(action="store_const", const="true")
         else:
-            extra = dict(type=self.conv, nargs="+" if self.kind == "list" else None,
+            extra = dict(nargs="+" if self.kind == "list" else None,
                          action="append" if self.kind == "append" else None)
-        parser.add_argument("--" + self.name.replace("_", "-"), help=self.help, **extra)
+        parser.add_argument(self.option, help=self.help, **extra)
 
     def resolve(self, flag_value, cfg: RunConfig | None):
-        """Flag beats config file beats default; config text goes through conv.
+        """Flag beats config file beats default; either gives texts for _convert.
 
-        An empty config value counts as absent.
+        A flag gives one text ("true" for a switch), or a list for a list or
+        append parameter; a config line gives one, split on whitespace for a
+        list parameter, and counts as absent when empty.
         """
         texts = [text for text in cfg.values(self.key) if text] if cfg else []
         if flag_value is not None:
-            value = flag_value
-        elif texts:
-            value = [self._convert(text) for text in texts]
-            value = value if self.kind == "append" else value[0]
-        elif self.default is not None:
-            value = self.default
-        elif self.required:
-            raise ParameterError("missing required parameter --%s" % self.name)
-        else:
-            return None
-        return tuple(value) if self.kind in ("list", "append") else value
+            texts = flag_value if self.kind in ("list", "append") else [flag_value]
+        elif self.kind == "list":
+            texts = " ".join(texts).split()
+        if texts:
+            values = tuple(map(self._convert, texts))
+            return values if self.kind in ("list", "append") else values[0]
+        if self.required:
+            raise ParameterError("missing required parameter %s" % self.option)
+        return self.default
 
     def _convert(self, text: str):
         try:
-            if self.kind == "list":
-                return tuple(map(self.conv, text.split()))
             return text if self.conv is None else self.conv(text)
         except ValueError:
-            raise ParameterError("bad value for --%s: %r" % (self.name, text))
+            raise ParameterError("bad value for %s: %r" % (self.option, text))
 
 
 class _Command(NamedTuple):
@@ -162,6 +159,8 @@ _COMMON = (
     _Param("seed", int, 0, help="RNG seed (default 0)"),
     _Param("output", help="run directory (default $%s/<experiment>)" % _ENV_OUTDIR),
 )
+# sampling subcommands only, and never read from or written to a config file
+_WORKERS = _Param("workers", int, 1, help="sampling threads; any N gives identical output")
 
 
 def _read_config(path: str, experiment: str, params: tuple) -> RunConfig:
@@ -191,9 +190,10 @@ def _run(args: argparse.Namespace) -> int:
     command = _COMMANDS[experiment]
     params = command.params + _COMMON
     cfg = _read_config(args.config, experiment, params) if args.config else None
-    values, entries = {"workers": getattr(args, "workers", 1)}, []
+    workers = _WORKERS.resolve(getattr(args, "workers", None), None)
+    values, entries = {"workers": workers}, []
     for param in params:
-        value = values[param.key] = param.resolve(getattr(args, param.name), cfg)
+        value = values[param.key] = param.resolve(getattr(args, param.flag or param.key), cfg)
         if value is not None:
             items = value if param.kind == "append" else (value,)
             entries.extend((param.key, value_text(item, " ")) for item in items)
@@ -448,7 +448,7 @@ _MEASURE = _Param("measure", required=True)
 
 
 def _ball_params(noun: str = "ball") -> tuple:
-    return (_Param("ball_center", _float_list, required=True,
+    return (_Param("ball_center", _num_list, required=True,
                    help="%s center, comma-separated" % noun),
             _Param("ball_radius", float, required=True, help="%s radius" % noun))
 
@@ -490,7 +490,7 @@ _COMMANDS = {
         "haar_estimate;discrepancy;translate_n;translate_boundary_n;"
         "haar_n;haar_boundary_n", True, _cmd_equidist,
         (
-            _Param("interval", _float_list, required=True, help="lo,hi"),
+            _Param("interval", _num_list, required=True, help="lo,hi"),
             _Param("y0", float, 0.0),
             _Param("flow_time", float, required=True),
             _EPS, _Param("samples", int, 100_000), _MARGIN,
@@ -504,7 +504,7 @@ _COMMANDS = {
             _EPS,
             _Param("u", float, required=True,
                    help="frozen first weight; needs 1/eps^2 < e^u < 2*eps"),
-            _Param("s", _float_list, required=True,
+            _Param("s", _num_list, required=True,
                    help="comma-separated list of drifting parameters"),
             _Param("systems", int, 100),
         )),
@@ -526,7 +526,7 @@ _COMMANDS = {
             _Param("ball_count", int, 200),
             _Param("samples", int, 200_000), _DEPTH,
             _Param("center_fraction", float, 0.2),
-            _Param("radius_range", _float_list, (0.8, 1.0), help="lo,hi inside (0, 1]"),
+            _Param("radius_range", _num_list, (0.8, 1.0), help="lo,hi inside (0, 1]"),
         )),
     "nonplanar-test": _Command(
         "affine-independence rank test for (1, f)",
@@ -537,8 +537,8 @@ _COMMANDS = {
         "badly-approximable quality inf over a q box",
         "CSV columns: experiment;m;n;Y;r;s;q_max;quality", False, _cmd_ba,
         _FORMS + (
-            _Param("r", _float_list, required=True, help="comma-separated form weights"),
-            _Param("s", _float_list, required=True, help="comma-separated variable weights"),
+            _Param("r", _num_list, required=True, help="comma-separated form weights"),
+            _Param("s", _num_list, required=True, help="comma-separated variable weights"),
             _Param("q_max", int, required=True),
         )),
     "constants": _Command(
@@ -563,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--dry-run", action="store_true",
                          help="validate and print the resolved plan; compute nothing")
         if command.sampling:
-            sub.add_argument("--workers", type=int, default=1,
-                             help="sampling threads; any N gives identical output")
+            _WORKERS.add_to(sub)
     return parser
 
 

@@ -23,6 +23,10 @@ Polynomials are '+'-joined terms; a term is an optional rational
 coefficient and '*'-joined factors ``x<i>`` or ``x<i>^<e>``, e.g.
 ``f2=x1^2-2*x1+1`` or ``f1=1/3*x2``.  No spaces inside a declaration
 token.
+
+Every list of numbers, here or in ``cli``, reads one grammar
+(``_num_list``): commas or whitespace between numbers such as ``2``,
+``0.5`` or ``1/3``, correctly rounded; NaN, infinities and overflow are refused.
 """
 
 from __future__ import annotations
@@ -122,9 +126,9 @@ def _kv_tokens(tokens, context: str) -> dict:
     return out
 
 
-def _num_list(text: str, context: str) -> tuple:
+def _num_list(text: str, context: str = "numbers") -> tuple:
     try:
-        return tuple(float(Fraction(tok)) for tok in text.split(",") if tok != "")
+        return tuple(float(Fraction(tok)) for tok in text.replace(",", " ").split())
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ParameterError("%s: bad number list %r" % (context, text))
 
@@ -289,13 +293,10 @@ def parse_trajectory(records, m: int, n: int) -> tuple[WeightVector, ...]:
         return _ray(kv["t"], lambda scale: WeightVector.weighted(r, s, scale))
     items = []
     for rec in records:
-        tokens = rec.split()
-        if tokens[0] != "explicit":
+        kind, *rest = rec.split(None, 1)
+        if kind != "explicit":
             raise ParameterError("unknown trajectory record %r" % rec)
-        try:
-            values = tuple(float(tok) for tok in tokens[1:])
-        except ValueError:
-            raise ParameterError("explicit record needs numbers, got %r" % rec)
+        values = _num_list("".join(rest), "explicit record")
         if len(values) != m + n:
             raise ParameterError(
                 "explicit record needs %d weights for m=%d n=%d, got %d"
@@ -320,12 +321,8 @@ def parse_forms(text: str, m: int, n: int) -> LinearFormSystem:
 
 
 def parse_weight_vector(text: str, m: int, n: int) -> WeightVector:
-    """Comma or whitespace separated m+n weights."""
-    toks = text.replace(",", " ").split()
-    try:
-        values = tuple(float(tok) for tok in toks)
-    except ValueError:
-        raise ParameterError("bad weight vector %r" % text)
+    """m+n weights, a number list."""
+    values = _num_list(text, "weight vector")
     if len(values) != m + n:
         raise ParameterError("weight vector needs %d entries, got %d"
                              % (m + n, len(values)))

@@ -700,7 +700,8 @@ def ba_quality(Y: LinearFormSystem, r, s, q_max: int) -> float:
         R = chunk @ Y.Y.T
         dist = R - np.floor(R)
         left = np.max(dist ** inv_r[None, :], axis=1)
-        right = np.max(np.abs(chunk) ** inv_s[None, :], axis=1)
-        best = min(best, float(np.min(left * right)))
+        with np.errstate(over="ignore", invalid="ignore"):  # |q_j|^{1/s_j} may overflow
+            right = np.max(np.abs(chunk) ** inv_s[None, :], axis=1)
+            best = min(best, float(np.min(np.where(left > 0, left * right, 0.0))))  # 0 * inf is 0
     return best
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -431,6 +432,18 @@ def test_ba_quality_nonincreasing():
     Y = random_forms(11, 1, 2)
     vals = [ba_quality(Y, (1.0,), (0.5, 0.5), Q) for Q in (5, 10, 20, 40)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_ba_quality_keeps_exact_solutions_where_a_weight_power_overflows():
+    # q = (2, 0) solves Y q = 1 exactly; past q_max ~ 1200 (s_2 = 0.01) or
+    # 3 (s_2 = 0.001) |q_2|^{1/s_2} overflows, and a zero {Y q} times inf
+    # once made a NaN that threw away the slice holding q = (2, 0)
+    Y = LinearFormSystem([[0.5, 0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [ba_quality(Y, (1.0,), (0.99, 0.01), Q) for Q in (200, 2000)] == [0.0, 0.0]
+        vals = [ba_quality(Y, (1.0,), (0.999, 0.001), Q) for Q in range(1, 9)]
+    assert vals == [0.25] + [0.0] * 7
 
 
 def test_ba_quality_budget():

@@ -1,5 +1,6 @@
 """Tests for config parsing, report writing, and the CLI."""
 
+import argparse
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from dirichlet_lab import cli
 from dirichlet_lab.cli import _Param, main
 from dirichlet_lab.config import (
     RunConfig,
+    _num_list,
     parse_config,
     parse_forms,
     parse_map,
@@ -442,6 +444,38 @@ def _on_cantor(argv):
     return [_CANTOR if arg == "lebesgue d=1 box=0,1" else arg for arg in argv]
 
 
+_T_SCAN = ["escape", "--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
+           "--ball-radius", "0.75", "--eps", "0.4", "--samples", "200"]
+
+
+@pytest.mark.parametrize("argv,flag,form,decimal", [
+    (_T_SCAN + ["--t", "6,3,3"], "--ball-center", "1/2", "0.5"),
+    (_COUNTEREXAMPLE + ["--systems", "5"], "--s", "3,7/2", "3,3.5"),
+    (["trajectory", "--m", "1", "--n", "2", "--Y", "0.5,0.25"], "--family",
+     "explicit 4,2,2", "explicit 4 2 2"),
+    (_T_SCAN + ["--ball-center", "0.5"], "--t", "6 3 3", "6,3,3"),
+], ids=["ball-center-rational", "s-rational", "explicit-commas", "t-spaces"])
+def test_cli_number_lists_read_one_grammar(rundir, capsys, argv, flag, form, decimal):
+    # commas or whitespace, rationals or decimals: the same numbers give the
+    # same records, and a converted list is recorded by its values
+    reports = []
+    for text in (form, decimal):
+        assert main(argv + [flag, text, "--output", "out"]) == 0
+        reports.append((rundir / "out" / "report.jsonl").read_text().splitlines())
+    capsys.readouterr()
+    assert reports[0][3:] == reports[1][3:]
+    if flag in ("--ball-center", "--s"):
+        assert reports[0][2] == reports[1][2]
+
+
+def test_no_subcommand_flag_is_converted_by_argparse():
+    # so no value can bypass _Param._convert
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        assert [action.dest for action in sub._actions if action.type is not None] == [], name
+
+
 @pytest.mark.parametrize("argv,code", [
     (["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--seed", "-1"], 2),
     (["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--workers", "0"], 2),
@@ -530,6 +564,12 @@ def _on_cantor(argv):
     (["ba", "--Y", "0.5", "--r", "nan", "--s", "1", "--q-max", "5"], 2),
     (["ba", "--m", "1", "--n", "2", "--Y", "0.5,0.3", "--r", "1", "--s", "nan,nan",
       "--q-max", "5"], 2),
+    (["check", "--Y", "0.5", "--t", "1,1", "--eps", "0.5", "--seed", "x"], 2),
+    (_COUNTEREXAMPLE + ["--s", "3,x"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--workers", "x"], 2),
+    (["equidist", "--interval", "0,1/0", "--flow-time", "3", "--eps", "0.5",
+      "--samples", "100"], 2),
+    (["check", "--config", "maybe.cfg"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -554,21 +594,24 @@ def _on_cantor(argv):
         "federer-nan-center-fraction", "counterexample-past-precision-cap",
         "counterexample-past-precision-cap-dry-run", "equidist-interval-width-overflow",
         "equidist-translate-overflow", "constants-threshold-underflow",
-        "escape-ifs-depth-over-cap", "config-not-utf8", "ba-nan-r", "ba-nan-s"])
+        "escape-ifs-depth-over-cap", "config-not-utf8", "ba-nan-r", "ba-nan-s",
+        "check-seed-not-integer", "counterexample-s-not-numbers", "escape-workers-not-integer",
+        "equidist-interval-divides-by-zero", "config-switch-not-boolean"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
-    # input exits with the same code and the same first error line
+    # input exits with the same code and the same one error line
     (rundir / "latin1.cfg").write_bytes(b"[run]\nexperiment = constants\nmax_n = 3 # \xff\n")
+    (rundir / "maybe.cfg").write_text(_CHECK_CFG + "weak_q = maybe\n")
     if "--dry-run" in argv:
         twin = [arg for arg in argv if arg != "--dry-run"]
     else:
         twin = argv + ["--dry-run"]
-    first_lines = []
+    errs = []
     for args in (argv, twin):
         assert main(args) == code
-        first_lines.append(capsys.readouterr().err.splitlines()[0])
-    assert first_lines[0].startswith("error:")
-    assert first_lines[0] == first_lines[1]
+        errs.append(capsys.readouterr().err.splitlines())
+    assert len(errs[0]) == 1 and errs[0][0].startswith("error:")
+    assert errs[0] == errs[1]
     assert not (rundir / "runs").exists()
 
 
@@ -597,14 +640,15 @@ def test_cli_map_values_that_overflow_stop_the_run(rundir, capsys, argv):
 # parameter draws from the pool under its key, else from the pool of its
 # conversion; sizes stay tiny so that each run is cheap.
 _NUMBERS = {
-    int: (("1", "2", "3", "20"), ("-1", "0")),
-    float: (("0.4", "0.9"), ("-1", "0", "0.05", "1", "1.5", "3", "400", "nan", "inf")),
+    int: (("1", "2", "3", "20"), ("-1", "0", "x")),
+    float: (("0.4", "0.9"),
+            ("-1", "0", "0.05", "1", "1.5", "3", "400", "nan", "inf", "x", "1/0")),
 }
 _TEXTS = {
-    "seed": (("0", "3"), ("-1",)),
-    "workers": (("1", "2"), ("0",)),
-    "coord": (("1", "2"), ("0", "3")),
-    "margin": (("1e-09", "0.001"), ("-1", "nan", "400")),
+    "seed": (("0", "3"), ("-1", "x")),
+    "workers": (("1", "2"), ("0", "x")),
+    "coord": (("1", "2"), ("0", "3", "x")),
+    "margin": (("1e-09", "0.001"), ("-1", "nan", "400", "x")),
     "m": (("1",), ("0", "2")),
     "n": (("1",), ("0", "2")),
     "Y": (("0.5", "1/3"), ("abc", "", "0.3,0.7", "0.3;0.7")),
@@ -614,11 +658,11 @@ _TEXTS = {
     "map": (("veronese n=1", "veronese n=2"), ("veronese", "poly d=2 n=1 f1=x1*x2")),
     "measure": (("lebesgue d=1 box=0,1", _CANTOR),
                 ("ifs ratios=2 trans=0", "normal", "lebesgue d=2 box=0,1,0,1")),
-    "ball_center": (("0.5", "0.7407407"), ("0.5,0.5", "nan", "")),
-    "interval": (("0,1", "0.4,0.9"), ("1,0", "0", "0,1,2")),
-    "radius_range": (("0.5,1", "0.9,0.9"), ("1,0.5", "0.5", "0,1")),
-    "r": (("1", "0.4,0.6"), ("0.5", "-1")),
-    "s": (("1", "3,4"), ("-3", "400", "0.5")),
+    "ball_center": (("0.5", "0.7407407"), ("0.5,0.5", "nan", "", "1/0")),
+    "interval": (("0,1", "0.4,0.9"), ("1,0", "0", "0,1,2", "0,x")),
+    "radius_range": (("0.5,1", "0.9,0.9"), ("1,0.5", "0.5", "0,1", "x")),
+    "r": (("1", "0.4,0.6"), ("0.5", "-1", "1/0")),
+    "s": (("1", "3,4"), ("-3", "400", "0.5", "3,x")),
 }
 
 
@@ -631,24 +675,24 @@ def _cli_argv(draw):
     command = cli._COMMANDS[name]
     params = command.params + (_Param("seed", int),)
     if command.sampling:
-        params += (_Param("workers", int),)
+        params += (cli._WORKERS,)
     odd = draw(st.sampled_from((None,) + params))
 
     def text(param):
         pools = _TEXTS.get(param.key) or _NUMBERS[
-            float if param.conv is cli._float_list else param.conv]
+            float if param.conv is _num_list else param.conv]
         return draw(st.sampled_from(pools[param is odd]))
 
     argv = [name]
     for param in params:
-        flag = "--" + param.name.replace("_", "-")
+        flag = param.option
         if param.kind == "switch":
             argv += [flag] * draw(st.booleans())
             continue
         if param is odd and param.required and draw(st.booleans()):
             continue
         count = draw(st.sampled_from((1, 1, 1, 2, 3)))
-        if param.conv is cli._float_list and param.key not in _TEXTS:
+        if param.conv is _num_list and param.key not in _TEXTS:
             argv += [flag, ",".join(text(param) for _ in range(count))]
         elif param.kind == "list":
             argv += [flag] + [text(param) for _ in range(count)]
