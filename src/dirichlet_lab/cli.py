@@ -11,8 +11,11 @@ keys.  Every value comes from its flag, else the --config FILE key of
 the same name (``-`` becomes ``_``; ``--family`` is ``trajectory``),
 else its default, and is recorded in table order.  Flag or key, its text
 takes one conversion (``_Param._convert``; argparse converts nothing), so
-a malformed value is a one-line ``error:``.  A config key the table lacks,
-or a repeated key whose flag does not repeat, is an error.
+a malformed value is a one-line ``error:``.  Numbers, scalar or list, read
+``config``'s one grammar (``_num``, ``_num_list``), and a token with one
+leading ``-`` is a value, so ``--t -0,1`` and ``--y0 -1/2`` are numbers.
+A config key the table lacks, or a repeated key whose flag does not
+repeat, is an error.
 Handlers validate, then compute; --dry-run stops after validation and
 prints the plan.  Validation runs every input check the run makes, weight
 limits, scan budgets and dimensions included, through the library's own
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -38,6 +42,7 @@ import numpy as np
 
 from .config import (
     RunConfig,
+    _num,
     _num_list,
     parse_config,
     parse_forms,
@@ -440,8 +445,8 @@ _FORMS = (
 )
 _FAMILY = _Param("trajectory", required=True, kind="append", flag="family",
                  help="'ray central t=..', 'ray r=.. s=.. t=..', or repeated 'explicit ..'")
-_EPS = _Param("eps", float, required=True, kind="list")
-_MARGIN = _Param("margin", float, DEFAULT_MARGIN)
+_EPS = _Param("eps", _num, required=True, kind="list")
+_MARGIN = _Param("margin", _num, DEFAULT_MARGIN)
 _DEPTH = _Param("depth", int, DEFAULT_IFS_DEPTH)
 _MAP = _Param("map", required=True)
 _MEASURE = _Param("measure", required=True)
@@ -450,7 +455,7 @@ _MEASURE = _Param("measure", required=True)
 def _ball_params(noun: str = "ball") -> tuple:
     return (_Param("ball_center", _num_list, required=True,
                    help="%s center, comma-separated" % noun),
-            _Param("ball_radius", float, required=True, help="%s radius" % noun))
+            _Param("ball_radius", _num, required=True, help="%s radius" % noun))
 
 
 _SCAN = (_MAP, _MEASURE) + _ball_params() + (
@@ -477,7 +482,7 @@ _COMMANDS = {
         "CSV columns: t;norm;floor;solvable;witness_p;witness_q", False, _cmd_di,
         _FORMS + (
             _FAMILY,
-            _Param("horizon", float, required=True, help="largest weight norm examined"),
+            _Param("horizon", _num, required=True, help="largest weight norm examined"),
             _MARGIN, _EPS,
         )),
     "escape": _Command("escape-measure table over (t, eps)", _SCAN_COLUMNS, True,
@@ -491,8 +496,8 @@ _COMMANDS = {
         "haar_n;haar_boundary_n", True, _cmd_equidist,
         (
             _Param("interval", _num_list, required=True, help="lo,hi"),
-            _Param("y0", float, 0.0),
-            _Param("flow_time", float, required=True),
+            _Param("y0", _num, 0.0),
+            _Param("flow_time", _num, required=True),
             _EPS, _Param("samples", int, 100_000), _MARGIN,
         )),
     "counterexample": _Command(
@@ -502,7 +507,7 @@ _COMMANDS = {
         _cmd_counterexample,
         (
             _EPS,
-            _Param("u", float, required=True,
+            _Param("u", _num, required=True,
                    help="frozen first weight; needs 1/eps^2 < e^u < 2*eps"),
             _Param("s", _num_list, required=True,
                    help="comma-separated list of drifting parameters"),
@@ -514,7 +519,7 @@ _COMMANDS = {
         "half_width;sup_norm;C;degenerate", True, _cmd_good_test,
         (_MAP, _MEASURE) + _ball_params() + (
             _Param("coord", int, 1, help="1-based map coordinate (default 1)"),
-            _Param("alpha", float, required=True),
+            _Param("alpha", _num, required=True),
             _EPS._replace(help="sublevel grid"),
             _Param("samples", int, 100_000), _DEPTH,
         )),
@@ -525,7 +530,7 @@ _COMMANDS = {
         (_MEASURE,) + _ball_params("region") + (
             _Param("ball_count", int, 200),
             _Param("samples", int, 200_000), _DEPTH,
-            _Param("center_fraction", float, 0.2),
+            _Param("center_fraction", _num, 0.2),
             _Param("radius_range", _num_list, (0.8, 1.0), help="lo,hi inside (0, 1]"),
         )),
     "nonplanar-test": _Command(
@@ -555,6 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help, description=command.description)
+        # no option but -h starts with a single '-', so a token that does
+        # (-1/2, -0,1, -.5, -inf) is a value, not an unknown option
+        sub._negative_number_matcher = re.compile(r"^-[^-]")
         for param in command.params:
             param.add_to(sub)
         sub.add_argument("--config", help="config file supplying defaults")

@@ -22,11 +22,14 @@ Measure/map/trajectory declaration grammars:
 Polynomials are '+'-joined terms; a term is an optional rational
 coefficient and '*'-joined factors ``x<i>`` or ``x<i>^<e>``, e.g.
 ``f2=x1^2-2*x1+1`` or ``f1=1/3*x2``.  No spaces inside a declaration
-token.
+token.  A map's d, and a Veronese n, are at most ``MAX_MAP_DIM``.
 
-Every list of numbers, here or in ``cli``, reads one grammar
-(``_num_list``): commas or whitespace between numbers such as ``2``,
-``0.5`` or ``1/3``, correctly rounded; NaN, infinities and overflow are refused.
+Every number, here or in ``cli``, reads one grammar (``_rational``): an
+integer, a decimal or a rational such as ``1/3``; NaN, infinities, values
+beyond the float range and exponents of five digits or more are refused.
+Form entries and polynomial coefficients stay exact; every other number
+is correctly rounded to a float (``_num``).  A list (``_num_list``), like
+a row of forms, separates its numbers by commas or whitespace.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from fractions import Fraction
 from .errors import ParameterError
 from .flows import MAX_FORMS, LinearFormSystem, WeightVector
 from .lattice import MAX_DIM
-from .measures import LebesgueBox, MapSpec, MeasureSpec, SelfSimilarIFS
+from .measures import MAX_MAP_DIM, LebesgueBox, MapSpec, MeasureSpec, SelfSimilarIFS
 
 # keys a run writes first, in this order (report format 1); the rest follow
 # in the order the run resolved them
@@ -126,11 +129,29 @@ def _kv_tokens(tokens, context: str) -> dict:
     return out
 
 
-def _num_list(text: str, context: str = "numbers") -> tuple:
+def _rational(tok: str, context: str) -> Fraction:
+    """One number, exact: an integer, a decimal or a rational such as 1/3.
+
+    A value beyond the float range is refused, and so is an exponent of five
+    digits or more, whose exact value would take minutes to build.
+    """
     try:
-        return tuple(float(Fraction(tok)) for tok in text.replace(",", " ").split())
+        if len(tok.lower().partition("e")[2].replace("_", "").lstrip("+-0")) > 4:
+            raise ValueError(tok)
+        value = Fraction(tok)
+        float(value)  # OverflowError beyond the float range
+        return value
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ParameterError("%s: bad number list %r" % (context, text))
+        raise ParameterError("%s: bad number %r" % (context, tok)) from None
+
+
+def _num(tok: str, context: str = "number") -> float:
+    """One number, correctly rounded to a float."""
+    return float(_rational(tok, context))
+
+
+def _num_list(text: str, context: str = "numbers") -> tuple:
+    return tuple(_num(tok, context) for tok in text.replace(",", " ").split())
 
 
 def parse_measure(decl: str) -> MeasureSpec:
@@ -200,10 +221,7 @@ def _parse_poly(text: str, dim: int, context: str) -> tuple:
                         "%s: variable x%d out of range for d=%d" % (context, i, dim))
                 exponents[i - 1] += int(match.group(2) or 1)
             else:
-                try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError):
-                    raise ParameterError("%s: bad factor %r" % (context, factor))
+                coeff *= _rational(factor, context)
         terms.append((coeff, tuple(exponents)))
     if not terms:
         raise ParameterError("%s: empty polynomial" % context)
@@ -220,9 +238,10 @@ def parse_map(decl: str) -> MapSpec:
         if set(kv) != {"n"}:
             raise ParameterError("map veronese takes exactly n=")
         try:
-            return MapSpec.veronese(int(kv["n"]))
+            n = int(kv["n"])
         except ValueError:
-            raise ParameterError("map veronese: n must be an integer")
+            raise ParameterError("map veronese: n must be an integer") from None
+        return MapSpec.veronese(n)
     if kind == "poly":
         if not {"d", "n"} <= set(kv):
             raise ParameterError("map poly needs d= and n=")
@@ -230,6 +249,11 @@ def parse_map(decl: str) -> MapSpec:
             d, n = int(kv["d"]), int(kv["n"])
         except ValueError:
             raise ParameterError("map poly: d and n must be integers")
+        # sizes the text does not bound are refused before anything that size is built
+        if d > MAX_MAP_DIM:
+            raise ParameterError("map poly: d must be at most %d" % MAX_MAP_DIM)
+        if n != len(kv) - 2:
+            raise ParameterError("map poly n=%d takes exactly keys f1..f%d" % (n, n))
         expected = {"d", "n"} | {"f%d" % (i + 1) for i in range(n)}
         if set(kv) != expected:
             raise ParameterError(
@@ -242,20 +266,15 @@ def parse_map(decl: str) -> MapSpec:
     raise ParameterError("unknown map kind %r" % kind)
 
 
-_RAY_T_RE = re.compile(r"^([^:]+):([^:]+):([^:]+)$")
-
-
 def _ray(text: str, point) -> tuple:
     """point(start + j * step) for j < count, from the schedule start:step:count."""
-    match = _RAY_T_RE.match(text)
-    if not match:
-        raise ParameterError("ray schedule must be t=<start>:<step>:<count>, got %r" % text)
     try:
-        start = float(match.group(1))
-        step = float(match.group(2))
-        count = int(match.group(3))
+        start, step, count = text.split(":")
+        count = int(count)
     except ValueError:
-        raise ParameterError("bad ray schedule %r" % text)
+        raise ParameterError("ray schedule must be t=<start>:<step>:<count>, got %r"
+                             % text) from None
+    start, step = _num(start, "ray schedule"), _num(step, "ray schedule")
     if step <= 0 or count < 1:
         raise ParameterError("need step > 0 and count >= 1")
     if start <= 0:
@@ -296,25 +315,16 @@ def parse_trajectory(records, m: int, n: int) -> tuple[WeightVector, ...]:
         kind, *rest = rec.split(None, 1)
         if kind != "explicit":
             raise ParameterError("unknown trajectory record %r" % rec)
-        values = _num_list("".join(rest), "explicit record")
-        if len(values) != m + n:
-            raise ParameterError(
-                "explicit record needs %d weights for m=%d n=%d, got %d"
-                % (m + n, m, n, len(values)))
-        items.append(WeightVector(m, n, values))
+        items.append(parse_weight_vector("".join(rest), m, n))
     return tuple(items)
 
 
 def parse_forms(text: str, m: int, n: int) -> LinearFormSystem:
-    """Rows ';'-separated, entries ','-separated, rationals allowed."""
+    """Rows ';'-separated, entries separated by commas or whitespace, kept exact."""
     if not (1 <= m <= MAX_FORMS and 1 <= n <= MAX_FORMS):
         raise ParameterError("m, n must be in [1, %d]" % MAX_FORMS)
-    rows = []
-    for chunk in text.split(";"):
-        try:
-            rows.append(tuple(Fraction(tok) for tok in chunk.split(",") if tok != ""))
-        except (ValueError, ZeroDivisionError):
-            raise ParameterError("bad Y row %r" % chunk)
+    rows = [tuple(_rational(tok, "Y") for tok in chunk.replace(",", " ").split())
+            for chunk in text.split(";")]
     if len(rows) != m or any(len(r) != n for r in rows):
         raise ParameterError("Y must be %d row(s) of %d entrie(s)" % (m, n))
     return LinearFormSystem.from_exact(rows)

@@ -32,6 +32,9 @@ DEFAULT_IFS_DEPTH = 20
 # deepest IFS address whose one-block draw gen.random((rng.BLOCK, depth)) fits 128 MB
 MAX_IFS_DEPTH = 128 * 2 ** 20 // (8 * _rng.BLOCK)
 NONPLANAR_SVD_FLOOR = 1e-8
+# largest domain dimension d of a map, and largest Veronese n: a declaration's
+# text does not bound them, and each term stores d exponents
+MAX_MAP_DIM = 64
 
 # z-value for the reported ~95% binomial half-widths
 _Z95 = 1.959963984540054
@@ -86,8 +89,8 @@ class MapSpec:
     @classmethod
     def veronese(cls, n: int) -> "MapSpec":
         """x -> (x, x^2, ..., x^n) on the line."""
-        if n < 1:
-            raise ParameterError("veronese needs n >= 1")
+        if not 1 <= n <= MAX_MAP_DIM:
+            raise ParameterError("veronese needs 1 <= n <= %d" % MAX_MAP_DIM)
         coords = tuple((((Fraction(1), (i,)),)) for i in range(1, n + 1))
         return cls(1, n, coords)
 

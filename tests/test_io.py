@@ -16,6 +16,7 @@ from dirichlet_lab import cli
 from dirichlet_lab.cli import _Param, main
 from dirichlet_lab.config import (
     RunConfig,
+    _num,
     _num_list,
     parse_config,
     parse_forms,
@@ -105,7 +106,7 @@ def test_parse_measure_lebesgue():
     with pytest.raises(ParameterError):
         parse_measure("lebesgue d=1 box=0,1 extra=2")
     # a number too large for a float once escaped as OverflowError
-    with pytest.raises(ParameterError, match="bad number list"):
+    with pytest.raises(ParameterError, match="bad number '1e400'"):
         parse_measure("lebesgue d=1 box=0,1e400")
     with pytest.raises(ParameterError, match="finite"):
         parse_measure("lebesgue d=1 box=-1e308,1e308")
@@ -446,6 +447,8 @@ def _on_cantor(argv):
 
 _T_SCAN = ["escape", "--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1",
            "--ball-radius", "0.75", "--eps", "0.4", "--samples", "200"]
+_ONE_BY_TWO = ["--m", "1", "--n", "2"]
+_EQUIDIST = ["equidist", "--flow-time", "3", "--eps", "0.5", "--samples", "1000"]
 
 
 @pytest.mark.parametrize("argv,flag,form,decimal", [
@@ -454,17 +457,30 @@ _T_SCAN = ["escape", "--map", "veronese n=2", "--measure", "lebesgue d=1 box=0,1
     (["trajectory", "--m", "1", "--n", "2", "--Y", "0.5,0.25"], "--family",
      "explicit 4,2,2", "explicit 4 2 2"),
     (_T_SCAN + ["--ball-center", "0.5"], "--t", "6 3 3", "6,3,3"),
-], ids=["ball-center-rational", "s-rational", "explicit-commas", "t-spaces"])
+    (_COUNTEREXAMPLE[:3] + ["--s", "3", "--systems", "5"], "--u", "1/2", "0.5"),
+    (["check"] + _ONE_BY_TWO + ["--Y", "0.5,0.25", "--t", "2,1,1"], "--eps", "1/2", "0.5"),
+    (["trajectory"] + _ONE_BY_TWO + ["--Y", "0.5,0.25"], "--family",
+     "ray central t=1/2:1/2:3", "ray central t=0.5:0.5:3"),
+    (["trajectory"] + _ONE_BY_TWO + ["--family", "explicit 4 2 2"], "--Y",
+     "1/2 1/4", "0.5,0.25"),
+    (["trajectory", "--family", "explicit 2 2"], "--Y", "-1/2", "-0.5"),
+    (_T_SCAN + ["--t", "6,3,3"], "--ball-center", "-1/2", "-0.5"),
+    (_EQUIDIST + ["--interval", "0,1"], "--y0", "-1/2", "-0.5"),
+    (_EQUIDIST, "--interval", "-1,0", "-1 0"),
+], ids=["ball-center-rational", "s-rational", "explicit-commas", "t-spaces",
+        "u-rational", "eps-rational", "ray-rational", "Y-spaces", "Y-dash-rational",
+        "ball-center-dash-rational", "y0-dash-rational", "interval-dash"])
 def test_cli_number_lists_read_one_grammar(rundir, capsys, argv, flag, form, decimal):
-    # commas or whitespace, rationals or decimals: the same numbers give the
-    # same records, and a converted list is recorded by its values
+    # commas or whitespace, rationals or decimals, a leading '-' or not: the
+    # same numbers give the same records, and a converted value is recorded
+    # by its value
     reports = []
     for text in (form, decimal):
         assert main(argv + [flag, text, "--output", "out"]) == 0
         reports.append((rundir / "out" / "report.jsonl").read_text().splitlines())
     capsys.readouterr()
     assert reports[0][3:] == reports[1][3:]
-    if flag in ("--ball-center", "--s"):
+    if flag not in ("--family", "--t", "--Y"):
         assert reports[0][2] == reports[1][2]
 
 
@@ -474,6 +490,26 @@ def test_no_subcommand_flag_is_converted_by_argparse():
                 if isinstance(action, argparse._SubParsersAction))
     for name, sub in subs.choices.items():
         assert [action.dest for action in sub._actions if action.type is not None] == [], name
+
+
+def test_no_parameter_converts_with_float():
+    # a scalar reads the number grammar of the lists: config._num
+    params = [param for command in cli._COMMANDS.values() for param in command.params]
+    params += cli._COMMON + (cli._WORKERS,)
+    assert [param.key for param in params if param.conv is float] == []
+
+
+def test_only_help_is_a_single_dash_option():
+    # the subparsers read any token with one leading '-' as a value (argparse's
+    # private _negative_number_matcher), which is right while no option has
+    # that form
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        for text in ("-1/2", "-0,1", "-.5", "-inf"):
+            assert sub._negative_number_matcher.match(text), name
+        assert {option for option in sub._option_string_actions
+                if sub._negative_number_matcher.match(option)} == {"-h"}, name
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -570,6 +606,20 @@ def test_no_subcommand_flag_is_converted_by_argparse():
     (["equidist", "--interval", "0,1/0", "--flow-time", "3", "--eps", "0.5",
       "--samples", "100"], 2),
     (["check", "--config", "maybe.cfg"], 2),
+    (["di", "--Y", "0.5", "--family", "ray central t=1:1:3", "--eps", "0.5",
+      "--horizon", "3", "--margin", "inf"], 2),
+    (["check", "--Y", "0.5", "--t", "1,1", "--eps", "inf"], 2),
+    (_COUNTEREXAMPLE[:3] + ["--u", "1e400", "--s", "3"], 2),
+    (["good-test"] + _GOOD_FLAGS + ["--alpha", "nan", "--eps", "0.1"], 2),
+    (["check", "--Y", "0.5", "--t", "-0,1", "--eps", "0.5"], 2),
+    (["check", "--Y", "0.5", "--t", "1,1", "--eps", "-inf"], 2),
+    (_COUNTEREXAMPLE + ["--s", "3,1e-99999999"], 2),
+    (["escape", "--map", "poly d=1000000000000 n=1 f1=x1"] + _ESCAPE_FLAGS[2:], 2),
+    (["escape", "--map", "veronese n=1000000000000"] + _ESCAPE_FLAGS[2:], 2),
+    (["escape", "--map", "poly d=1 n=1000000000000 f1=x1"] + _ESCAPE_FLAGS[2:], 2),
+    (["check", "--Y", "1e400", "--t", "1,1", "--eps", "0.5"], 2),
+    (["good-test", "--map", "poly d=1 n=1 f1=1e400*x1"] + _GOOD_FLAGS[2:]
+     + ["--alpha", "0.5", "--eps", "0.1"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -596,7 +646,12 @@ def test_no_subcommand_flag_is_converted_by_argparse():
         "equidist-translate-overflow", "constants-threshold-underflow",
         "escape-ifs-depth-over-cap", "config-not-utf8", "ba-nan-r", "ba-nan-s",
         "check-seed-not-integer", "counterexample-s-not-numbers", "escape-workers-not-integer",
-        "equidist-interval-divides-by-zero", "config-switch-not-boolean"])
+        "equidist-interval-divides-by-zero", "config-switch-not-boolean",
+        "di-infinite-margin", "check-infinite-eps", "counterexample-u-overflow",
+        "good-test-nan-alpha", "check-t-dash-leading", "check-eps-minus-infinity",
+        "counterexample-s-exponent-unbounded", "escape-poly-d-unbounded",
+        "escape-veronese-n-unbounded", "escape-poly-n-unbounded", "check-Y-overflow",
+        "good-test-coefficient-overflow"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same one error line
@@ -641,8 +696,9 @@ def test_cli_map_values_that_overflow_stop_the_run(rundir, capsys, argv):
 # conversion; sizes stay tiny so that each run is cheap.
 _NUMBERS = {
     int: (("1", "2", "3", "20"), ("-1", "0", "x")),
-    float: (("0.4", "0.9"),
-            ("-1", "0", "0.05", "1", "1.5", "3", "400", "nan", "inf", "x", "1/0")),
+    _num: (("0.4", "0.9", "1/2"),
+           ("-1", "-1/2", "-.5", "-0", "-inf", "0", "0.05", "1", "1.5", "3", "400",
+            "nan", "inf", "1e400", "x", "1/0")),
 }
 _TEXTS = {
     "seed": (("0", "3"), ("-1", "x")),
@@ -651,15 +707,15 @@ _TEXTS = {
     "margin": (("1e-09", "0.001"), ("-1", "nan", "400", "x")),
     "m": (("1",), ("0", "2")),
     "n": (("1",), ("0", "2")),
-    "Y": (("0.5", "1/3"), ("abc", "", "0.3,0.7", "0.3;0.7")),
-    "t": (("1,1", "2,1,1"), ("60,30,30", "400,200,200", "1,x", "1,1,1,1")),
+    "Y": (("0.5", "1/3", "-1/3"), ("abc", "", "0.3,0.7", "0.3 0.7", "0.3;0.7")),
+    "t": (("1,1", "2,1,1"), ("60,30,30", "400,200,200", "1,x", "1,1,1,1", "-0,1")),
     "trajectory": (("ray central t=1:1:3", "ray r=1 s=1 t=1:1:3", "explicit 1 1"),
                    ("explicit 2 1 1", "ray central t=100:100:5", "ray central t=1:1")),
     "map": (("veronese n=1", "veronese n=2"), ("veronese", "poly d=2 n=1 f1=x1*x2")),
     "measure": (("lebesgue d=1 box=0,1", _CANTOR),
                 ("ifs ratios=2 trans=0", "normal", "lebesgue d=2 box=0,1,0,1")),
-    "ball_center": (("0.5", "0.7407407"), ("0.5,0.5", "nan", "", "1/0")),
-    "interval": (("0,1", "0.4,0.9"), ("1,0", "0", "0,1,2", "0,x")),
+    "ball_center": (("0.5", "0.7407407"), ("0.5,0.5", "nan", "", "1/0", "-1/2")),
+    "interval": (("0,1", "0.4,0.9", "-1,0"), ("1,0", "0", "0,1,2", "0,x")),
     "radius_range": (("0.5,1", "0.9,0.9"), ("1,0.5", "0.5", "0,1", "x")),
     "r": (("1", "0.4,0.6"), ("0.5", "-1", "1/0")),
     "s": (("1", "3,4"), ("-3", "400", "0.5", "3,x")),
@@ -680,7 +736,7 @@ def _cli_argv(draw):
 
     def text(param):
         pools = _TEXTS.get(param.key) or _NUMBERS[
-            float if param.conv is _num_list else param.conv]
+            _num if param.conv is _num_list else param.conv]
         return draw(st.sampled_from(pools[param is odd]))
 
     argv = [name]
