@@ -22,7 +22,8 @@ Measure/map/trajectory declaration grammars:
 Polynomials are '+'-joined terms; a term is an optional rational
 coefficient and '*'-joined factors ``x<i>`` or ``x<i>^<e>``, e.g.
 ``f2=x1^2-2*x1+1`` or ``f1=1/3*x2``.  No spaces inside a declaration
-token.  A map's d, and a Veronese n, are at most ``MAX_MAP_DIM``.
+token.  A map's d, and a Veronese n, are at most ``MAX_MAP_DIM``; a
+ray's count is at most ``MAX_RAY_COUNT``.
 
 Every number, here or in ``cli``, reads one grammar (``_rational``): an
 integer, a decimal or a rational such as ``1/3``; NaN, infinities, values
@@ -42,6 +43,10 @@ from .errors import ParameterError
 from .flows import MAX_FORMS, LinearFormSystem, WeightVector
 from .lattice import MAX_DIM
 from .measures import MAX_MAP_DIM, LebesgueBox, MapSpec, MeasureSpec, SelfSimilarIFS
+
+# most weight vectors one ray schedule may list: its text does not bound
+# the count, and every vector is built before any run starts
+MAX_RAY_COUNT = 10_000
 
 # keys a run writes first, in this order (report format 1); the rest follow
 # in the order the run resolved them
@@ -275,8 +280,8 @@ def _ray(text: str, point) -> tuple:
         raise ParameterError("ray schedule must be t=<start>:<step>:<count>, got %r"
                              % text) from None
     start, step = _num(start, "ray schedule"), _num(step, "ray schedule")
-    if step <= 0 or count < 1:
-        raise ParameterError("need step > 0 and count >= 1")
+    if step <= 0 or not 1 <= count <= MAX_RAY_COUNT:
+        raise ParameterError("need step > 0 and 1 <= count <= %d" % MAX_RAY_COUNT)
     if start <= 0:
         raise ParameterError("start must be positive when given")
     return tuple(point(start + j * step) for j in range(count))

@@ -6,7 +6,8 @@ Four studies live here, all built from the lattice/flow/measure layers:
   out of the eps-thick part by a diagonal flow, and how that fraction
   decays with eps (the power law behind the improvability results);
 * a Haar sampler and equidistribution discrepancy test at k = 2, where
-  the hyperbolic fundamental domain gives an exact volume oracle;
+  Siegel's mean value theorem gives the invariant mass of the thin part
+  exactly for eps <= 1/sqrt(2);
 * the m = 2, n = 1 construction showing that along weight rays with a
   frozen first coordinate EVERY system of forms is eps-improvable for
   suitable eps, so drifting away from the walls is genuinely needed
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -356,7 +358,12 @@ def haar_sample_k2(seed: int, count: int) -> HaarSampleK2:
 
 @dataclass(frozen=True)
 class EquidistReport:
-    """Flowed-translate vs invariant-measure membership test for K_eps."""
+    """Flowed-translate vs invariant-measure membership test for K_eps.
+
+    haar_n = haar_boundary_n = 0 marks an exact haar_estimate (2 eps^2 <= 1);
+    otherwise they count the sampled Haar lattices, as translate_n and
+    translate_boundary_n count the translates.
+    """
 
     y0: float
     interval: tuple
@@ -383,6 +390,20 @@ def thick_fraction_k2(
     if n_eff == 0:
         return 0.0, 0, boundary
     return inside / n_eff, n_eff, boundary
+
+
+def _siegel_thick_k2(eps: float):
+    """Invariant mass of the eps-thick part at k = 2 where 2 eps^2 <= 1, else None.
+
+    Siegel's mean value theorem: a unimodular lattice has on average
+    vol(S) / zeta(2) primitive vectors in S.  Two independent vectors in the
+    open square of side 2 eps span |det| < 2 eps^2 <= 1, and two of a
+    unimodular lattice span at least 1, so at most one +-pair lies there:
+    mu(lambda1 < eps) = 4 eps^2 / (2 zeta(2)) = 12 eps^2 / pi^2.
+    """
+    if 2 * Fraction(eps) ** 2 > 1:
+        return None
+    return 1.0 - 12.0 * eps * eps / math.pi ** 2
 
 
 def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples: int,
@@ -422,8 +443,11 @@ def equidist_test_k2(
     invariant frequency?
 
     The translate estimate is the fraction of x uniform on the interval
-    whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part; the
-    reference comes from haar_sample_k2 with the same sample budget.
+    whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part.  The
+    reference is the invariant thick mass: exactly 1 - 12 eps^2 / pi^2
+    for 2 eps^2 <= 1 (Siegel; haar_n = 0), else the thick fraction of
+    haar_sample_k2 with the same sample budget, times 1 - truncated_mass
+    for the lattices beyond its cutoff, which are all thin.
     """
     (lo, hi), t = _equidist_weights(interval, y0, flow_time, eps, samples, margin)
 
@@ -433,8 +457,12 @@ def equidist_test_k2(
     x = _rng.sample_batched(draw, samples, seed, tag=_TAG_TRANSLATE, workers=workers)
     translate_est, t_n, t_bn = thick_fraction_k2(flowed_bases((x + y0)[:, None, None], t),
                                                  eps, margin)
-    haar = haar_sample_k2(seed, samples)
-    haar_est, h_n, h_bn = thick_fraction_k2(haar.matrices, eps, margin)
+    haar_est, h_n, h_bn = _siegel_thick_k2(eps), 0, 0
+    if haar_est is None:
+        haar = haar_sample_k2(seed, samples)
+        thick, h_n, h_bn = thick_fraction_k2(haar.matrices, eps, margin)
+        # every lattice above y_max has lambda1 <= y_max^-1/2 < eps: all thin
+        haar_est = (1.0 - haar.truncated_mass) * thick
     return EquidistReport(float(y0), (lo, hi), t.t, eps, translate_est, haar_est,
                           translate_est - haar_est, t_n, t_bn, h_n, h_bn)
 

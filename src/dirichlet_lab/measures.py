@@ -41,15 +41,18 @@ _Z95 = 1.959963984540054
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ParameterError("coefficients must be finite")
-        return Fraction(x)
-    raise ParameterError("cannot convert %r to an exact rational" % (x,))
+    """x exactly, refused unless its float rounding is finite."""
+    if isinstance(x, np.integer):
+        x = int(x)
+    if not isinstance(x, (Fraction, int, float)):
+        raise ParameterError("cannot convert %r to an exact rational" % (x,))
+    try:
+        value = Fraction(x)
+        float(value)  # OverflowError beyond the float range
+    except (ValueError, OverflowError):
+        raise ParameterError("map coefficients must be finite and within the float "
+                             "range") from None
+    return value
 
 
 # ---------------------------------------------------------------------------

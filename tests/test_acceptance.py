@@ -275,10 +275,15 @@ def test_criterion_7_horocycle_equidistribution(verdict):
         for y0 in (0.0, 0.3, 0.7)
     ]
     elapsed = time.monotonic() - start
-    worst = max(abs(r.discrepancy) for r in reports)
-    ok = worst <= 0.02 and elapsed < 180.0
+    # |discrepancy| against the exact invariant value 1 - 3/pi^2, in ~95%
+    # binomial half-widths of the translate estimate (about 0.0029 here)
+    worst = max(abs(r.discrepancy) / (1.959963984540054 * math.sqrt(
+        r.translate_estimate * (1.0 - r.translate_estimate) / r.translate_n))
+        for r in reports)
+    ok = worst <= 2.0 and elapsed < 180.0
     verdict(7, "flowed translate equidistributes", ok,
-            "worst_discrepancy=%.4f over y0=0,0.3,0.7 %.1fs" % (worst, elapsed))
+            "worst |discrepancy| = %.2f half-widths over y0=0,0.3,0.7 %.1fs"
+            % (worst, elapsed))
 
 
 def test_criterion_8_empirical_constants(verdict):

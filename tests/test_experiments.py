@@ -37,7 +37,14 @@ from dirichlet_lab.flows import (
     random_forms,
 )
 from dirichlet_lab.lattice import ThickRegion, shortest_vector_supnorm, trichotomy
-from dirichlet_lab.measures import Ball, LebesgueBox, MapSpec, SelfSimilarIFS, sample
+from dirichlet_lab.measures import (
+    Ball,
+    LebesgueBox,
+    MapSpec,
+    SelfSimilarIFS,
+    _binomial_half_width,
+    sample,
+)
 from dirichlet_lab.rng import BLOCK
 
 from oracles import counterexample_cases, near_vector_scan
@@ -292,6 +299,40 @@ def test_haar_thick_mass_stable_across_seeds():
     assert abs(f1 - f2) <= allowed
 
 
+def test_haar_sample_with_truncation_correction_reads_siegel():
+    # Siegel: mu(lambda1 < eps) = 12 eps^2 / pi^2 for eps <= 1/sqrt(2).  The
+    # lattices beyond the y cutoff are all thin, so thick = (1 - m) p; without
+    # the factor the thin fraction reads 3.2 half-widths low at eps 0.1.
+    h = haar_sample_k2(0, 400_000)
+    for eps in (0.1, 0.3, 0.5, 0.7):
+        thick, n, _ = thick_fraction_k2(h.matrices, eps)
+        thin = 1.0 - (1.0 - h.truncated_mass) * thick
+        exact = 12.0 * eps * eps / math.pi ** 2
+        assert abs(thin - exact) <= 2.0 * _binomial_half_width(exact, n), eps
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5])
+def test_horocycle_translates_reach_the_siegel_value(eps):
+    r = equidist_test_k2((0.0, 1.0), 0.3, 12.0, eps, samples=100_000, seed=0)
+    assert r.haar_estimate == 1.0 - 12.0 * eps * eps / math.pi ** 2
+    hw = _binomial_half_width(r.translate_estimate, r.translate_n)
+    assert abs(r.discrepancy) <= 2.0 * hw
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 0.7, math.sqrt(0.5), 0.8])
+def test_equidist_reference_is_exact_where_two_eps_squared_is_at_most_one(eps):
+    r = equidist_test_k2((0.0, 1.0), 0.0, 4.0, eps, samples=5000, seed=1)
+    if 2 * Fraction(eps) ** 2 <= 1:
+        assert (r.haar_n, r.haar_boundary_n) == (0, 0)
+        assert r.haar_estimate == 1.0 - 12.0 * eps * eps / math.pi ** 2
+    else:  # sqrt(0.5) rounds to the float just above 1/sqrt(2)
+        h = haar_sample_k2(1, 5000)
+        thick, n, boundary_n = thick_fraction_k2(h.matrices, eps)
+        assert r.haar_n == n > 0 and r.haar_boundary_n == boundary_n
+        assert r.haar_estimate == (1.0 - h.truncated_mass) * thick
+    assert r.discrepancy == r.translate_estimate - r.haar_estimate
+
+
 def test_thick_mass_nonincreasing_in_eps():
     mats = haar_sample_k2(4, 50_000).matrices
     fracs = [thick_fraction_k2(mats, e)[0] for e in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -320,7 +361,7 @@ def test_haar_slices_change_no_bit(monkeypatch):
 
 
 def test_equidist_report_does_not_depend_on_slice_sizes(monkeypatch):
-    args = ((0.0, 1.0), 0.0, 9.0, 0.5)
+    args = ((0.0, 1.0), 0.0, 9.0, 0.8)  # above 1/sqrt(2): the Haar side is sampled
     whole = equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5)
     monkeypatch.setattr(experiments, "_HAAR_SLICE", 1000)
     monkeypatch.setattr(lattice, "_CHUNK", 1000)
@@ -333,8 +374,9 @@ def test_equidist_working_set_is_about_one_slice():
     # rows) peaked at 14.5 MB.  Built slice by slice, the peak is 9.1 MB,
     # in the kernel: the 3.2 MB Haar stack plus one chunk's working set.
     # 11 MB leaves room for numpy versions and fails if any whole-stack
-    # temporary of 3.2 MB comes back.
-    args = ((0.0, 1.0), 0.0, 9.0, 0.5)
+    # temporary of 3.2 MB comes back.  eps 0.8 lies above 1/sqrt(2), where
+    # the Haar side is sampled.
+    args = ((0.0, 1.0), 0.0, 9.0, 0.8)
     equidist_test_k2(*args, samples=100_000, seed=0)  # caches and imports
     tracemalloc.start()
     try:
@@ -363,7 +405,7 @@ def test_region_counts_count_the_trichotomy():
 def test_equidist_discrepancy_small_at_long_times():
     r = equidist_test_k2((0.0, 1.0), 0.0, 9.0, 0.5, samples=100_000, seed=0)
     assert r.translate_estimate == pytest.approx(0.69403, abs=1e-4)
-    assert r.haar_estimate == pytest.approx(0.69773, abs=1e-4)
+    assert r.haar_estimate == 1.0 - 3.0 / math.pi ** 2
     assert abs(r.discrepancy) <= 0.02
     rec = asdict(r)
     assert list(rec) == ["y0", "interval", "t", "eps", "translate_estimate",

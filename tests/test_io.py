@@ -620,6 +620,9 @@ def test_only_help_is_a_single_dash_option():
     (["check", "--Y", "1e400", "--t", "1,1", "--eps", "0.5"], 2),
     (["good-test", "--map", "poly d=1 n=1 f1=1e400*x1"] + _GOOD_FLAGS[2:]
      + ["--alpha", "0.5", "--eps", "0.1"], 2),
+    (["trajectory", "--Y", "0.5", "--family", "ray central t=1:1e-300:1000000000000"], 2),
+    (["good-test", "--map", "poly d=1 n=1 f1=1e300*1e300*x1"] + _GOOD_FLAGS[2:]
+     + ["--alpha", "0.5", "--eps", "0.1"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -651,7 +654,8 @@ def test_only_help_is_a_single_dash_option():
         "good-test-nan-alpha", "check-t-dash-leading", "check-eps-minus-infinity",
         "counterexample-s-exponent-unbounded", "escape-poly-d-unbounded",
         "escape-veronese-n-unbounded", "escape-poly-n-unbounded", "check-Y-overflow",
-        "good-test-coefficient-overflow"])
+        "good-test-coefficient-overflow", "trajectory-ray-count-unbounded",
+        "good-test-coefficient-product-overflow"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same one error line
