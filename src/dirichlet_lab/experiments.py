@@ -360,7 +360,8 @@ def haar_sample_k2(seed: int, count: int) -> HaarSampleK2:
 class EquidistReport:
     """Flowed-translate vs invariant-measure membership test for K_eps.
 
-    haar_n = haar_boundary_n = 0 marks an exact haar_estimate (2 eps^2 <= 1);
+    haar_n = haar_boundary_n = 0 marks an exact haar_estimate
+    (2 (eps + margin)^2 <= 1);
     otherwise they count the sampled Haar lattices, as translate_n and
     translate_boundary_n count the translates.
     """
@@ -392,18 +393,23 @@ def thick_fraction_k2(
     return inside / n_eff, n_eff, boundary
 
 
-def _siegel_thick_k2(eps: float):
-    """Invariant mass of the eps-thick part at k = 2 where 2 eps^2 <= 1, else None.
+def _siegel_thick_k2(eps: float, margin: float):
+    """Invariant thick fraction at k = 2 by the margin trichotomy, or None.
 
     Siegel's mean value theorem: a unimodular lattice has on average
     vol(S) / zeta(2) primitive vectors in S.  Two independent vectors in the
-    open square of side 2 eps span |det| < 2 eps^2 <= 1, and two of a
+    open square of side 2 r span |det| < 2 r^2 <= 1, and two of a
     unimodular lattice span at least 1, so at most one +-pair lies there:
-    mu(lambda1 < eps) = 4 eps^2 / (2 zeta(2)) = 12 eps^2 / pi^2.
+    mu(lambda1 < r) = 4 r^2 / (2 zeta(2)) = 12 r^2 / pi^2.  Like
+    thick_fraction_k2, the fraction leaves out the boundary band
+    eps - margin <= lambda1 < eps + margin; it is exact when
+    2 (eps + margin)^2 <= 1 and None above.
     """
-    if 2 * Fraction(eps) ** 2 > 1:
+    hi, lo = eps + margin, max(eps - margin, 0.0)
+    if not (hi < 1 and 2 * Fraction(hi) ** 2 <= 1):
         return None
-    return 1.0 - 12.0 * eps * eps / math.pi ** 2
+    thick, thin = 1.0 - 12.0 * hi * hi / math.pi ** 2, 12.0 * lo * lo / math.pi ** 2
+    return thick / (thick + thin)
 
 
 def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples: int,
@@ -444,10 +450,11 @@ def equidist_test_k2(
 
     The translate estimate is the fraction of x uniform on the interval
     whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part.  The
-    reference is the invariant thick mass: exactly 1 - 12 eps^2 / pi^2
-    for 2 eps^2 <= 1 (Siegel; haar_n = 0), else the thick fraction of
-    haar_sample_k2 with the same sample budget, times 1 - truncated_mass
-    for the lattices beyond its cutoff, which are all thin.
+    reference is the invariant thick fraction, outside the same margin
+    band: exact for 2 (eps + margin)^2 <= 1 (Siegel; 1 - 12 eps^2 / pi^2
+    at margin 0; haar_n = 0), else the thick fraction of
+    haar_sample_k2 with the same sample budget, with the truncated_mass
+    beyond its cutoff counted as thin.
     """
     (lo, hi), t = _equidist_weights(interval, y0, flow_time, eps, samples, margin)
 
@@ -457,12 +464,14 @@ def equidist_test_k2(
     x = _rng.sample_batched(draw, samples, seed, tag=_TAG_TRANSLATE, workers=workers)
     translate_est, t_n, t_bn = thick_fraction_k2(flowed_bases((x + y0)[:, None, None], t),
                                                  eps, margin)
-    haar_est, h_n, h_bn = _siegel_thick_k2(eps), 0, 0
+    haar_est, h_n, h_bn = _siegel_thick_k2(eps, margin), 0, 0
     if haar_est is None:
         haar = haar_sample_k2(seed, samples)
         thick, h_n, h_bn = thick_fraction_k2(haar.matrices, eps, margin)
-        # every lattice above y_max has lambda1 <= y_max^-1/2 < eps: all thin
-        haar_est = (1.0 - haar.truncated_mass) * thick
+        # the mass m above y_max has lambda1 <= y_max^-1/2 (0.032): thin
+        # and outside the boundary band unless eps - margin is below that
+        m = haar.truncated_mass
+        haar_est = (1.0 - m) * thick / (1.0 + m * h_bn / max(h_n, 1))
     return EquidistReport(float(y0), (lo, hi), t.t, eps, translate_est, haar_est,
                           translate_est - haar_est, t_n, t_bn, h_n, h_bn)
 

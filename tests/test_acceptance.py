@@ -51,6 +51,7 @@ from dirichlet_lab.measures import (
     LebesgueBox,
     MapSpec,
     SelfSimilarIFS,
+    _binomial_half_width,
     cgood_empirical,
     federer_empirical,
     nonplanar_test,
@@ -277,9 +278,9 @@ def test_criterion_7_horocycle_equidistribution(verdict):
     elapsed = time.monotonic() - start
     # |discrepancy| against the exact invariant value 1 - 3/pi^2, in ~95%
     # binomial half-widths of the translate estimate (about 0.0029 here)
-    worst = max(abs(r.discrepancy) / (1.959963984540054 * math.sqrt(
-        r.translate_estimate * (1.0 - r.translate_estimate) / r.translate_n))
-        for r in reports)
+    worst = max(abs(r.discrepancy) / _binomial_half_width(r.translate_estimate,
+                                                          r.translate_n)
+                for r in reports)
     ok = worst <= 2.0 and elapsed < 180.0
     verdict(7, "flowed translate equidistributes", ok,
             "worst |discrepancy| = %.2f half-widths over y0=0,0.3,0.7 %.1fs"

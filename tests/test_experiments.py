@@ -36,7 +36,12 @@ from dirichlet_lab.flows import (
     liouville_system,
     random_forms,
 )
-from dirichlet_lab.lattice import ThickRegion, shortest_vector_supnorm, trichotomy
+from dirichlet_lab.lattice import (
+    DEFAULT_MARGIN,
+    ThickRegion,
+    shortest_vector_supnorm,
+    trichotomy,
+)
 from dirichlet_lab.measures import (
     Ball,
     LebesgueBox,
@@ -311,25 +316,47 @@ def test_haar_sample_with_truncation_correction_reads_siegel():
         assert abs(thin - exact) <= 2.0 * _binomial_half_width(exact, n), eps
 
 
-@pytest.mark.parametrize("eps", [0.3, 0.5])
-def test_horocycle_translates_reach_the_siegel_value(eps):
-    r = equidist_test_k2((0.0, 1.0), 0.3, 12.0, eps, samples=100_000, seed=0)
-    assert r.haar_estimate == 1.0 - 12.0 * eps * eps / math.pi ** 2
+def _siegel_thick(eps, margin):
+    # mu(lambda1 >= eps + margin | lambda1 outside the boundary band), from
+    # mu(lambda1 < r) = 12 r^2 / pi^2 for r <= 1/sqrt(2)
+    def thin(r):
+        return 12.0 * r * r / math.pi ** 2
+    return (1.0 - thin(eps + margin)) / (1.0 - thin(eps + margin)
+                                         + thin(max(eps - margin, 0.0)))
+
+
+@pytest.mark.parametrize("eps,margin", [(0.3, DEFAULT_MARGIN), (0.5, DEFAULT_MARGIN),
+                                        (0.5, 0.1), (0.3, 0.2)])
+def test_horocycle_translates_reach_the_siegel_value(eps, margin):
+    # with a margin both sides leave out the band eps - margin <= lambda1 <
+    # eps + margin: at eps 0.5, margin 0.1 the translates read 0.7439, where
+    # the unconditional 1 - 3/pi^2 = 0.6960 is 17 half-widths away
+    r = equidist_test_k2((0.0, 1.0), 0.3, 12.0, eps, samples=100_000, seed=0,
+                         margin=margin)
+    assert (r.haar_n, r.haar_boundary_n) == (0, 0)
+    assert r.haar_estimate == pytest.approx(_siegel_thick(eps, margin), rel=1e-14)
     hw = _binomial_half_width(r.translate_estimate, r.translate_n)
     assert abs(r.discrepancy) <= 2.0 * hw
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.5, 0.7, math.sqrt(0.5), 0.8])
-def test_equidist_reference_is_exact_where_two_eps_squared_is_at_most_one(eps):
-    r = equidist_test_k2((0.0, 1.0), 0.0, 4.0, eps, samples=5000, seed=1)
-    if 2 * Fraction(eps) ** 2 <= 1:
+@pytest.mark.parametrize("eps,margin", [(0.1, DEFAULT_MARGIN), (0.5, DEFAULT_MARGIN),
+                                        (0.7, DEFAULT_MARGIN), (math.sqrt(0.5), 0.0),
+                                        (0.8, DEFAULT_MARGIN), (0.7, 0.01), (0.6, 0.2)])
+def test_equidist_reference_is_exact_where_two_eps_squared_is_at_most_one(eps, margin):
+    r = equidist_test_k2((0.0, 1.0), 0.0, 4.0, eps, samples=5000, seed=1, margin=margin)
+    if 2 * Fraction(eps + margin) ** 2 <= 1:
         assert (r.haar_n, r.haar_boundary_n) == (0, 0)
-        assert r.haar_estimate == 1.0 - 12.0 * eps * eps / math.pi ** 2
+        assert r.haar_estimate == pytest.approx(_siegel_thick(eps, margin), rel=1e-14)
     else:  # sqrt(0.5) rounds to the float just above 1/sqrt(2)
         h = haar_sample_k2(1, 5000)
-        thick, n, boundary_n = thick_fraction_k2(h.matrices, eps)
+        thick, n, boundary_n = thick_fraction_k2(h.matrices, eps, margin)
         assert r.haar_n == n > 0 and r.haar_boundary_n == boundary_n
-        assert r.haar_estimate == (1.0 - h.truncated_mass) * thick
+        # the truncated mass m is thin: (1 - m) p_thick / (1 - (1 - m) p_band)
+        m = h.truncated_mass
+        exact = (1.0 - m) * (thick * n / 5000) / (1.0 - (1.0 - m) * boundary_n / 5000)
+        assert r.haar_estimate == pytest.approx(exact, rel=1e-12)
+        if boundary_n == 0:
+            assert r.haar_estimate == (1.0 - m) * thick
     assert r.discrepancy == r.translate_estimate - r.haar_estimate
 
 
@@ -405,7 +432,8 @@ def test_region_counts_count_the_trichotomy():
 def test_equidist_discrepancy_small_at_long_times():
     r = equidist_test_k2((0.0, 1.0), 0.0, 9.0, 0.5, samples=100_000, seed=0)
     assert r.translate_estimate == pytest.approx(0.69403, abs=1e-4)
-    assert r.haar_estimate == 1.0 - 3.0 / math.pi ** 2
+    # exact (Siegel): 1 - 3/pi^2, plus 5e-10 for the default margin band
+    assert r.haar_estimate == pytest.approx(1.0 - 3.0 / math.pi ** 2, abs=1e-9)
     assert abs(r.discrepancy) <= 0.02
     rec = asdict(r)
     assert list(rec) == ["y0", "interval", "t", "eps", "translate_estimate",
