@@ -10,6 +10,13 @@ inverse of the reduced columns proves sufficient.  The scan rebuilds those
 columns from the input as input . T with ordered sums: the minimum is
 certified up to double-precision evaluation of the candidate norms.
 
+The reduction may start from any k x k integer transform with det +-1
+(``start``; ShortestVectorResult.transform hands on the T it ended with).
+Along a family of lattices, the previous lattice's T is a near-reduced
+start for the next one.  Only the transform carries over: the float
+columns start as input . start, rebuilt like the scan's, so the start
+changes the steps taken, not what is certified.
+
 Stacks of lattices go through the one batch kernel shortest_supnorm_batch:
 its batched reduction returns T too, it certifies with the same bound, and
 where the bound exceeds its {-1, 0, 1}^k stencil the box scan runs on that T.
@@ -82,10 +89,16 @@ class LatticeBasis:
 
 @dataclass(frozen=True, eq=False)
 class ShortestVectorResult:
-    """Certified sup-norm minimum over nonzero integer combinations."""
+    """Certified sup-norm minimum over nonzero integer combinations.
+
+    ``transform`` is the reduction's T (reduce_basis) that the box scan
+    ran on; passed as ``start`` to the next lattice of a family, it warm
+    starts that reduction.
+    """
 
     coeffs: tuple[int, ...]
     length: float
+    transform: np.ndarray
 
 
 class ThickRegion(enum.Enum):
@@ -117,7 +130,7 @@ def _gram_schmidt(cols):
     return mu, norms2
 
 
-def reduce_basis(basis: LatticeBasis) -> np.ndarray:
+def reduce_basis(basis: LatticeBasis, start=None) -> np.ndarray:
     """LLL-style reduction of the columns; returns only the change of basis T.
 
     T is a k x k object array of exact Python integers (entries can exceed
@@ -128,10 +141,24 @@ def reduce_basis(basis: LatticeBasis) -> np.ndarray:
     rounding of the column operations, so callers rebuild the reduced
     columns from the input, as _enumerate_shortest does.  One Gram-Schmidt
     runs per step, and size reduction updates mu in place.
+
+    ``start``, a k x k integer transform with det +-1 (the caller's
+    contract; typically the T of a nearby lattice), is where T starts: the
+    float columns start as input . start, rebuilt with _combine's ordered
+    sums, never carried over from another lattice.  None starts from the
+    identity.
     """
     k = basis.k
-    B = basis.columns.T.tolist()  # B[j] is column j
-    T = [[int(r == j) for r in range(k)] for j in range(k)]  # T[j]: coefficients of B[j]
+    if start is None:
+        B = basis.columns.T.tolist()  # B[j] is column j
+        T = [[int(r == j) for r in range(k)] for j in range(k)]  # T[j]: coefficients of B[j]
+    else:
+        if np.shape(start) != (k, k):
+            raise ParameterError("start must be a %d x %d transform, got shape %r"
+                                 % (k, k, np.shape(start)))
+        S = np.asarray(start, dtype=object)
+        B = _combine(basis.columns[:, :, None], S.astype(float)).T.tolist()
+        T = [[int(x) for x in col] for col in S.T.tolist()]
 
     iters = 0
     i = 1
@@ -215,9 +242,14 @@ def _enumerate_shortest(A, U):
     return coeffs, float(np.abs(A @ np.array(coeffs, dtype=float)).max())
 
 
-def shortest_vector_supnorm(basis: LatticeBasis) -> ShortestVectorResult:
-    """Globally minimal nonzero lattice vector in the sup norm."""
-    return ShortestVectorResult(*_enumerate_shortest(basis.columns, reduce_basis(basis)))
+def shortest_vector_supnorm(basis: LatticeBasis, start=None) -> ShortestVectorResult:
+    """Globally minimal nonzero lattice vector in the sup norm.
+
+    ``start`` goes to reduce_basis: any unimodular start gives a certified
+    minimum, and the T of the previous lattice on a family saves steps.
+    """
+    T = reduce_basis(basis, start)
+    return ShortestVectorResult(*_enumerate_shortest(basis.columns, T), T)
 
 
 def _check_margin(margin: float) -> None:
@@ -250,9 +282,11 @@ def shortest_with_region(
     basis: LatticeBasis,
     eps: float,
     margin: float = DEFAULT_MARGIN,
+    start=None,
 ) -> tuple[ShortestVectorResult, ThickRegion]:
-    """The shortest vector and the trichotomy region of its length against eps."""
-    sv = shortest_vector_supnorm(basis)
+    """The shortest vector and the trichotomy region of its length against eps;
+    ``start`` as in shortest_vector_supnorm."""
+    sv = shortest_vector_supnorm(basis, start)
     return sv, trichotomy(sv.length, eps, margin)
 
 

@@ -561,10 +561,15 @@ def test_near_vector_scan_matches_the_scalar_loop(monkeypatch):
     assert max(found) > experiments._NEAR_VECTOR_CHUNK
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_counterexample_matches_the_per_case_loop(seed):
+@pytest.mark.parametrize("seed, s_list", [
+    pytest.param(0, tuple(range(3, 12)), id="0"),
+    pytest.param(5, tuple(range(3, 12)), id="5"),
+    # a dense grid up to the precision cap: each reduction is warm started
+    # from the one at the previous s, the loop starts every one cold
+    pytest.param(0, tuple(x / 2 for x in range(1, 24)), id="dense-to-11.5"),
+])
+def test_counterexample_matches_the_per_case_loop(seed, s_list):
     u = math.log(1.5)
-    s_list = tuple(range(3, 12))
     rec = no_drift_counterexample(0.9, u, s_list, systems=30, seed=seed)
     cases, all_pass, max_lambda1 = counterexample_cases(0.9, u, s_list, 30, seed)
     assert [asdict(c) for c in rec.cases] == cases

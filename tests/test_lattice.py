@@ -266,24 +266,55 @@ def _reduction_cases():
     yield from _counterexample_bases()
 
 
+def _assert_lll_reduced_by(A, T):
+    """T is integer with det +-1, and the columns A . T are LLL-reduced."""
+    assert all(float(x) == int(x) for x in T.flat)
+    assert abs(integer_det(T)) == 1
+    R = lattice._combine(A[:, :, None], T.astype(float))
+    # Gram-Schmidt from a QR factorization: b*_i has length |r_ii|,
+    # mu_ij = r_ji / r_jj
+    r = np.linalg.qr(R, mode="r")
+    mu = (r / np.diag(r)[:, None]).T
+    norms2 = np.diag(r) ** 2
+    for i in range(1, A.shape[0]):
+        assert np.all(np.abs(mu[i, :i]) <= 0.5 + 1e-9)
+        assert (norms2[i] >= (lattice._LLL_DELTA - mu[i, i - 1] ** 2)
+                * norms2[i - 1] * (1 - 1e-9))
+
+
+def _random_unimodular_transform(gen, k):
+    """An integer k x k matrix with det 1: a product of 3k random shears."""
+    M = np.eye(k, dtype=int).astype(object)
+    for _ in range(3 * k):
+        i, j = gen.choice(k, size=2, replace=False)
+        M[:, j] += int(gen.integers(-3, 4)) * M[:, i]
+    return M
+
+
 def test_reduction_is_lll_reduced_by_an_exact_unimodular_transform():
     for basis in _reduction_cases():
         # both reductions return only their transform T, integer with
         # det +-1, and the caller rebuilds the reduced columns input . T
         A = basis.columns
         for T in (reduce_basis(basis), lattice._lll_batch(A[:, :, None].copy())[:, :, 0]):
-            assert all(float(x) == int(x) for x in T.flat)
-            assert abs(integer_det(T)) == 1
-            R = lattice._combine(A[:, :, None], T.astype(float))
-            # Gram-Schmidt from a QR factorization: b*_i has length |r_ii|,
-            # mu_ij = r_ji / r_jj
-            r = np.linalg.qr(R, mode="r")
-            mu = (r / np.diag(r)[:, None]).T
-            norms2 = np.diag(r) ** 2
-            for i in range(1, basis.k):
-                assert np.all(np.abs(mu[i, :i]) <= 0.5 + 1e-9)
-                assert (norms2[i] >= (lattice._LLL_DELTA - mu[i, i - 1] ** 2)
-                        * norms2[i - 1] * (1 - 1e-9))
+            _assert_lll_reduced_by(A, T)
+    # warm starts: the counterexample's lattices in s order, each from the
+    # previous transform, and random bases from a random unimodular start
+    T = None
+    for basis in _counterexample_bases():
+        T = reduce_basis(basis, start=T)
+        _assert_lll_reduced_by(basis.columns, T)
+    gen = np.random.default_rng(5)
+    for k in range(2, 7):
+        for seed in range(8):
+            basis = random_unimodular(seed=seed, k=k, spread=3.0)
+            start = _random_unimodular_transform(gen, k)
+            _assert_lll_reduced_by(basis.columns, reduce_basis(basis, start=start))
+            sv = shortest_vector_supnorm(basis, start)
+            assert sv.coeffs == shortest_vector_supnorm(basis).coeffs
+            _assert_lll_reduced_by(basis.columns, sv.transform)
+    with pytest.raises(ParameterError, match="start"):
+        reduce_basis(LatticeBasis(np.eye(3)), start=np.eye(2, dtype=int))
 
 
 def test_counterexample_lattices_match_brute_force():
