@@ -497,24 +497,19 @@ def shortest_forms_vector(y: float | Fraction, t_left: float, t_right: float
     return best, best_pq
 
 
-def _forms_lambda1(Y: LinearFormSystem, t: WeightVector, start=None) -> tuple:
-    """(lambda1, p, q, T) of the flowed forms lattice and its shortest vector.
-
-    At k >= 3, T is the reduction's transform, started from ``start``
-    (lattice.reduce_basis); a family walk passes each point's T to the
-    next.  At k = 2 (convergents) T is None and ``start`` is unused.
-    """
+def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:
+    """(lambda1, p, q) of the flowed forms lattice and its shortest vector."""
     _check_sizes(Y, t)
     _check_lattice_reach((t,))
     if Y.k == 2:
         lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
         # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
-        return (lam, (pq[0],), (pq[1],), None) if pq else (lam, (), (), None)
-    sv = shortest_vector_supnorm(flowed_basis(Y, t), start)
+        return (lam, (pq[0],), (pq[1],)) if pq else (lam, (), ())
+    sv = shortest_vector_supnorm(flowed_basis(Y, t))
     # re-anchor the winner's norm in exact arithmetic: at larger flow
     # times the basis-times-coefficients product cancels catastrophically
     a, q = sv.coeffs[: Y.m], sv.coeffs[Y.m:]
-    return _exact_coeff_norm(Y, t, a, q), tuple(-x for x in a), q, sv.transform
+    return _exact_coeff_norm(Y, t, a, q), tuple(-x for x in a), q
 
 
 def _lattice_status(
@@ -522,17 +517,14 @@ def _lattice_status(
     t: WeightVector,
     eps: float,
     margin: float,
-    start=None,
-) -> tuple[Solvability, DirichletWitness | None, np.ndarray | None]:
-    """(status, witness, T), with ``start`` and T as in _forms_lambda1."""
-    lam, p, q, T = _forms_lambda1(Y, t, start)
+) -> tuple[Solvability, DirichletWitness | None]:
+    lam, p, q = _forms_lambda1(Y, t)
     region = trichotomy(lam, eps, margin)
     if region is ThickRegion.INSIDE:
-        return Solvability.UNSOLVABLE, None, T
+        return Solvability.UNSOLVABLE, None
     if region is ThickRegion.BOUNDARY:
-        return Solvability.BOUNDARY, None, T
-    witness = DirichletWitness.checked(Y, t, eps, weak_q=False, p=p, q=q)
-    return Solvability.SOLVABLE, witness, T
+        return Solvability.BOUNDARY, None
+    return Solvability.SOLVABLE, DirichletWitness.checked(Y, t, eps, weak_q=False, p=p, q=q)
 
 
 def _check_lattice_eps(eps: float) -> None:
@@ -553,7 +545,7 @@ def dirichlet_solvable_lattice(
     margin band.
     """
     _check_lattice_eps(eps)
-    status, _, _ = _lattice_status(Y, t, eps, margin)
+    status, _ = _lattice_status(Y, t, eps, margin)
     return status
 
 
@@ -638,11 +630,10 @@ def di_classify(
     horizon_norm: float,
     margin: float = DEFAULT_MARGIN,
 ) -> DIReport:
-    """Evaluate solvability at every family t with norm <= horizon, each
-    reduction started from the previous point's transform."""
-    records, start = [], None
+    """Evaluate solvability at every family t with norm <= horizon."""
+    records = []
     for w in _di_tested(family, eps, horizon_norm, margin):  # family order, deterministic
-        status, witness, start = _lattice_status(Y, w, eps, margin, start)
+        status, witness = _lattice_status(Y, w, eps, margin)
         records.append(DIRecord(t=w, status=status, witness=witness))
 
     not_solv = [r.t.norm for r in records if r.status is not Solvability.SOLVABLE]
@@ -662,13 +653,8 @@ def trajectory_lambda1(
     Y: LinearFormSystem,
     family: tuple[WeightVector, ...],
 ) -> tuple[tuple[WeightVector, float], ...]:
-    """Shortest-vector length along the family, in family order, each
-    reduction started from the previous point's transform."""
-    series, start = [], None
-    for w in family:
-        lam, _, _, start = _forms_lambda1(Y, w, start)
-        series.append((w, lam))
-    return tuple(series)
+    """Shortest-vector length along the family, in family order."""
+    return tuple((w, _forms_lambda1(Y, w)[0]) for w in family)
 
 
 # ---------------------------------------------------------------------------

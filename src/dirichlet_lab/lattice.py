@@ -14,8 +14,11 @@ The reduction may start from any k x k integer transform with det +-1
 (``start``; ShortestVectorResult.transform hands on the T it ended with).
 Along a family of lattices, the previous lattice's T is a near-reduced
 start for the next one.  Only the transform carries over: the float
-columns start as input . start, rebuilt like the scan's, so the start
-changes the steps taken, not what is certified.
+columns start as input . start, rebuilt like the scan's, so the minimum
+is certified whatever the start.  The scan ranks candidates by norms
+evaluated in those columns, though, so among vectors whose lengths are
+equal, or differ by about an ulp, which one wins (and so the last bits of
+the reported length) may depend on the start.
 
 Stacks of lattices go through the one batch kernel shortest_supnorm_batch:
 its batched reduction returns T too, it certifies with the same bound, and
@@ -93,7 +96,8 @@ class ShortestVectorResult:
 
     ``transform`` is the reduction's T (reduce_basis) that the box scan
     ran on; passed as ``start`` to the next lattice of a family, it warm
-    starts that reduction.
+    starts that reduction.  ``coeffs`` and the last bits of ``length`` may
+    then differ from a cold start's where float lengths tie.
     """
 
     coeffs: tuple[int, ...]
@@ -146,19 +150,17 @@ def reduce_basis(basis: LatticeBasis, start=None) -> np.ndarray:
     contract; typically the T of a nearby lattice), is where T starts: the
     float columns start as input . start, rebuilt with _combine's ordered
     sums, never carried over from another lattice.  None starts from the
-    identity.
+    identity, whose ordered sums give the input columns exactly.
     """
     k = basis.k
     if start is None:
-        B = basis.columns.T.tolist()  # B[j] is column j
-        T = [[int(r == j) for r in range(k)] for j in range(k)]  # T[j]: coefficients of B[j]
-    else:
-        if np.shape(start) != (k, k):
-            raise ParameterError("start must be a %d x %d transform, got shape %r"
-                                 % (k, k, np.shape(start)))
-        S = np.asarray(start, dtype=object)
-        B = _combine(basis.columns[:, :, None], S.astype(float)).T.tolist()
-        T = [[int(x) for x in col] for col in S.T.tolist()]
+        start = np.identity(k, dtype=int)
+    elif np.shape(start) != (k, k):
+        raise ParameterError("start must be a %d x %d transform, got shape %r"
+                             % (k, k, np.shape(start)))
+    S = np.asarray(start, dtype=object)
+    B = _combine(basis.columns[:, :, None], S.astype(float)).T.tolist()  # B[j] is column j
+    T = [[int(x) for x in col] for col in S.T.tolist()]  # T[j]: coefficients of B[j]
 
     iters = 0
     i = 1
@@ -247,6 +249,8 @@ def shortest_vector_supnorm(basis: LatticeBasis, start=None) -> ShortestVectorRe
 
     ``start`` goes to reduce_basis: any unimodular start gives a certified
     minimum, and the T of the previous lattice on a family saves steps.
+    Among float near-ties the winner may depend on the start (module
+    docstring).
     """
     T = reduce_basis(basis, start)
     return ShortestVectorResult(*_enumerate_shortest(basis.columns, T), T)
