@@ -20,11 +20,14 @@ Every routine is deterministic in its seed, fractions come with 95%
 binomial half-widths, and samples within the decision margin of an
 eps-threshold are excluded from fractions and counted separately.
 
-Escape, decay and equidist take lambda1 from lattice.shortest_supnorm_batch,
-and the counterexample from lattice.shortest_with_region lattice by lattice,
-each started from the same system's previous transform.  Their float
-values lose about 2^-52 e^S at flow skew S; past flows.MAX_FLOW_SKEW all
-four refuse to run (CapacityError).
+At k = 2, the forms lattices of escape and decay (a one-output map) and
+equidist's translates take the exact convergent lambda1 of
+flows.shortest_forms_batch.  Escape and decay at k >= 3 and equidist's
+sampled Haar lattices take it from lattice.shortest_supnorm_batch, and the
+counterexample from lattice.shortest_with_region lattice by lattice, each
+started from the same system's previous transform.  Those float values
+lose about 2^-52 e^S at flow skew S; past flows.MAX_FLOW_SKEW all four
+experiments refuse to run (CapacityError), at k = 2 too.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .flows import (
     flowed_bases,
     flowed_basis,  # not called here: the benchmark's flowed_basis probe looks it up here
     random_forms,
+    shortest_forms_batch,
     trajectory_lambda1,
 )
 from .lattice import (
@@ -117,12 +121,17 @@ def _lambda1_rows_batch(
 
     ``rows`` holds N systems of a single linear form (shape (N, n)); the
     returned lengths are exact minima among vectors shorter than ``cap``
-    and the sentinel cap + 1 elsewhere.
+    and the sentinel cap + 1 elsewhere.  At n = 1 they are the exact
+    convergent values of shortest_forms_batch, as flows._forms_lambda1
+    takes them for one system; at n >= 2, shortest_supnorm_batch's.
     """
     if t.m != 1:
         raise ParameterError("batch profile covers single-form systems only")
     _check_flow_skew(t)
-    lam = shortest_supnorm_batch(flowed_bases(rows[:, None], t), cap)
+    if t.n == 1 and np.shape(rows)[1:] == (1,):
+        lam = shortest_forms_batch(rows[:, 0], *t.t)
+    else:
+        lam = shortest_supnorm_batch(flowed_bases(rows[:, None], t), cap)
     return np.where(lam <= cap, lam, cap + 1.0)
 
 
@@ -387,8 +396,12 @@ def thick_fraction_k2(
     margin: float = DEFAULT_MARGIN,
 ):
     """Fraction of 2x2 bases whose lattice avoids vectors shorter than eps."""
-    outside, boundary, inside = _region_counts(shortest_supnorm_k2_batch(matrices),
-                                               eps, margin)
+    return _thick_fraction(shortest_supnorm_k2_batch(matrices), eps, margin)
+
+
+def _thick_fraction(lam: np.ndarray, eps: float, margin: float):
+    """(fraction, n_eff, boundary_count) for the event lam >= eps."""
+    outside, boundary, inside = _region_counts(lam, eps, margin)
     n_eff = outside + inside
     if n_eff == 0:
         return 0.0, 0, boundary
@@ -451,7 +464,8 @@ def equidist_test_k2(
     invariant frequency?
 
     The translate estimate is the fraction of x uniform on the interval
-    whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part.  The
+    whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part, by the
+    exact lambda1 of flows.shortest_forms_batch.  The
     reference is the invariant thick fraction, outside the same margin
     band: exact for 2 (eps + margin)^2 <= 1 (Siegel; 1 - 12 eps^2 / pi^2
     at margin 0; haar_n = 0), else the thick fraction of
@@ -464,8 +478,8 @@ def equidist_test_k2(
         return gen.uniform(lo, hi, size=c)
 
     x = _rng.sample_batched(draw, samples, seed, tag=_TAG_TRANSLATE, workers=workers)
-    translate_est, t_n, t_bn = thick_fraction_k2(flowed_bases((x + y0)[:, None, None], t),
-                                                 eps, margin)
+    translate_est, t_n, t_bn = _thick_fraction(shortest_forms_batch(x + y0, *t.t), eps,
+                                               margin)
     haar_est, h_n, h_bn = _siegel_thick_k2(eps, margin), 0, 0
     if haar_est is None:
         haar = haar_sample_k2(seed, samples)

@@ -15,7 +15,11 @@ this module.
 
 flowed_bases is the one builder of the flowed lattice g_t (I_m, Y; 0, I_n)
 Z^k, for one system (flowed_basis) and for the stacks the experiments
-decide in one batch.
+decide in one batch.  At k = 2 no basis is built: the shortest vector is
+a convergent of y or the q = 0 column.  shortest_forms_vector finds it
+with its witness, for a float or an exact rational y, and
+shortest_forms_batch gives its length for a whole array of float y in
+int64 arithmetic; the scalar is the batch's bit-for-bit oracle.
 
 Weight vectors t live on the cone where every coordinate is positive
 and the first m sum to the same value as the last n.
@@ -31,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ParameterError
+from . import lattice as _lattice
 from .lattice import (
     DEFAULT_MARGIN,
     LatticeBasis,
@@ -495,6 +500,60 @@ def shortest_forms_vector(y: float | Fraction, t_left: float, t_right: float
         if d == 0 or shrink * float(k) >= best:
             break
     return best, best_pq
+
+
+def shortest_forms_batch(y, t_left: float, t_right: float) -> np.ndarray:
+    """lambda1 of shortest_forms_vector for every float y of a 1-D array,
+    bit for bit, in int64.
+
+    y and -y give one value, the least max(grow d, shrink k) over q = k >= 1
+    with d the distance of x k to the nearest integer (and grow, for q = 0),
+    which is the same for x and 1 - x.  So let x = |y| - floor(|y|), exact.
+    Where x 2^62 is an integer (always for |y| >= 1 or x >= 2^-10), Euclid
+    runs on (x 2^62, 2^62) for all rows at once.  Each remainder r is
+    |x k - h| 2^62 exactly, so e^t_left 2^-62 float(r) is the scalar loop's
+    grow * float(d), and the convergent denominators k, at most the
+    denominator of x, never pass 2^62.  Each step takes the scalar loop's
+    float operations and exits.  A done row may iterate on without changing
+    its value, since k only grows; the live rows are compacted once at most
+    a quarter remain, or before a row that reached r = 0 would divide by it.
+    The other rows go to shortest_forms_vector one by one.  Chunks of
+    lattice._CHUNK rows keep the arrays in cache.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise ParameterError("expected a 1-D array of finite values, got shape %r"
+                             % (y.shape,))
+    chunk = _lattice._CHUNK
+    if y.size > chunk:
+        return np.concatenate([shortest_forms_batch(y[i:i + chunk], t_left, t_right)
+                               for i in range(0, y.size, chunk)])
+    grow, shrink = math.exp(t_left), math.exp(-t_right)
+    gain = grow * 2.0 ** -62
+    x = np.abs(y) - np.floor(np.abs(y))
+    x *= 2.0 ** 62
+    integral = x == np.floor(x)
+    lam = np.empty(y.size)
+    for i in np.flatnonzero(~integral):
+        lam[i] = shortest_forms_vector(float(y[i]), t_left, t_right)[0]
+    rows = np.flatnonzero(integral)
+    num = x[rows].astype(np.int64)
+    den = np.full(rows.size, 1 << 62)
+    k_prev, k = np.ones(rows.size, dtype=np.int64), np.zeros(rows.size, dtype=np.int64)
+    best = np.full(rows.size, grow)
+    while rows.size:
+        a, r = np.divmod(num, den)
+        num, den = den, r
+        k_prev, k = k, a * k + k_prev
+        length = shrink * k
+        np.minimum(best, np.maximum(gain * r, length), out=best)
+        done = (r == 0) | (length >= best)
+        live = np.flatnonzero(~done)
+        if 4 * live.size <= rows.size or not r.all():
+            lam[rows[done]] = best[done]
+            rows, num, den, k_prev, k, best = (v[live] for v in
+                                               (rows, num, den, k_prev, k, best))
+    return lam
 
 
 def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:

@@ -20,9 +20,11 @@ evaluated in those columns, though, so among vectors whose lengths are
 equal, or differ by about an ulp, which one wins (and so the last bits of
 the reported length) may depend on the start.
 
-Stacks of lattices go through the one batch kernel shortest_supnorm_batch:
-its batched reduction returns T too, it certifies with the same bound, and
-where the bound exceeds its {-1, 0, 1}^k stencil the box scan runs on that T.
+Stacks of lattices (Haar bases, forms lattices at k >= 3) go through the
+one batch kernel shortest_supnorm_batch: its batched reduction returns T
+too, it certifies with the same bound, and where the bound exceeds its
+{-1, 0, 1}^k stencil the box scan runs on that T.  Stacks of k = 2 forms
+lattices take exact convergents instead (flows.shortest_forms_batch).
 
 Sign conventions: bases are k x k matrices whose COLUMNS generate the
 lattice, with determinant +1 (tolerance 1e-9, inputs outside are

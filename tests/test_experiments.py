@@ -39,6 +39,7 @@ from dirichlet_lab.flows import (
 from dirichlet_lab.lattice import (
     DEFAULT_MARGIN,
     ThickRegion,
+    shortest_supnorm_batch,
     shortest_vector_supnorm,
     trichotomy,
 )
@@ -81,26 +82,31 @@ PLANAR = MapSpec(1, 2, (
     (3, (1.0, 1.0, 1.0)),
 ])
 def test_batch_kernel_matches_exact_search(n, parts):
+    # the LLL batch kernel on the forms lattices, and the rows batch (at
+    # n = 1 the exact convergents, not the LLL kernel)
     t = WeightVector(1, n, (sum(parts),) + parts)
     rng = np.random.default_rng(5)
     rows = rng.uniform(-3.0, 3.0, size=(40, n))
-    lam = _lambda1_rows_batch(rows, t, cap=1.5)
-    for row, got in zip(rows, lam):
-        basis = flowed_basis(LinearFormSystem(row.reshape(1, n)), t)
-        exact = shortest_vector_supnorm(basis).length
-        if exact <= 1.5:
-            assert got == pytest.approx(exact, abs=1e-12)
-        else:
-            assert got > 1.5
+    lll = shortest_supnorm_batch(flowed_bases(rows[:, None], t), 1.5)
+    for lam in (lll, _lambda1_rows_batch(rows, t, cap=1.5)):
+        for row, got in zip(rows, lam):
+            basis = flowed_basis(LinearFormSystem(row.reshape(1, n)), t)
+            exact = shortest_vector_supnorm(basis).length
+            if exact <= 1.5:
+                assert got == pytest.approx(exact, abs=1e-12)
+            else:
+                assert got > 1.5
 
 
 def test_batch_kernel_excludes_origin():
     # an integer row would give length 0 if q=0 or the trivial relation won
     t = WeightVector(1, 1, (2.0, 2.0))
-    lam = _lambda1_rows_batch(np.array([[1.0], [0.0]]), t, cap=1.0)
-    assert np.all(lam > 0.0)
-    # integral rows are annihilated by q=1, leaving the shrinking part
-    assert lam[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
+    rows = np.array([[1.0], [0.0]])
+    lll = shortest_supnorm_batch(flowed_bases(rows[:, None], t), 1.0)
+    for lam in (lll, _lambda1_rows_batch(rows, t, cap=1.0)):
+        assert np.all(lam > 0.0)
+        # integral rows are annihilated by q=1, leaving the shrinking part
+        assert lam[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_batch_kernel_budget_and_validation():
@@ -388,11 +394,15 @@ def test_haar_slices_change_no_bit(monkeypatch):
 
 
 def test_equidist_report_does_not_depend_on_slice_sizes(monkeypatch):
-    args = ((0.0, 1.0), 0.0, 9.0, 0.8)  # above 1/sqrt(2): the Haar side is sampled
-    whole = equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5)
-    monkeypatch.setattr(experiments, "_HAAR_SLICE", 1000)
-    monkeypatch.setattr(lattice, "_CHUNK", 1000)
-    assert equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5) == whole
+    # eps 0.8 lies above 1/sqrt(2), where the Haar side is sampled; at eps 0.5
+    # only the translates run, so the chunks are flows.shortest_forms_batch's
+    for eps in (0.8, 0.5):
+        args = ((0.0, 1.0), 0.0, 9.0, eps)
+        whole = equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5)
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_HAAR_SLICE", 1000)
+            m.setattr(lattice, "_CHUNK", 1000)
+            assert equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5) == whole
 
 
 def test_equidist_working_set_is_about_one_slice():
@@ -412,6 +422,23 @@ def test_equidist_working_set_is_about_one_slice():
     finally:
         tracemalloc.stop()
     assert peak < 11 * 2 ** 20
+
+
+def test_equidist_translate_working_set_holds_no_basis_stack():
+    # Traced peak of one call at 100 000 samples and eps 0.5, where only the
+    # translates run.  Their (N, 2, 2) stack of flowed bases (3.2 MB) and the
+    # LLL kernel's chunk peaked at 9.1 MB; the convergent batch needs the
+    # samples, their translates and one chunk beside the output, 3.8 MB.  6 MB
+    # fails if a whole (N, 2, 2) stack comes back.
+    args = ((0.0, 1.0), 0.0, 9.0, 0.5)
+    equidist_test_k2(*args, samples=100_000, seed=0)  # caches and imports
+    tracemalloc.start()
+    try:
+        equidist_test_k2(*args, samples=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_region_counts_count_the_trichotomy():

@@ -33,11 +33,19 @@ from dirichlet_lab.flows import (
     liouville_sum,
     liouville_system,
     random_forms,
+    shortest_forms_batch,
     shortest_forms_vector,
     trajectory_lambda1,
     witness_holds,
 )
-from dirichlet_lab.lattice import DEFAULT_MARGIN, MAX_DIM, ThickRegion, trichotomy
+from dirichlet_lab import lattice
+from dirichlet_lab.lattice import (
+    DEFAULT_MARGIN,
+    MAX_DIM,
+    ThickRegion,
+    shortest_supnorm_batch,
+    trichotomy,
+)
 
 from oracles import ba_quality_scan
 
@@ -509,9 +517,66 @@ def test_batch_matches_the_exact_route_up_to_the_precision_cap(n, skew, parts, c
     # a float lattice value at flow skew S carries rounding of order
     # 2^-52 e^S (|y q| e^{t_0} with |q_j| <= e^{t_j}); allow 64 such units
     tol = 64.0 * 2.0 ** -52 * math.exp(skew)
-    for row, got in zip(rows, _lambda1_rows_batch(rows, t, cap)):
-        exact = _forms_lambda1(LinearFormSystem(row.reshape(1, n)), t)[0]
-        if exact <= cap - tol:
-            assert abs(got - exact) <= tol, (row, exact, got)
-        elif exact > cap + tol:
+    lll = shortest_supnorm_batch(flowed_bases(rows[:, None], t), cap)
+    lll = np.where(lll <= cap, lll, cap + 1.0)
+    exact = np.array([_forms_lambda1(LinearFormSystem(row.reshape(1, n)), t)[0]
+                      for row in rows])
+    for row, want, got in zip(rows, exact, lll):
+        if want <= cap - tol:
+            assert abs(got - want) <= tol, (row, want, got)
+        elif want > cap + tol:
             assert got == cap + 1.0
+    # the rows batch is the LLL kernel at n >= 2 and, like _forms_lambda1,
+    # the exact convergents at n = 1
+    want = np.where(exact <= cap, exact, cap + 1.0) if n == 1 else lll
+    assert np.array_equal(_lambda1_rows_batch(rows, t, cap), want)
+
+
+def _forms_batch_inputs() -> np.ndarray:
+    """y values for the bit-for-bit tests of shortest_forms_batch."""
+    gen = np.random.default_rng(31)
+    uniform = gen.uniform(-4.0, 4.0, 300)
+    # a/b + or - 2^-20 .. 2^-45: partial quotients up to about 2^45 / b^2
+    near = [a / b + sign * 2.0 ** -e for b in range(1, 12) for a in range(-b, 2 * b)
+            for e in (20, 33, 45) for sign in (1, -1)]
+    # x < 2^-10 (where x 2^62 is no integer, the scalar route runs), integers,
+    # negative y, a subnormal and |y| >= 2^52
+    tiny = gen.uniform(0.0, 2.0 ** -10, 30)
+    edges = [0.0, -0.0, 1.0, -3.0, 0.5, -0.5, 2.0 ** -10, -2.0 ** -11, 5e-324,
+             1.0 - 2.0 ** -53, 2.0 ** 52 + 1.0, -2.0 ** 53, 1e6 + 0.1, -1e6 - 0.1, 1e300]
+    return np.concatenate([uniform, near, tiny, -tiny, edges])
+
+
+@pytest.mark.parametrize("t_left,t_right", [
+    (0.5, 0.5), (9.0, 9.0), (12.0, 12.0), (30.0, 30.0), (3.0, 7.0), (30.0, 11.0),
+    (45.0, 45.0),  # most rows run to the end of their expansion, k up to 2^62
+])
+def test_forms_batch_is_the_scalar_route_bit_for_bit(monkeypatch, t_left, t_right):
+    y = _forms_batch_inputs()
+    want = [shortest_forms_vector(v, t_left, t_right)[0] for v in y.tolist()]
+    got = shortest_forms_batch(y, t_left, t_right)
+    assert np.array_equal(got, want)
+    monkeypatch.setattr(lattice, "_CHUNK", 64)
+    assert np.array_equal(shortest_forms_batch(y, t_left, t_right), got)
+
+
+def test_forms_batch_refuses_what_is_not_a_vector_of_finite_values():
+    for bad in (np.zeros((2, 2)), np.array([0.5, math.nan]), np.array([math.inf])):
+        with pytest.raises(ParameterError):
+            shortest_forms_batch(bad, 1.0, 1.0)
+    assert shortest_forms_batch(np.zeros(0), 1.0, 1.0).shape == (0,)
+
+
+_NEAR_RATIONAL = st.builds(lambda a, b, e, sign: a / b + sign * 2.0 ** -e,
+                           st.integers(-50, 50), st.integers(1, 50), st.integers(10, 60),
+                           st.sampled_from((1, -1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(y=st.lists(st.floats(allow_nan=False, allow_infinity=False) | _NEAR_RATIONAL,
+                  min_size=1, max_size=12),
+       t_left=st.floats(0.01, 30.0),
+       t_right=st.floats(0.01, 30.0))
+def test_forms_batch_is_the_scalar_route_on_any_input(y, t_left, t_right):
+    want = [shortest_forms_vector(v, t_left, t_right)[0] for v in y]
+    assert np.array_equal(shortest_forms_batch(np.array(y), t_left, t_right), want)
