@@ -530,7 +530,8 @@ def shortest_forms_batch(y, t_left: float, t_right: float) -> np.ndarray:
                                for i in range(0, y.size, chunk)])
     grow, shrink = math.exp(t_left), math.exp(-t_right)
     gain = grow * 2.0 ** -62
-    x = np.abs(y) - np.floor(np.abs(y))
+    x = np.abs(y)
+    x -= np.floor(x)
     x *= 2.0 ** 62
     integral = x == np.floor(x)
     lam = np.empty(y.size)
