@@ -16,6 +16,8 @@ a malformed value is a one-line ``error:``.  Numbers, scalar or list, read
 leading ``-`` is a value, so ``--t -0,1`` and ``--y0 -1/2`` are numbers.
 A config key the table lacks, or a repeated key whose flag does not
 repeat, is an error.
+The parser gives parameters to the invoked subcommand only
+(build_parser(argv)); its help and errors are the full parser's.
 Handlers validate, then compute; --dry-run stops after validation and
 prints the plan.  Validation runs every input check the run makes, weight
 limits, scan budgets and dimensions included, through the library's own
@@ -552,14 +554,25 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The dirichlet-lab parser, for ``argv`` (the arguments after the
+    program name) when given.
+
+    Every subcommand is listed with its help, but where argv[0] names one,
+    only that subcommand gets its parameters: parse_args(argv) reads no
+    other, and its help and errors are the full parser's.  Without such an
+    argv (--help, a mistyped name, or no argv), every subcommand gets them.
+    """
     parser = argparse.ArgumentParser(
         prog="dirichlet-lab",
         description="Improvable Dirichlet systems: solvers, flows, and experiments.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help, description=command.description)
+        if chosen not in (None, name):
+            continue
         # no option but -h starts with a single '-', so a token that does
         # (-1/2, -0,1, -.5, -inf) is a value, not an unknown option
         sub._negative_number_matcher = re.compile(r"^-[^-]")
@@ -576,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -22,12 +22,15 @@ eps-threshold are excluded from fractions and counted separately.
 
 At k = 2, the forms lattices of escape and decay (a one-output map) and
 equidist's translates take the exact convergent lambda1 of
-flows.shortest_forms_batch.  Escape and decay at k >= 3 and equidist's
-sampled Haar lattices take it from lattice.shortest_supnorm_batch, and the
-counterexample from lattice.shortest_with_region lattice by lattice, each
-started from the same system's previous transform.  Those float values
-lose about 2^-52 e^S at flow skew S; past flows.MAX_FLOW_SKEW all four
-experiments refuse to run (CapacityError), at k = 2 too.
+flows.shortest_forms_batch.  Escape and decay at k >= 3 take it from
+lattice's batch kernel, each t of the list started from the transforms of
+the t before, equidist's sampled Haar lattices from
+lattice.shortest_supnorm_batch, and the counterexample from
+lattice.shortest_with_region lattice by lattice, each started from the
+same system's previous transform.  Those float values lose about
+2^-52 e^S at flow skew S; past flows.MAX_FLOW_SKEW all four experiments
+refuse to run (CapacityError), at k = 2 too.  equidist also refuses a flow
+time that resolves the float spacing of its translates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as _rng
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .flows import (
     LinearFormSystem,
     WeightVector,
@@ -55,7 +58,7 @@ from .lattice import (
     LatticeBasis,
     _check_margin,
     _region_code,
-    shortest_supnorm_batch,
+    _shortest_batch,
     shortest_supnorm_k2_batch,
     shortest_with_region,
 )
@@ -71,6 +74,9 @@ from .measures import (
 
 _TAG_HAAR = 47
 _TAG_TRANSLATE = 53
+# equidist refuses once e^T ulp(max |x + y0|) passes this; one-seed runs
+# matched the invariant law at 1.6e-4 and missed it from 3.2e-4 on
+_EQUIDIST_GRID_LIMIT = 2.0 ** -12
 # the Haar y-proposal is truncated here; HaarSampleK2 records the lost mass
 _HAAR_Y_MAX = 1.0e3
 # rows per step of haar_sample_k2; any size gives the same bits
@@ -116,23 +122,28 @@ def _lambda1_rows_batch(
     rows: np.ndarray,
     t: WeightVector,
     cap: float,
-) -> np.ndarray:
-    """Per-row shortest flowed-vector length for one-form systems.
+    start=None,
+) -> tuple:
+    """Per-row shortest flowed-vector length for one-form systems, and the
+    transforms that certified them.
 
     ``rows`` holds N systems of a single linear form (shape (N, n)); the
     returned lengths are exact minima among vectors shorter than ``cap``
     and the sentinel cap + 1 elsewhere.  At n = 1 they are the exact
     convergent values of shortest_forms_batch, as flows._forms_lambda1
-    takes them for one system; at n >= 2, shortest_supnorm_batch's.
+    takes them for one system, and the transforms are None; at n >= 2,
+    the values of shortest_supnorm_batch's kernel, which starts each row's
+    reduction from ``start`` (k, k, N), typically the transforms this
+    function returned for the same rows at a nearby t.
     """
     if t.m != 1:
         raise ParameterError("batch profile covers single-form systems only")
     _check_flow_skew(t)
     if t.n == 1 and np.shape(rows)[1:] == (1,):
-        lam = shortest_forms_batch(rows[:, 0], *t.t)
+        lam, T = shortest_forms_batch(rows[:, 0], *t.t), None
     else:
-        lam = shortest_supnorm_batch(flowed_bases(rows[:, None], t), cap)
-    return np.where(lam <= cap, lam, cap + 1.0)
+        lam, T = _shortest_batch(flowed_bases(rows[:, None], t), cap, start)
+    return np.where(lam <= cap, lam, cap + 1.0), T
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +197,21 @@ def _escape_cells(
     experiment: str,
     workers: int = 1,
 ) -> list:
+    """EscapeCells per t of t_list, eps of eps_grid, from one sample pass.
+
+    Each t's reduction starts every row from the transform that row ended
+    with at the t before it (the first t starts cold).  A certified
+    minimum up to cap does not depend on the start, and along a ray the
+    next lattice is the previous one times a diagonal matrix, so that
+    transform is nearly reduced and saves most of the sweeps.
+    """
     grid, cap = _escape_grid(eps_grid, samples, t_list, mapping.n, margin)
     _check_dims(measure, ball, mapping)
     pts = _collect_in_ball(measure, ball, samples, seed, depth, workers=workers)
     rows = mapping.evaluate(pts)
-    cells = []
+    cells, T = [], None
     for t in t_list:
-        lam = _lambda1_rows_batch(rows, t, cap)
+        lam, T = _lambda1_rows_batch(rows, t, cap, T)
         for eps in grid:
             frac, hw, boundary = _fraction_with_margin(lam, eps, margin)
             cells.append(EscapeCell(experiment, seed, t.t, t.floor, t.norm, eps, frac, hw,
@@ -447,6 +466,13 @@ def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples
     _check_margin(margin)
     t = WeightVector(1, 1, (float(flow_time), float(flow_time)))
     _check_flow_skew(t)
+    # the translates are multiples of their float spacing h; once e^T h is
+    # not small, the flow resolves that grid rather than the horocycle
+    resolved = math.exp(flow_time) * math.ulp(max(abs(lo + y0), abs(hi + y0)))
+    if resolved > _EQUIDIST_GRID_LIMIT:
+        raise CapacityError(
+            "flow time %g resolves the float spacing of the translates: e^T ulp(max |x + y0|) "
+            "= %.3g exceeds %g" % (flow_time, resolved, _EQUIDIST_GRID_LIMIT))
     return (lo, hi), t
 
 
@@ -470,7 +496,9 @@ def equidist_test_k2(
     band: exact for 2 (eps + margin)^2 <= 1 (Siegel; 1 - 12 eps^2 / pi^2
     at margin 0; haar_n = 0), else the thick fraction of
     haar_sample_k2 with the same sample budget, with the truncated_mass
-    beyond its cutoff counted as thin.
+    beyond its cutoff counted as thin.  A flow time at which e^T times the
+    float spacing of the translates exceeds _EQUIDIST_GRID_LIMIT is refused
+    (CapacityError): the flow would see the float grid, not the horocycle.
     """
     (lo, hi), t = _equidist_weights(interval, y0, flow_time, eps, samples, margin)
 

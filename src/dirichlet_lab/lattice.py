@@ -23,8 +23,13 @@ the reported length) may depend on the start.
 Stacks of lattices (Haar bases, forms lattices at k >= 3) go through the
 one batch kernel shortest_supnorm_batch: its batched reduction returns T
 too, it certifies with the same bound, and where the bound exceeds its
-{-1, 0, 1}^k stencil the box scan runs on that T.  Stacks of k = 2 forms
-lattices take exact convergents instead (flows.shortest_forms_batch).
+{-1, 0, 1}^k stencil the box scan runs on that T.  The batch reduction
+takes the same start contract (_lll_batch, _shortest_batch: a (k, k, N)
+stack of unimodular starts, columns rebuilt as input . T at every step),
+so a minimum up to the cap is certified whatever the start; escape and
+decay start each t of their t list from the transforms of the t before.
+Stacks of k = 2 forms lattices take exact convergents instead
+(flows.shortest_forms_batch).
 
 Sign conventions: bases are k x k matrices whose COLUMNS generate the
 lattice, with determinant +1 (tolerance 1e-9, inputs outside are
@@ -118,6 +123,12 @@ class ThickRegion(enum.Enum):
 _REGIONS = np.array([ThickRegion.OUTSIDE, ThickRegion.BOUNDARY, ThickRegion.INSIDE], dtype=object)
 
 
+def _dot(a, b) -> float:
+    """Float dot product added left to right: since Python 3.12 the builtin
+    sum compensates float sums, which would tie T's bits to the interpreter."""
+    return functools.reduce(operator.add, map(operator.mul, a, b), 0.0)
+
+
 def _gram_schmidt(cols):
     """Orthogonalization profile of columns given as lists of floats:
     (mu, norms2), where mu[i] lists the coefficients mu_ij, j < i."""
@@ -128,11 +139,11 @@ def _gram_schmidt(cols):
         for j in range(i):
             if norms2[j] <= 0.0:
                 raise DegenerateBasisError("Gram-Schmidt collapsed at column %d" % j)
-            m = sum(map(operator.mul, b, star[j])) / norms2[j]
+            m = _dot(b, star[j]) / norms2[j]
             mu[i].append(m)
             v = [x - m * y for x, y in zip(v, star[j])]
         star.append(v)
-        norms2.append(sum(map(operator.mul, v, v)))
+        norms2.append(_dot(v, v))
     return mu, norms2
 
 
@@ -356,9 +367,15 @@ def _combine(B: np.ndarray, u) -> np.ndarray:
     return sum((B[:, c] * u[c] for c in range(1, len(u))), B[:, 0] * u[0])
 
 
-def _lll_batch(B: np.ndarray) -> np.ndarray:
+def _lll_batch(B: np.ndarray, start=None) -> np.ndarray:
     """LLL reduction (delta = _LLL_DELTA) of every basis in a stack (k, k, N),
     lattice index last; returns the transforms T (k, k, N) as reduce_basis does.
+
+    ``start``, a (k, k, N) stack of integer-valued transforms with det +-1
+    in the same layout (typically the T of each basis's previous lattice),
+    is where T starts, as in reduce_basis; None starts from the identity.
+    Every column is rebuilt as _combine(B, T) at every step, so only the
+    integers carry over.
 
     A sweep size-reduces columns 1..k-1 in turn and swaps each with its
     predecessor where the Lovasz condition fails.  A basis is done after a
@@ -372,7 +389,13 @@ def _lll_batch(B: np.ndarray) -> np.ndarray:
     the output and `take` drops them.  _combine fixes the order of sums; einsum's varies with N.
     """
     k, n = B.shape[0], B.shape[2]
-    T = [np.repeat(row[:, None], n, axis=1) for row in np.eye(k)]  # coefficients of column j
+    if start is None:
+        T = [np.repeat(row[:, None], n, axis=1) for row in np.eye(k)]  # coefficients of column j
+    elif np.shape(start) != B.shape:
+        raise ParameterError("start must be a stack of shape %r, got %r"
+                             % (B.shape, np.shape(start)))
+    else:
+        T = [np.array(start[:, j], dtype=float) for j in range(k)]
     out, index = np.empty_like(B), np.arange(n)
     for _ in range(_REDUCE_ITER_CAP):
         if index.size == 0:
@@ -411,17 +434,37 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
     the arrays in cache.  With ordered sums and per-basis steps, a value
     does not depend on the rest of the stack.  The stack is only read: it
     is never copied whole, nor written.
+
+    The reduction behind it (_shortest_batch) can start each basis from
+    any unimodular T: the minimum up to cap is certified whatever the
+    start, since the bound above holds for any basis R of the lattice.
     """
+    return np.concatenate([lam for lam, _ in _shortest_chunks(bases, cap)])
+
+
+def _shortest_batch(bases: np.ndarray, cap: float, start=None) -> tuple:
+    """(shortest_supnorm_batch's values, the transforms T (k, k, N) that
+    certified them); ``start`` (k, k, N) goes to _lll_batch chunk by chunk."""
+    lams, transforms = zip(*_shortest_chunks(bases, cap, start))
+    return np.concatenate(lams), np.concatenate(transforms, axis=2)
+
+
+def _shortest_chunks(bases: np.ndarray, cap: float, start=None):
+    """(values, transforms) of the stack, one chunk of _CHUNK bases at a time."""
     B = np.asarray(bases, dtype=float)
     if not (B.ndim == 3 and B.shape[1] == B.shape[2] and 2 <= B.shape[1] <= MAX_DIM
             and np.all(np.isfinite(B))):
         raise ParameterError("expected finite bases of shape (N, k, k), 2 <= k <= %d, "
                              "got shape %r" % (MAX_DIM, B.shape))
-    if B.shape[0] > _CHUNK:
-        return np.concatenate([shortest_supnorm_batch(B[i:i + _CHUNK], cap)
-                               for i in range(0, B.shape[0], _CHUNK)])
+    for i in range(0, max(B.shape[0], 1), _CHUNK):
+        yield _shortest_chunk(B[i:i + _CHUNK], cap,
+                              None if start is None else start[:, :, i:i + _CHUNK])
+
+
+def _shortest_chunk(B: np.ndarray, cap: float, start) -> tuple:
+    """(values, transforms) of one chunk; its temporaries go when it returns."""
     k = B.shape[1]
-    T = _lll_batch(B.transpose(1, 2, 0).copy())
+    T = _lll_batch(B.transpose(1, 2, 0).copy(), start)
     R = _combine(B.transpose(1, 2, 0).copy()[:, :, None], T)
     lam = np.full(B.shape[0], math.inf)
     for c in _half_box((1,) * k, 0):
@@ -434,7 +477,7 @@ def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarr
     inverse_norm = np.max([np.abs(d).sum(axis=0) for d in dual], axis=0)
     for i in np.flatnonzero(~(inverse_norm * np.minimum(lam, cap) < 2.0)):
         lam[i] = _enumerate_shortest(np.ascontiguousarray(B[i]), T[:, :, i])[1]
-    return lam
+    return lam, T
 
 
 def shortest_supnorm_k2_batch(bases: np.ndarray) -> np.ndarray:

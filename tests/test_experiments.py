@@ -88,7 +88,7 @@ def test_batch_kernel_matches_exact_search(n, parts):
     rng = np.random.default_rng(5)
     rows = rng.uniform(-3.0, 3.0, size=(40, n))
     lll = shortest_supnorm_batch(flowed_bases(rows[:, None], t), 1.5)
-    for lam in (lll, _lambda1_rows_batch(rows, t, cap=1.5)):
+    for lam in (lll, _lambda1_rows_batch(rows, t, cap=1.5)[0]):
         for row, got in zip(rows, lam):
             basis = flowed_basis(LinearFormSystem(row.reshape(1, n)), t)
             exact = shortest_vector_supnorm(basis).length
@@ -103,7 +103,7 @@ def test_batch_kernel_excludes_origin():
     t = WeightVector(1, 1, (2.0, 2.0))
     rows = np.array([[1.0], [0.0]])
     lll = shortest_supnorm_batch(flowed_bases(rows[:, None], t), 1.0)
-    for lam in (lll, _lambda1_rows_batch(rows, t, cap=1.0)):
+    for lam in (lll, _lambda1_rows_batch(rows, t, cap=1.0)[0]):
         assert np.all(lam > 0.0)
         # integral rows are annihilated by q=1, leaving the shrinking part
         assert lam[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
@@ -221,6 +221,34 @@ def test_escape_runs_up_to_the_precision_cap():
     with pytest.raises(CapacityError):
         escape_table(MapSpec.veronese(1), LEB01, BALL_V2,
                      (WeightVector(1, 1, (13.0, 13.0)),), (0.4,), samples=200, seed=1)
+
+
+@pytest.mark.parametrize("mapping,t_list", [
+    (V2, ((6, 3, 3), (8, 4, 4), (10, 5, 5), (16, 8, 8))),
+    (V2, ((16, 8, 8), (12, 6, 6), (8, 4, 4))),
+    (V2, ((10, 5, 5), (10, 2, 8), (14, 10, 4), (10, 8, 2))),
+    (MapSpec.veronese(3), ((18, 6, 6, 6), (12, 6, 3, 3), (9, 3, 3, 3))),
+], ids=["ray", "reversed", "off-ray", "k4"])
+def test_escape_and_decay_along_a_t_list_equal_cold_runs_per_t(monkeypatch, mapping, t_list):
+    # every t after the first starts from the previous t's transforms, and
+    # the cells are those of one cold run per t
+    weights = tuple(WeightVector(1, mapping.n, tuple(map(float, t))) for t in t_list)
+    eps = (0.05, 0.1, 0.2, 0.4)
+    cold = [cell for t in weights
+            for cell in escape_table(mapping, LEB01, BALL_V2, (t,), eps, samples=1500, seed=3)]
+    starts, rows_batch = [], experiments._lambda1_rows_batch
+
+    def recording(rows, t, cap, start=None):
+        starts.append(start)
+        return rows_batch(rows, t, cap, start)
+
+    monkeypatch.setattr(experiments, "_lambda1_rows_batch", recording)
+    assert escape_table(mapping, LEB01, BALL_V2, weights, eps, samples=1500, seed=3) == tuple(cold)
+    assert starts[0] is None and all(start.shape == (mapping.n + 1,) * 2 + (1500,)
+                                     for start in starts[1:])
+    scan = nondiv_decay_scan(mapping, LEB01, BALL_V2, weights, eps, samples=1500, seed=3)
+    assert [asdict(c) for c in scan.cells] == [dict(asdict(c), experiment="decay-scan")
+                                               for c in cold]
 
 
 def test_decay_scan_frozen_small_run():
@@ -495,6 +523,19 @@ def test_equidist_validation():
         equidist_test_k2((0.0, 1.0), 0.0, 9.0, 1.5, samples=100, seed=0)
     with pytest.raises(ParameterError):
         equidist_test_k2((0.0, 1.0), 0.0, -1.0, 0.5, samples=100, seed=0)
+
+
+def test_equidist_refuses_translates_the_flow_resolves():
+    # e^12 ulp(1e12 + 1) = 20: the flow sees the float grid of the
+    # translates (this ran to translate 0, discrepancy -0.696); at y0 1e6,
+    # 1.9e-5, it does not
+    with pytest.raises(CapacityError, match="float spacing"):
+        equidist_test_k2((0.0, 1.0), 1e12, 12.0, 0.5, samples=100, seed=0)
+    r = equidist_test_k2((0.0, 1.0), 1e6, 12.0, 0.5, samples=100_000, seed=0)
+    assert abs(r.discrepancy) <= 0.02
+    # at T = 30 (skew 60), the skew cap refuses first, whatever the spacing
+    with pytest.raises(CapacityError, match="skew"):
+        equidist_test_k2((0.0, 1.0), 1e12, 30.0, 0.5, samples=100, seed=0)
 
 
 @pytest.mark.parametrize("interval", [(0.0,), (0.0, 1.0, 2.0)])

@@ -490,7 +490,7 @@ def test_batch_matches_lattice_route():
     t = WeightVector(1, 2, (2.0, 1.0, 1.0))
     eps = 0.4
     rows = np.stack([random_forms(6000 + i, 1, 2).Y[0] for i in range(60)])
-    regions = trichotomy(_lambda1_rows_batch(rows, t, eps + DEFAULT_MARGIN), eps,
+    regions = trichotomy(_lambda1_rows_batch(rows, t, eps + DEFAULT_MARGIN)[0], eps,
                          DEFAULT_MARGIN)
     label = {
         ThickRegion.OUTSIDE: Solvability.SOLVABLE,
@@ -529,7 +529,7 @@ def test_batch_matches_the_exact_route_up_to_the_precision_cap(n, skew, parts, c
     # the rows batch is the LLL kernel at n >= 2 and, like _forms_lambda1,
     # the exact convergents at n = 1
     want = np.where(exact <= cap, exact, cap + 1.0) if n == 1 else lll
-    assert np.array_equal(_lambda1_rows_batch(rows, t, cap), want)
+    assert np.array_equal(_lambda1_rows_batch(rows, t, cap)[0], want)
 
 
 def _forms_batch_inputs() -> np.ndarray:

@@ -330,6 +330,15 @@ def test_cli_argument_error_is_2(rundir, capsys):
                  "--eps", "0.5", "--samples", "100"]) == 2
 
 
+def test_cli_equidist_refuses_translates_the_flow_resolves(rundir, capsys):
+    argv = ["equidist", "--interval", "0,1", "--flow-time", "12", "--eps", "0.5"]
+    for extra in ([], ["--dry-run"]):
+        assert main(argv + ["--y0", "1e12", "--samples", "100000"] + extra) == 3
+        assert "float spacing" in capsys.readouterr().err
+    assert not (rundir / "runs").exists()
+    assert main(argv + ["--y0", "1e6", "--samples", "2000"]) == 0
+
+
 def test_cli_dry_run_writes_nothing(rundir, capsys):
     code = main(["escape", "--map", "veronese n=2", "--measure",
                  "lebesgue d=1 box=0,1", "--ball-center", "0.5",
@@ -482,6 +491,34 @@ def test_cli_number_lists_read_one_grammar(rundir, capsys, argv, flag, form, dec
     assert reports[0][3:] == reports[1][3:]
     if flag not in ("--family", "--t", "--Y"):
         assert reports[0][2] == reports[1][2]
+
+
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_parser_for_one_subcommand_reads_like_the_full_parser(capsys):
+    # build_parser(argv) gives only argv's subcommand its parameters; the
+    # help texts, and argparse's errors, are the full parser's
+    full = cli.build_parser()
+    for name in cli._COMMANDS:
+        partial = cli.build_parser([name, "--dry-run"])
+        assert partial.format_help() == full.format_help()
+        assert _subparsers(partial)[name].format_help() == _subparsers(full)[name].format_help()
+        assert [other for other, sub in _subparsers(partial).items()
+                if len(sub._actions) > 1] == [name]
+    outputs = [(["--help"], full.format_help())] + [
+        ([name, "--help"], _subparsers(full)[name].format_help()) for name in cli._COMMANDS]
+    for argv, text in outputs:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+    for argv in (["decay", "--no-such-flag"], ["escape", "--samples"], ["nope"], []):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            full.parse_args(argv)
+        assert capsys.readouterr().err == err
 
 
 def test_no_subcommand_flag_is_converted_by_argparse():
@@ -783,7 +820,7 @@ def test_cli_dry_run_fails_like_the_run(rundir, capsys, monkeypatch, argv):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_run", recording_run)
         # one parser serves every example: building it is most of a run's time
-        patch.setattr(cli, "build_parser", lambda: _PARSER)
+        patch.setattr(cli, "build_parser", lambda *_: _PARSER)
         for extra in (["--dry-run"], []):
             code = main(argv + extra)
             err = capsys.readouterr().err.splitlines()

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 
@@ -317,6 +318,34 @@ def test_reduction_is_lll_reduced_by_an_exact_unimodular_transform():
         reduce_basis(LatticeBasis(np.eye(3)), start=np.eye(2, dtype=int))
 
 
+def _compensated_sum(items, start=0):
+    """The builtin sum as Python 3.12 and later run it: float items are added
+    with compensation (math.fsum stands in for its Neumaier sum)."""
+    items = list(items)
+    if items and all(type(x) is float for x in items):
+        return math.fsum([start, *items])
+    return builtins.sum(items, start)
+
+
+def test_scalar_reduction_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # column 1 . column 0 = x + (4.5 - 2^(e - 60)) - x with x = 2^e: added
+    # left to right, the 2^(e - 60) is lost beside x, so mu_10 = 1.5 and
+    # rounds to 2; a compensated sum gives mu_10 < 1.5, which rounds to 1,
+    # and (at e = 30, 40) another T
+    cases = []
+    for e in (30, 40):
+        x, y = 2.0 ** e, 4.5 - 2.0 ** (e - 60)
+        cases.append(np.array([[1.0, x, 0.0], [1.0, y, 0.0], [1.0, -x, 1.0 / (y - x)]]))
+    plain = [(lattice._gram_schmidt(M.T.tolist()), reduce_basis(LatticeBasis(M)))
+             for M in cases]
+    assert all(mu[1] == [1.5] for (mu, _), _ in plain)
+    monkeypatch.setattr(lattice, "sum", _compensated_sum, raising=False)
+    assert lattice.sum([1e16, 1.0, -1e16]) == 1.0
+    for M, (profile, T) in zip(cases, plain):
+        assert lattice._gram_schmidt(M.T.tolist()) == profile
+        assert np.array_equal(reduce_basis(LatticeBasis(M)), T)
+
+
 def test_counterexample_lattices_match_brute_force():
     # the shortest vector of a flowed basis has coefficients up to e^(s+u);
     # the brute-force scan runs over the reduced basis, whose coefficients
@@ -403,6 +432,75 @@ def test_batch_reads_a_read_only_stack(t):
     got = shortest_supnorm_batch(S)
     assert np.array_equal(got, shortest_supnorm_batch(S.copy()))
     assert np.array_equal(S, before)
+
+
+# one-form weight lists (m = 1) up to flow skew 24: along a ray, the same
+# ray reversed, and off it
+_WARM_T_LISTS = {
+    "ray-k3": ((6, 3, 3), (8, 4, 4), (10, 5, 5), (12, 6, 6), (16, 8, 8)),
+    "reversed-k3": ((16, 8, 8), (12, 6, 6), (8, 4, 4)),
+    "off-ray-k3": ((10, 5, 5), (10, 2, 8), (10, 8, 2), (14, 10, 4), (12, 2, 10)),
+    "ray-k4": ((6, 2, 2, 2), (9, 3, 3, 3), (12, 4, 4, 4), (18, 6, 6, 6)),
+    "reversed-k4": ((18, 6, 6, 6), (12, 4, 4, 4), (6, 2, 2, 2)),
+    "off-ray-k4": ((12, 4, 4, 4), (12, 6, 3, 3), (12, 2, 2, 8), (16, 8, 4, 4)),
+}
+
+
+def _warm_and_cold(rows, t_list, cap):
+    """Per t of the list: (values and transforms of the batch kernel started
+    from the previous t's transforms, the cold values)."""
+    n, T = rows.shape[1], None
+    for t in t_list:
+        S = flowed_bases(rows[:, None], WeightVector(1, n, tuple(map(float, t))))
+        lam, T = lattice._shortest_batch(S, cap, T)
+        yield lam, T, shortest_supnorm_batch(S, cap)
+
+
+@pytest.mark.parametrize("t_list", _WARM_T_LISTS.values(), ids=list(_WARM_T_LISTS))
+def test_warm_started_batch_gives_the_cold_values(t_list):
+    # a row at or below cap has the cold value bit for bit; above cap, it
+    # is above cap both ways
+    rows = np.random.default_rng(len(t_list[0])).uniform(-1.0, 1.0, (1500, len(t_list[0]) - 1))
+    for lam, T, cold in _warm_and_cold(rows, t_list, 0.4):
+        below = cold <= 0.4
+        assert np.array_equal(lam <= 0.4, below)
+        assert np.array_equal(lam[below], cold[below])
+        assert T.shape == (len(t_list[0]),) * 2 + (len(rows),)
+
+
+def test_warm_started_batch_on_random_unimodular_stacks():
+    # random bases from random unimodular starts, in the kernel and in
+    # _lll_batch alone: the cold values, and LLL-reduced T with det +-1
+    gen = np.random.default_rng(9)
+    for k in range(2, 7):
+        bases = np.array([random_unimodular(seed=seed, k=k, spread=3.0).columns
+                          for seed in range(24)])
+        start = np.stack([_random_unimodular_transform(gen, k) for _ in bases], axis=2)
+        lam, T = lattice._shortest_batch(bases, math.inf, start.astype(float))
+        assert np.array_equal(lam, shortest_supnorm_batch(bases))
+        alone = lattice._lll_batch(bases.transpose(1, 2, 0).copy(), start)
+        assert np.array_equal(alone, T)
+        for i, A in enumerate(bases):
+            _assert_lll_reduced_by(A, T[:, :, i])
+    # the counterexample's lattices in s order, each from the previous T
+    T = None
+    for basis in _counterexample_bases():
+        T = lattice._lll_batch(basis.columns[:, :, None].copy(), T)
+        _assert_lll_reduced_by(basis.columns, T[:, :, 0])
+    with pytest.raises(ParameterError, match="start"):
+        lattice._lll_batch(np.eye(3)[:, :, None].copy(), np.eye(3)[:, :, None, None])
+
+
+def test_warm_start_follows_the_rows_across_chunks(monkeypatch):
+    # each chunk takes its own slice of the starts: the transforms are those
+    # of an unchunked call, row by row
+    rows = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 2))
+    t_list = _WARM_T_LISTS["ray-k3"][:3]
+    whole = list(_warm_and_cold(rows, t_list, 0.4))
+    monkeypatch.setattr(lattice, "_CHUNK", 64)
+    for (lam, T, cold), (lam64, T64, cold64) in zip(whole, _warm_and_cold(rows, t_list, 0.4)):
+        assert np.array_equal(lam64, lam) and np.array_equal(cold64, cold)
+        assert np.array_equal(T64, T)
 
 
 def _a6():
