@@ -5,9 +5,9 @@ Four studies live here, all built from the lattice/flow/measure layers:
 * escape-measure scans: how much of a curve's parameter set is pushed
   out of the eps-thick part by a diagonal flow, and how that fraction
   decays with eps (the power law behind the improvability results);
-* a Haar sampler and equidistribution discrepancy test at k = 2, where
-  Siegel's mean value theorem gives the invariant mass of the thin part
-  exactly for eps <= 1/sqrt(2);
+* an equidistribution discrepancy test at k = 2 against the exact invariant
+  mass of the thin part at every eps (Siegel's formula, then a closed form),
+  and a Haar sampler, on no run path, that tests compare with that mass;
 * the m = 2, n = 1 construction showing that along weight rays with a
   frozen first coordinate EVERY system of forms is eps-improvable for
   suitable eps, so drifting away from the walls is genuinely needed
@@ -24,8 +24,7 @@ At k = 2, the forms lattices of escape and decay (a one-output map) and
 equidist's translates take the exact convergent lambda1 of
 flows.shortest_forms_batch.  Escape and decay at k >= 3 take it from
 lattice's batch kernel, each t of the list started from the transforms of
-the t before, equidist's sampled Haar lattices from
-lattice.shortest_supnorm_batch, and the counterexample from
+the t before, and the counterexample from
 lattice.shortest_with_region lattice by lattice, each started from the
 same system's previous transform.  Those float values lose about
 2^-52 e^S at flow skew S; past flows.MAX_FLOW_SKEW all four experiments
@@ -390,11 +389,8 @@ def haar_sample_k2(seed: int, count: int) -> HaarSampleK2:
 class EquidistReport:
     """Flowed-translate vs invariant-measure membership test for K_eps.
 
-    haar_n = haar_boundary_n = 0 marks an exact haar_estimate
-    (2 (eps + margin)^2 <= 1);
-    otherwise they count the sampled Haar lattices, as translate_n and
-    translate_boundary_n count the translates.
-    """
+    haar_estimate is exact (_invariant_thick_k2): haar_n and haar_boundary_n,
+    kept as report columns, are always 0."""
 
     y0: float
     interval: tuple
@@ -414,7 +410,7 @@ def thick_fraction_k2(
     eps: float,
     margin: float = DEFAULT_MARGIN,
 ):
-    """Fraction of 2x2 bases whose lattice avoids vectors shorter than eps."""
+    """(fraction, n_eff, boundary_count) of lambda1 >= eps over a stack of 2x2 bases."""
     return _thick_fraction(shortest_supnorm_k2_batch(matrices), eps, margin)
 
 
@@ -427,23 +423,37 @@ def _thick_fraction(lam: np.ndarray, eps: float, margin: float):
     return inside / n_eff, n_eff, boundary
 
 
-def _siegel_thick_k2(eps: float, margin: float):
-    """Invariant thick fraction at k = 2 by the margin trichotomy, or None.
-
-    Siegel's mean value theorem: a unimodular lattice has on average
-    vol(S) / zeta(2) primitive vectors in S.  Two independent vectors in the
-    open square of side 2 r span |det| < 2 r^2 <= 1, and two of a
-    unimodular lattice span at least 1, so at most one +-pair lies there:
-    mu(lambda1 < r) = 4 r^2 / (2 zeta(2)) = 12 r^2 / pi^2.  Like
-    thick_fraction_k2, the fraction leaves out the boundary band
-    eps - margin <= lambda1 < eps + margin; it is exact when
-    2 (eps + margin)^2 <= 1 and None above.
+def _invariant_thin_k2(r: float) -> float:
+    """mu(lambda1 < r) for the invariant probability on unimodular lattices:
+    mu = E[N] - E[C(N, 2)] for N the +-pairs of primitive vectors in the open
+    square S_r, since N <= 2 for r <= 1: two pairs span |det| < 2 r^2 <= 2, so
+    form a basis, and no third pair v +- w fits (|ad - bc| < 1 once v = (a, b),
+    w = (c, d) and v - w have entries in (-1, 1): ad, bc share a sign if ac,
+    bd > 0, else |ad - bc| <= max(|b|, |d|) |a - c| < 1 or the same swapped).
+    E[N] = 12 r^2 / pi^2 (Siegel).  E[C(N, 2)] is 0 while 2 r^2 <= 1, else
+    I2 / (4 zeta(2)), I2 = int_{S_r} |{s : w0(v) + s v in S_r}| dv with
+    w0(v) = (-v2, v1) / |v|^2; in polar form, with c = r^2, u = tan theta and
+    v = c (1 + u), it is 12 J / pi^2 for J = int_1^{2c} (v - 1 - ln v) / (v - c)
+    dv, in closed form below (Li2 in 60 terms y^k / k^2, y < 1/2, by
+    math.fsum: sum compensates from Python 3.12).  r >= 1 gives 1 (Minkowski).
     """
-    hi, lo = eps + margin, max(eps - margin, 0.0)
-    if not (hi < 1 and 2 * Fraction(hi) ** 2 <= 1):
-        return None
-    thick, thin = 1.0 - 12.0 * hi * hi / math.pi ** 2, 12.0 * lo * lo / math.pi ** 2
-    return thick / (thick + thin)
+    if 2 * Fraction(r) ** 2 <= 1:
+        return 12.0 * r * r / math.pi ** 2
+    if r >= 1:
+        return 1.0
+    c = r * r
+    ln_c, L = math.log(c), math.log(c / (1.0 - c))
+    li2 = math.fsum((1.0 - c) ** k / (k * k) for k in range(1, 61))
+    j = (2 * c - 1) + (c - 1) * L - L * ln_c - math.pi ** 2 / 12 + 0.5 * ln_c ** 2 + li2
+    return 12.0 * (c - j) / math.pi ** 2
+
+
+def _invariant_thick_k2(eps: float, margin: float) -> float:
+    """mu(lambda1 >= eps + margin | lambda1 outside the band eps +- margin),
+    the band as thick_fraction_k2 leaves it out; 0 if it holds the whole law."""
+    thick = 1.0 - _invariant_thin_k2(eps + margin)
+    thin = _invariant_thin_k2(max(eps - margin, 0.0))
+    return thick / (thick + thin) if thick + thin > 0 else 0.0
 
 
 def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples: int,
@@ -491,13 +501,10 @@ def equidist_test_k2(
 
     The translate estimate is the fraction of x uniform on the interval
     whose lattice g_t tau(x + y0) Z^2 lies in the eps-thick part, by the
-    exact lambda1 of flows.shortest_forms_batch.  The
-    reference is the invariant thick fraction, outside the same margin
-    band: exact for 2 (eps + margin)^2 <= 1 (Siegel; 1 - 12 eps^2 / pi^2
-    at margin 0; haar_n = 0), else the thick fraction of
-    haar_sample_k2 with the same sample budget, with the truncated_mass
-    beyond its cutoff counted as thin.  A flow time at which e^T times the
-    float spacing of the translates exceeds _EQUIDIST_GRID_LIMIT is refused
+    exact lambda1 of flows.shortest_forms_batch.  The reference is the
+    exact invariant thick fraction outside the same margin band
+    (_invariant_thick_k2).  A flow time at which e^T times the float spacing
+    of the translates exceeds _EQUIDIST_GRID_LIMIT is refused
     (CapacityError): the flow would see the float grid, not the horocycle.
     """
     (lo, hi), t = _equidist_weights(interval, y0, flow_time, eps, samples, margin)
@@ -508,16 +515,9 @@ def equidist_test_k2(
     x = _rng.sample_batched(draw, samples, seed, tag=_TAG_TRANSLATE, workers=workers)
     translate_est, t_n, t_bn = _thick_fraction(shortest_forms_batch(x + y0, *t.t), eps,
                                                margin)
-    haar_est, h_n, h_bn = _siegel_thick_k2(eps, margin), 0, 0
-    if haar_est is None:
-        haar = haar_sample_k2(seed, samples)
-        thick, h_n, h_bn = thick_fraction_k2(haar.matrices, eps, margin)
-        # the mass m above y_max has lambda1 <= y_max^-1/2 (0.032): thin
-        # and outside the boundary band unless eps - margin is below that
-        m = haar.truncated_mass
-        haar_est = (1.0 - m) * thick / (1.0 + m * h_bn / max(h_n, 1))
+    haar_est = _invariant_thick_k2(eps, margin)
     return EquidistReport(float(y0), (lo, hi), t.t, eps, translate_est, haar_est,
-                          translate_est - haar_est, t_n, t_bn, h_n, h_bn)
+                          translate_est - haar_est, t_n, t_bn, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ evaluated in those columns, though, so among vectors whose lengths are
 equal, or differ by about an ulp, which one wins (and so the last bits of
 the reported length) may depend on the start.
 
-Stacks of lattices (Haar bases, forms lattices at k >= 3) go through the
-one batch kernel shortest_supnorm_batch: its batched reduction returns T
-too, it certifies with the same bound, and where the bound exceeds its
-{-1, 0, 1}^k stencil the box scan runs on that T.  The batch reduction
+Stacks of lattices (forms lattices at k >= 3; Haar bases only in tests) go
+through the one batch kernel shortest_supnorm_batch: its batched reduction
+returns T too, it certifies with the same bound, and where the bound exceeds
+its {-1, 0, 1}^k stencil the box scan runs on that T.  The batch reduction
 takes the same start contract (_lll_batch, _shortest_batch: a (k, k, N)
 stack of unimodular starts, columns rebuilt as input . T at every step),
 so a minimum up to the cap is certified whatever the start; escape and

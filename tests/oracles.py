@@ -162,3 +162,24 @@ def counterexample_cases(eps, u, s_list, systems, seed):
     all_pass = all(c["primitive_ok"] and c["lambda1_below_eps"] and c["near_vector_q"] != 0
                    for c in cases)
     return cases, all_pass, max([0.0] + [c["lambda1"] for c in cases])
+
+
+def invariant_thin_grid_k2(r: float, n: int = 400) -> float:
+    """mu(lambda1 < r) at k = 2 and r < 1, from its definition on a grid.
+
+    mu = E[N] - E[C(N, 2)] for N the +-pairs of primitive vectors in the
+    open square S_r: E[N] = 12 r^2 / pi^2 (Siegel), E[C(N, 2)] =
+    I2 / (4 zeta(2)) with I2 the integral over v in S_r of the length of
+    {s : w0(v) + s v in S_r}, w0(v) = (-v2, v1) / |v|^2.  The integrand is
+    invariant under the symmetries of the square, so the n x n midpoint
+    grid covers the quadrant v1, v2 > 0.
+    """
+    h = r / n
+    v1, v2 = np.meshgrid(h * (np.arange(n) + 0.5), h * (np.arange(n) + 0.5), indexing="ij")
+    sq = v1 * v1 + v2 * v2
+    # per coordinate, the s at which w0 + s v meets -r and r, in order
+    ends = [np.sort([(side - w) / v for side in (-r, r)], axis=0)
+            for w, v in ((-v2 / sq, v1), (v1 / sq, v2))]
+    length = np.minimum(ends[0][1], ends[1][1]) - np.maximum(ends[0][0], ends[1][0])
+    i2 = 4.0 * h * h * float(np.sum(np.maximum(length, 0.0)))
+    return (12.0 * r * r - 1.5 * i2) / math.pi ** 2

@@ -53,7 +53,7 @@ from dirichlet_lab.measures import (
 )
 from dirichlet_lab.rng import BLOCK
 
-from oracles import counterexample_cases, near_vector_scan
+from oracles import counterexample_cases, invariant_thin_grid_k2, near_vector_scan
 
 V2 = MapSpec.veronese(2)
 LEB01 = LebesgueBox((0.0,), (1.0,))
@@ -377,21 +377,65 @@ def test_horocycle_translates_reach_the_siegel_value(eps, margin):
                                         (0.7, DEFAULT_MARGIN), (math.sqrt(0.5), 0.0),
                                         (0.8, DEFAULT_MARGIN), (0.7, 0.01), (0.6, 0.2)])
 def test_equidist_reference_is_exact_where_two_eps_squared_is_at_most_one(eps, margin):
+    # and above it, where the closed form takes over; no Haar lattice is drawn
     r = equidist_test_k2((0.0, 1.0), 0.0, 4.0, eps, samples=5000, seed=1, margin=margin)
+    assert (r.haar_n, r.haar_boundary_n) == (0, 0)
     if 2 * Fraction(eps + margin) ** 2 <= 1:
-        assert (r.haar_n, r.haar_boundary_n) == (0, 0)
         assert r.haar_estimate == pytest.approx(_siegel_thick(eps, margin), rel=1e-14)
     else:  # sqrt(0.5) rounds to the float just above 1/sqrt(2)
-        h = haar_sample_k2(1, 5000)
-        thick, n, boundary_n = thick_fraction_k2(h.matrices, eps, margin)
-        assert r.haar_n == n > 0 and r.haar_boundary_n == boundary_n
-        # the truncated mass m is thin: (1 - m) p_thick / (1 - (1 - m) p_band)
-        m = h.truncated_mass
-        exact = (1.0 - m) * (thick * n / 5000) / (1.0 - (1.0 - m) * boundary_n / 5000)
-        assert r.haar_estimate == pytest.approx(exact, rel=1e-12)
-        if boundary_n == 0:
-            assert r.haar_estimate == (1.0 - m) * thick
+        thick = 1.0 - invariant_thin_grid_k2(eps + margin)
+        grid = thick / (thick + invariant_thin_grid_k2(max(eps - margin, 0.0)))
+        assert r.haar_estimate == pytest.approx(grid, abs=2e-6)
+    thin = experiments._invariant_thin_k2
+    thick = 1.0 - thin(eps + margin)
+    assert r.haar_estimate == thick / (thick + thin(max(eps - margin, 0.0)))
     assert r.discrepancy == r.translate_estimate - r.haar_estimate
+
+
+# mu(lambda1 < r) from a polar quadrature (Gauss-Legendre, 64 nodes) that a
+# 3000 x 3000 grid matched on every printed digit
+_THIN_QUADRATURE = {0.72: 0.6302793, 0.75: 0.6832143, 0.8: 0.7711874, 0.85: 0.8536209,
+                    0.9: 0.9244622, 0.95: 0.9768175, 0.99: 0.9986821}
+
+
+def test_invariant_thin_mass_matches_quadrature_digits():
+    for r, digits in _THIN_QUADRATURE.items():
+        assert abs(experiments._invariant_thin_k2(r) - digits) <= 5e-8, r
+
+
+@pytest.mark.parametrize("r", [0.72, 0.8, 0.9, 0.95])
+def test_invariant_thin_mass_matches_a_grid_of_its_definition(r):
+    assert abs(experiments._invariant_thin_k2(r) - invariant_thin_grid_k2(r)) <= 1e-6
+
+
+def test_haar_sample_with_truncation_correction_reads_the_closed_form():
+    # above 1/sqrt(2) two +-pairs fit in the square, and the exact value is
+    # the closed form; 4 half-widths, as the three eps share one sample
+    h = haar_sample_k2(0, 400_000)
+    for eps in (0.75, 0.85, 0.95):
+        thick, n, _ = thick_fraction_k2(h.matrices, eps)
+        thin = 1.0 - (1.0 - h.truncated_mass) * thick
+        exact = experiments._invariant_thin_k2(eps)
+        assert abs(thin - exact) <= 4.0 * _binomial_half_width(exact, n), eps
+
+
+def test_invariant_thin_mass_is_continuous_monotone_and_reaches_one():
+    thin = experiments._invariant_thin_k2
+    edge = math.sqrt(0.5)  # the float just above 1/sqrt(2): the closed form
+    assert 2 * Fraction(edge) ** 2 > 1 >= 2 * Fraction(np.nextafter(edge, 0.0)) ** 2
+    assert thin(edge) == pytest.approx(thin(float(np.nextafter(edge, 0.0))), abs=1e-15)
+    assert thin(edge) == pytest.approx(6.0 / math.pi ** 2, abs=1e-15)
+    values = [thin(float(r)) for r in np.linspace(0.0, 1.2, 2401)]
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert 1.0 - thin(1.0 - 1e-6) < 1e-9
+    assert thin(1.0) == thin(1.5) == 1.0
+
+
+def test_equidist_reference_is_zero_when_the_band_holds_the_whole_law():
+    # eps - margin <= 0 and eps + margin >= 1: both sides leave out every lattice
+    r = equidist_test_k2((0.0, 1.0), 0.0, 4.0, 0.5, samples=1000, seed=0, margin=0.6)
+    assert (r.translate_estimate, r.haar_estimate, r.discrepancy) == (0.0, 0.0, 0.0)
+    assert (r.translate_n, r.translate_boundary_n, r.haar_n) == (0, 1000, 0)
 
 
 def test_thick_mass_nonincreasing_in_eps():
@@ -422,30 +466,32 @@ def test_haar_slices_change_no_bit(monkeypatch):
 
 
 def test_equidist_report_does_not_depend_on_slice_sizes(monkeypatch):
-    # eps 0.8 lies above 1/sqrt(2), where the Haar side is sampled; at eps 0.5
-    # only the translates run, so the chunks are flows.shortest_forms_batch's
-    for eps in (0.8, 0.5):
-        args = ((0.0, 1.0), 0.0, 9.0, eps)
-        whole = equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5)
-        with monkeypatch.context() as m:
-            m.setattr(experiments, "_HAAR_SLICE", 1000)
-            m.setattr(lattice, "_CHUNK", 1000)
-            assert equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5) == whole
+    # equidist's chunks are flows.shortest_forms_batch's; the Haar sampler
+    # and the LLL batch kernel it feeds are checked beside it, at eps 0.8
+    args = ((0.0, 1.0), 0.0, 9.0, 0.5)
+    whole = equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5)
+    haar = thick_fraction_k2(haar_sample_k2(5, 2 * BLOCK + 7).matrices, 0.8)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_HAAR_SLICE", 1000)
+        m.setattr(lattice, "_CHUNK", 1000)
+        assert equidist_test_k2(*args, samples=2 * BLOCK + 7, seed=5) == whole
+        assert thick_fraction_k2(haar_sample_k2(5, 2 * BLOCK + 7).matrices, 0.8) == haar
 
 
 def test_equidist_working_set_is_about_one_slice():
-    # Traced peak of one call at 100 000 samples.  Whole-stack Haar bases
-    # (rot, upper and their product at 3.2 MB each, beside the accepted
-    # rows) peaked at 14.5 MB.  Built slice by slice, the peak is 9.1 MB,
-    # in the kernel: the 3.2 MB Haar stack plus one chunk's working set.
-    # 11 MB leaves room for numpy versions and fails if any whole-stack
-    # temporary of 3.2 MB comes back.  eps 0.8 lies above 1/sqrt(2), where
-    # the Haar side is sampled.
-    args = ((0.0, 1.0), 0.0, 9.0, 0.8)
-    equidist_test_k2(*args, samples=100_000, seed=0)  # caches and imports
+    # Traced peak of the Haar sampler and the thick fraction of its bases at
+    # 100 000 samples.  Whole-stack Haar bases (rot, upper and their product
+    # at 3.2 MB each, beside the accepted rows) peaked at 14.5 MB.  Built
+    # slice by slice, the peak is 8.3 MB, in the kernel: the 3.2 MB Haar
+    # stack plus one chunk's working set.  11 MB leaves room for numpy
+    # versions and fails if any whole-stack temporary of 3.2 MB comes back.
+    def run():
+        return thick_fraction_k2(haar_sample_k2(0, 100_000).matrices, 0.8)
+
+    run()  # caches and imports
     tracemalloc.start()
     try:
-        equidist_test_k2(*args, samples=100_000, seed=0)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -453,20 +499,22 @@ def test_equidist_working_set_is_about_one_slice():
 
 
 def test_equidist_translate_working_set_holds_no_basis_stack():
-    # Traced peak of one call at 100 000 samples and eps 0.5, where only the
-    # translates run.  Their (N, 2, 2) stack of flowed bases (3.2 MB) and the
-    # LLL kernel's chunk peaked at 9.1 MB; the convergent batch needs the
-    # samples, their translates and one chunk beside the output, 3.8 MB.  6 MB
-    # fails if a whole (N, 2, 2) stack comes back.
-    args = ((0.0, 1.0), 0.0, 9.0, 0.5)
-    equidist_test_k2(*args, samples=100_000, seed=0)  # caches and imports
-    tracemalloc.start()
-    try:
-        equidist_test_k2(*args, samples=100_000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2 ** 20
+    # Traced peak of one call at 100 000 samples, where only the translates
+    # run.  Their (N, 2, 2) stack of flowed bases (3.2 MB) and the LLL
+    # kernel's chunk peaked at 9.1 MB; the convergent batch needs the
+    # samples, their translates and one chunk beside the output, 3.8 MB.
+    # 6 MB fails if a whole (N, 2, 2) stack comes back, and at eps 0.8, where
+    # the reference is exact too, if a sampled Haar stack (9.1 MB) does.
+    for eps in (0.5, 0.8):
+        args = ((0.0, 1.0), 0.0, 9.0, eps)
+        equidist_test_k2(*args, samples=100_000, seed=0)  # caches and imports
+        tracemalloc.start()
+        try:
+            equidist_test_k2(*args, samples=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20, eps
 
 
 def test_region_counts_count_the_trichotomy():

@@ -26,6 +26,8 @@ from dirichlet_lab.config import (
     parse_weight_vector,
 )
 from dirichlet_lab.errors import EmptySupportError, ParameterError
+from dirichlet_lab.experiments import _invariant_thick_k2
+from dirichlet_lab.lattice import DEFAULT_MARGIN
 from dirichlet_lab.measures import LebesgueBox, MapSpec, SelfSimilarIFS
 from dirichlet_lab.reports import FORMAT_VERSION, render_csv, render_jsonl, write_report
 
@@ -337,6 +339,22 @@ def test_cli_equidist_refuses_translates_the_flow_resolves(rundir, capsys):
         assert "float spacing" in capsys.readouterr().err
     assert not (rundir / "runs").exists()
     assert main(argv + ["--y0", "1e6", "--samples", "2000"]) == 0
+
+
+def test_cli_equidist_reference_is_exact_above_one_over_root_two(rundir, capsys):
+    assert main(["equidist", "--interval", "0,1", "--y0", "0.3", "--flow-time", "9",
+                 "--eps", "0.8", "--samples", "20000"]) == 0
+    (row,) = _jsonl_records(rundir / "runs" / "equidist" / "report.jsonl")
+    assert (row["haar_n"], row["haar_boundary_n"]) == (0, 0)
+    assert row["haar_estimate"] == _invariant_thick_k2(0.8, DEFAULT_MARGIN)
+    assert abs(row["haar_estimate"] - 0.2288126) < 1e-7
+
+
+def test_cli_equidist_band_holding_the_whole_law(rundir, capsys):
+    assert main(["equidist", "--interval", "0,1", "--flow-time", "4", "--eps", "0.5",
+                 "--margin", "0.6", "--samples", "1000"]) == 0
+    (row,) = _jsonl_records(rundir / "runs" / "equidist" / "report.jsonl")
+    assert (row["translate_estimate"], row["haar_estimate"], row["translate_n"]) == (0.0, 0.0, 0)
 
 
 def test_cli_dry_run_writes_nothing(rundir, capsys):
