@@ -468,7 +468,9 @@ _SCAN_COLUMNS = "CSV columns: experiment;seed;t;floor_t;norm_t;eps;fraction;ci;n
 
 _COMMANDS = {
     "check": _Command(
-        "single system query: is (eps, t) solvable?", None, False, _cmd_check,
+        "single system query: is (eps, t) solvable?",
+        "CSV columns: experiment;m;n;Y;t;eps;weak_q;solvable;witness_p;witness_q", False,
+        _cmd_check,
         _FORMS + (
             _Param("t", required=True, help="weight vector, m+n comma-separated entries"),
             _Param("weak_q", _parse_bool, False, kind="switch",
@@ -494,8 +496,7 @@ _COMMANDS = {
     "equidist": _Command(
         "flowed-translate vs invariant measure at k=2",
         "CSV columns: experiment;y0;interval;t;eps;translate_estimate;"
-        "haar_estimate;discrepancy;translate_n;translate_boundary_n;"
-        "haar_n;haar_boundary_n", True, _cmd_equidist,
+        "haar_estimate;discrepancy;translate_n;translate_boundary_n", True, _cmd_equidist,
         (
             _Param("interval", _num_list, required=True, help="lo,hi"),
             _Param("y0", _num, 0.0),

@@ -55,6 +55,7 @@ from .flows import (
 from .lattice import (
     DEFAULT_MARGIN,
     LatticeBasis,
+    ThickRegion,
     _check_margin,
     _region_code,
     _shortest_batch,
@@ -387,10 +388,8 @@ def haar_sample_k2(seed: int, count: int) -> HaarSampleK2:
 
 @dataclass(frozen=True)
 class EquidistReport:
-    """Flowed-translate vs invariant-measure membership test for K_eps.
-
-    haar_estimate is exact (_invariant_thick_k2): haar_n and haar_boundary_n,
-    kept as report columns, are always 0."""
+    """Flowed-translate vs invariant-measure membership test for K_eps;
+    haar_estimate is exact (_invariant_thick_k2)."""
 
     y0: float
     interval: tuple
@@ -401,8 +400,6 @@ class EquidistReport:
     discrepancy: float
     translate_n: int
     translate_boundary_n: int
-    haar_n: int
-    haar_boundary_n: int
 
 
 def thick_fraction_k2(
@@ -517,7 +514,7 @@ def equidist_test_k2(
                                                margin)
     haar_est = _invariant_thick_k2(eps, margin)
     return EquidistReport(float(y0), (lo, hi), t.t, eps, translate_est, haar_est,
-                          translate_est - haar_est, t_n, t_bn, 0, 0)
+                          translate_est - haar_est, t_n, t_bn)
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +640,15 @@ def no_drift_counterexample(
     makes three things happen for EVERY 2x1 system Y and every s:
 
     (a) the flowed lattice contains e^u e_1 as a primitive vector,
-    (b) its shortest vector is shorter than eps,
+    (b) its shortest vector is shorter than eps: lambda1_below_eps holds
+        iff shortest_with_region places lambda1 OUTSIDE (lambda1 < eps -
+        DEFAULT_MARGIN), so a BOUNDARY case reads false and fails all_pass,
     (c) a nonzero lattice vector sits within sup-distance eps of
         +-e^u e_1 (found here by an explicit Dirichlet scan in q).
 
     (c) implies (b) — the scan's vector differs from +-e^u e_1 by a
-    lattice vector of length < eps — and that implication is asserted
-    on every case.
+    lattice vector of length < eps — and lambda1 <= that distance +
+    DEFAULT_MARGIN is asserted on every case.
 
     The work runs one s at a time on the stack of all systems: (a) and (c)
     on the flowed_bases stack, (b) lattice by lattice, each basis of that
@@ -676,16 +675,16 @@ def no_drift_counterexample(
         primitive = ((residual <= 1e-9 * eu) & (np.gcd.reduce(coeff, axis=1) == 1)).tolist()
         lams = []
         for index, basis in enumerate(bases):
-            sv, _ = shortest_with_region(LatticeBasis(basis), eps=eps, start=starts[index])
+            sv, region = shortest_with_region(LatticeBasis(basis), eps=eps, start=starts[index])
             starts[index] = sv.transform
-            lams.append(sv.length)
+            lams.append((sv.length, region is ThickRegion.OUTSIDE))
         found_q, found_dist = (a.tolist() for a in _near_vectors(bases, Y, s, u, eps))
-        by_s.append([CounterexampleCase(index, s, ok, lam, lam < eps, dist, q)
-                     for index, (ok, lam, dist, q)
+        by_s.append([CounterexampleCase(index, s, ok, lam, below, dist, q)
+                     for index, (ok, (lam, below), dist, q)
                      in enumerate(zip(primitive, lams, found_dist, found_q))])
     cases = tuple(case for row in zip(*by_s) for case in row)
     for c in cases:
-        if c.near_vector_q != 0 and c.lambda1 > c.near_vector_distance + 1e-9:
+        if c.near_vector_q != 0 and c.lambda1 > c.near_vector_distance + DEFAULT_MARGIN:
             raise ParameterError(
                 "internal inconsistency: lambda1 %g exceeds witness distance %g"
                 % (c.lambda1, c.near_vector_distance)

@@ -132,14 +132,15 @@ def counterexample_cases(eps, u, s_list, systems, seed):
     """The counterexample as one scalar loop over (system, s).
 
     Returns (cases, all_pass, max_lambda1), the cases as dicts in field
-    order.  The lattice and its shortest vector come from the package's
-    flowed_basis and shortest_with_region, one lattice at a time; the
+    order.  The lattice, its shortest vector and the region that labels
+    lambda1_below_eps come from the package's flowed_basis and
+    shortest_with_region, one lattice at a time; the
     primitive check solves each basis on its own and the near vector comes
     from near_vector_scan.  So this checks how the experiment stacks and
     orders its work, not the lattice kernel.
     """
     from dirichlet_lab.flows import WeightVector, flowed_basis, random_forms
-    from dirichlet_lab.lattice import shortest_with_region
+    from dirichlet_lab.lattice import ThickRegion, shortest_with_region
 
     eu = math.exp(u)
     target = np.array([eu, 0.0, 0.0])
@@ -154,10 +155,11 @@ def counterexample_cases(eps, u, s_list, systems, seed):
             residual = float(np.max(np.abs(basis.columns @ coeff - target)))
             c0, c1, c2 = (int(c) for c in coeff)
             primitive_ok = residual <= 1e-9 * eu and math.gcd(math.gcd(c0, c1), c2) == 1
-            lam = shortest_with_region(basis, eps=eps)[0].length
+            sv, region = shortest_with_region(basis, eps=eps)
             found_q, found_dist = near_vector_scan(basis, y1, y2, s, u, eps)
             cases.append({"system_index": index, "s": s, "primitive_ok": primitive_ok,
-                          "lambda1": lam, "lambda1_below_eps": lam < eps,
+                          "lambda1": sv.length,
+                          "lambda1_below_eps": region is ThickRegion.OUTSIDE,
                           "near_vector_distance": found_dist, "near_vector_q": found_q})
     all_pass = all(c["primitive_ok"] and c["lambda1_below_eps"] and c["near_vector_q"] != 0
                    for c in cases)

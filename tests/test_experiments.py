@@ -367,7 +367,7 @@ def test_horocycle_translates_reach_the_siegel_value(eps, margin):
     # the unconditional 1 - 3/pi^2 = 0.6960 is 17 half-widths away
     r = equidist_test_k2((0.0, 1.0), 0.3, 12.0, eps, samples=100_000, seed=0,
                          margin=margin)
-    assert (r.haar_n, r.haar_boundary_n) == (0, 0)
+    assert {"haar_n", "haar_boundary_n"}.isdisjoint(asdict(r))
     assert r.haar_estimate == pytest.approx(_siegel_thick(eps, margin), rel=1e-14)
     hw = _binomial_half_width(r.translate_estimate, r.translate_n)
     assert abs(r.discrepancy) <= 2.0 * hw
@@ -379,7 +379,7 @@ def test_horocycle_translates_reach_the_siegel_value(eps, margin):
 def test_equidist_reference_is_exact_where_two_eps_squared_is_at_most_one(eps, margin):
     # and above it, where the closed form takes over; no Haar lattice is drawn
     r = equidist_test_k2((0.0, 1.0), 0.0, 4.0, eps, samples=5000, seed=1, margin=margin)
-    assert (r.haar_n, r.haar_boundary_n) == (0, 0)
+    assert {"haar_n", "haar_boundary_n"}.isdisjoint(asdict(r))
     if 2 * Fraction(eps + margin) ** 2 <= 1:
         assert r.haar_estimate == pytest.approx(_siegel_thick(eps, margin), rel=1e-14)
     else:  # sqrt(0.5) rounds to the float just above 1/sqrt(2)
@@ -435,7 +435,8 @@ def test_equidist_reference_is_zero_when_the_band_holds_the_whole_law():
     # eps - margin <= 0 and eps + margin >= 1: both sides leave out every lattice
     r = equidist_test_k2((0.0, 1.0), 0.0, 4.0, 0.5, samples=1000, seed=0, margin=0.6)
     assert (r.translate_estimate, r.haar_estimate, r.discrepancy) == (0.0, 0.0, 0.0)
-    assert (r.translate_n, r.translate_boundary_n, r.haar_n) == (0, 1000, 0)
+    assert (r.translate_n, r.translate_boundary_n) == (0, 1000)
+    assert {"haar_n", "haar_boundary_n"}.isdisjoint(asdict(r))
 
 
 def test_thick_mass_nonincreasing_in_eps():
@@ -541,7 +542,7 @@ def test_equidist_discrepancy_small_at_long_times():
     rec = asdict(r)
     assert list(rec) == ["y0", "interval", "t", "eps", "translate_estimate",
                          "haar_estimate", "discrepancy", "translate_n",
-                         "translate_boundary_n", "haar_n", "haar_boundary_n"]
+                         "translate_boundary_n"]
     assert rec["t"] == (9.0, 9.0)
 
 
@@ -613,6 +614,28 @@ def test_counterexample_all_cases_pass():
     assert len(recs) == 600
     assert recs[0] == {"experiment": "no-drift-counterexample", "eps": 0.9,
                        "u": math.log(1.5), **asdict(rec.cases[0])}
+
+
+def test_counterexample_labels_a_lambda1_within_the_margin_of_eps_false(monkeypatch):
+    # every system in the window has lambda1 <= max(e^(-u/2), e^u / 2) (2-d
+    # Minkowski on the projection that drops coordinate 1), so only a
+    # critical projection puts lambda1 within the margin of an eps inside
+    # it: y2 = 1/3 at e^s = 3 e^(-u/2) projects onto the lattice with basis
+    # (0, c), (c, c/3) for c = e^(-u/2), and lambda1 = c.  At e^s = 6 e^(-u/2)
+    # the projection holds (0, c/2), and lambda1 is far below eps.
+    u = math.log(1.55)
+    c = math.exp(-u / 2)
+    eps = c + DEFAULT_MARGIN / 2
+    assert 1.0 / eps ** 2 < math.exp(u) < 2.0 * eps
+    monkeypatch.setattr(experiments, "random_forms",
+                        lambda seed, m, n, scale: LinearFormSystem(np.array([[0.1], [1 / 3]])))
+    rec = no_drift_counterexample(eps, u, [math.log(3.0) - u / 2, math.log(6.0) - u / 2],
+                                  systems=1)
+    edge, far = rec.cases
+    assert abs(edge.lambda1 - c) <= 1e-15 and edge.lambda1 < eps
+    assert edge.primitive_ok and edge.near_vector_q != 0
+    assert far.lambda1 < eps - 0.3
+    assert (edge.lambda1_below_eps, far.lambda1_below_eps, rec.all_pass) == (False, True, False)
 
 
 def test_counterexample_window_enforced():
