@@ -16,8 +16,9 @@ a malformed value is a one-line ``error:``.  Numbers, scalar or list, read
 leading ``-`` is a value, so ``--t -0,1`` and ``--y0 -1/2`` are numbers.
 A config key the table lacks, or a repeated key whose flag does not
 repeat, is an error.
-The parser gives parameters to the invoked subcommand only
-(build_parser(argv)); its help and errors are the full parser's.
+The parser gives parameters, and a -h action, to the invoked subcommand
+only (build_parser(argv)); the others are only listed.  Its help and
+errors are the full parser's.
 Handlers validate, then compute; --dry-run stops after validation and
 prints the plan.  Validation runs every input check the run makes, weight
 limits, scan budgets and dimensions included, through the library's own
@@ -560,9 +561,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     program name) when given.
 
     Every subcommand is listed with its help, but where argv[0] names one,
-    only that subcommand gets its parameters: parse_args(argv) reads no
-    other, and its help and errors are the full parser's.  Without such an
-    argv (--help, a mistyped name, or no argv), every subcommand gets them.
+    only that subcommand gets its parameters and its -h action:
+    parse_args(argv) reads no other, and its help and errors are the full
+    parser's.  Without such an argv (--help, a mistyped name, or no argv),
+    every subcommand gets them.
     """
     parser = argparse.ArgumentParser(
         prog="dirichlet-lab",
@@ -571,8 +573,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     chosen = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, command in _COMMANDS.items():
-        sub = subs.add_parser(name, help=command.help, description=command.description)
-        if chosen not in (None, name):
+        listed = chosen not in (None, name)
+        sub = subs.add_parser(name, help=command.help, description=command.description,
+                              add_help=not listed)
+        if listed:
             continue
         # no option but -h starts with a single '-', so a token that does
         # (-1/2, -0,1, -.5, -inf) is a value, not an unknown option

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -58,8 +59,14 @@ def weight_exponent(t: WeightVector, I) -> float:
     if not I:
         raise ParameterError("index set must be nonempty")
     if 0 in I:
-        return t.t[0] - sum(t.t[i] for i in I if i != 0)
-    return -sum(t.t[i] for i in I)
+        return t.t[0] - _sum(t.t[i] for i in I if i != 0)
+    return -_sum(t.t[i] for i in I)
+
+
+def _sum(values) -> float:
+    """Float sum added left to right: since Python 3.12 the builtin sum
+    compensates float sums, which would tie t_I's bits to the interpreter."""
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -514,11 +514,14 @@ def shortest_forms_batch(y, t_left: float, t_right: float) -> np.ndarray:
     |x k - h| 2^62 exactly, so e^t_left 2^-62 float(r) is the scalar loop's
     grow * float(d), and the convergent denominators k, at most the
     denominator of x, never pass 2^62.  Each step takes the scalar loop's
-    float operations and exits.  A done row may iterate on without changing
-    its value, since k only grows; the live rows are compacted once at most
-    a quarter remain, or before a row that reached r = 0 would divide by it.
-    The other rows go to shortest_forms_vector one by one.  Chunks of
-    lattice._CHUNK rows keep the arrays in cache.
+    float operations and exits; the first, whose quotient is 0, is taken in
+    closed form.  Both exits are length >= best: at r = 0 the candidate
+    max(gain r, length) is length, so best <= length after the step.  A
+    done row may iterate on without changing its value, since k only
+    grows; the live rows are compacted once at most a quarter remain, or
+    before a row that reached r = 0 would divide by it (none has while all
+    are live).  The other rows go to shortest_forms_vector one by one.
+    Chunks of lattice._CHUNK rows keep the arrays in cache.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or not np.all(np.isfinite(y)):
@@ -538,23 +541,26 @@ def shortest_forms_batch(y, t_left: float, t_right: float) -> np.ndarray:
     for i in np.flatnonzero(~integral):
         lam[i] = shortest_forms_vector(float(y[i]), t_left, t_right)[0]
     rows = np.flatnonzero(integral)
-    num = x[rows].astype(np.int64)
-    den = np.full(rows.size, 1 << 62)
-    k_prev, k = np.ones(rows.size, dtype=np.int64), np.zeros(rows.size, dtype=np.int64)
-    best = np.full(rows.size, grow)
-    while rows.size:
-        a, r = np.divmod(num, den)
-        num, den = den, r
-        k_prev, k = k, a * k + k_prev
-        length = shrink * k
-        np.minimum(best, np.maximum(gain * r, length), out=best)
-        done = (r == 0) | (length >= best)
-        live = np.flatnonzero(~done)
-        if 4 * live.size <= rows.size or not r.all():
-            lam[rows[done]] = best[done]
+    # the first step's quotient is 0: it leaves remainder x 2^62 and k = 1
+    num, den = np.full(rows.size, 1 << 62), x[rows].astype(np.int64)
+    k_prev, k = np.zeros(rows.size, dtype=np.int64), np.ones(rows.size, dtype=np.int64)
+    best = np.minimum(grow, np.maximum(gain * den, shrink))
+    length = shrink
+    while True:
+        live = np.flatnonzero(length < best)
+        if 4 * live.size <= rows.size or (live.size < rows.size and not den.all()):
+            lam[rows] = best
             rows, num, den, k_prev, k, best = (v[live] for v in
                                                (rows, num, den, k_prev, k, best))
-    return lam
+            if not rows.size:
+                return lam
+        a, r = np.divmod(num, den)
+        num, den = den, r
+        a *= k
+        a += k_prev
+        k_prev, k = k, a
+        length = shrink * k
+        np.minimum(best, np.maximum(gain * r, length), out=best)
 
 
 def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:

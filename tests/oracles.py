@@ -6,11 +6,21 @@ and share no code with the production paths they check.
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+
+def compensated_sum(items, start=0):
+    """The builtin sum as Python 3.12 and later run it: float items are added
+    with compensation (math.fsum stands in for its Neumaier sum)."""
+    items = list(items)
+    if items and all(type(x) is float for x in items):
+        return math.fsum([start, *items])
+    return builtins.sum(items, start)
 
 
 def brute_force_shortest_supnorm(columns, coeff_bound: int = 25):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_lab import exterior
 from dirichlet_lab.errors import ParameterError
 from dirichlet_lab.exterior import (
     CoefficientCertificate,
@@ -16,7 +17,7 @@ from dirichlet_lab.exterior import (
 )
 from dirichlet_lab.flows import WeightVector, flow_matrix, flowed_bases
 
-from oracles import exterior_matrix, wedge_coordinates
+from oracles import compensated_sum, exterior_matrix, wedge_coordinates
 
 
 def one_form_weights(parts):
@@ -72,6 +73,17 @@ def test_weight_exponent_rejects_bad_index_sets():
         weight_exponent(t, (0, 5))
     with pytest.raises(ParameterError):
         weight_exponent(t, ())
+
+
+def test_weight_exponent_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # t = (1 + 2^-52, 1, 2^-53, 2^-53): added left to right, each 2^-53 is
+    # lost beside 1 (a tie, rounded to even); a compensated sum keeps both
+    t = WeightVector(1, 3, (1.0 + 2.0 ** -52, 1.0, 2.0 ** -53, 2.0 ** -53))
+    plain = [weight_exponent(t, (1, 2, 3)), weight_exponent(t, (0, 1, 2, 3))]
+    assert plain == [-1.0, 2.0 ** -52]
+    monkeypatch.setattr(exterior, "sum", compensated_sum, raising=False)
+    assert exterior.sum([1.0, 2.0 ** -53, 2.0 ** -53]) == 1.0 + 2.0 ** -52
+    assert [weight_exponent(t, (1, 2, 3)), weight_exponent(t, (0, 1, 2, 3))] == plain
 
 
 def test_weight_exponent_needs_one_form_convention():

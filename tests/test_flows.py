@@ -580,3 +580,47 @@ _NEAR_RATIONAL = st.builds(lambda a, b, e, sign: a / b + sign * 2.0 ** -e,
 def test_forms_batch_is_the_scalar_route_on_any_input(y, t_left, t_right):
     want = [shortest_forms_vector(v, t_left, t_right)[0] for v in y]
     assert np.array_equal(shortest_forms_batch(np.array(y), t_left, t_right), want)
+
+
+def _zero_remainder_inputs() -> np.ndarray:
+    """y whose Euclid on (x 2^62, 2^62) ends in a zero remainder, at steps 1
+    (x = 0), 2 (1/2, 2^-30, 2^-60), 3 (5/16, 1 - 2^-52), 4 (3/8) and later
+    (dyadics with more bits near 2^-30 and 2^-60), with their negatives and
+    their shifts by integers."""
+    x = [0.0, 0.5, 0.375, 0.3125, 1.0 - 2.0 ** -52,
+         2.0 ** -30, 3.0 * 2.0 ** -31, 2.0 ** -30 + 2.0 ** -50, 2.0 ** -30 - 2.0 ** -55,
+         2.0 ** -60, 3.0 * 2.0 ** -61, 2.0 ** -60 + 2.0 ** -62, 5.0 * 2.0 ** -62]
+    y = np.array([v + shift for v in x for shift in (0.0, 1.0, -2.0, 7.0, 2.0 ** 20)])
+    return np.concatenate([y, -y])
+
+
+_ZERO_REMAINDER_TIMES = (0.5, 2.0, 9.0, 12.0, 20.0, 28.0)
+
+
+@pytest.mark.parametrize("t", _ZERO_REMAINDER_TIMES)
+def test_forms_batch_rows_that_reach_a_zero_remainder(t):
+    # the batch marks a row live by length < best alone: at r = 0 the
+    # candidate is the length itself, so such a row is done at that step
+    y = _zero_remainder_inputs()
+    want = [shortest_forms_vector(v, t, t)[0] for v in y.tolist()]
+    assert np.array_equal(shortest_forms_batch(y, t, t), want)
+    # a stack across a chunk boundary, zero-remainder rows beside rows that
+    # run on, in a phase that puts every kind of row on both sides of it
+    mixed = np.concatenate([y, np.random.default_rng(5).uniform(-3.0, 3.0, 97)])
+    want = np.array([shortest_forms_vector(v, t, t)[0] for v in mixed.tolist()])
+    chunk = lattice._CHUNK
+    idx = np.arange(chunk - 3 * mixed.size // 2, chunk + 2 * mixed.size) % mixed.size
+    assert np.array_equal(shortest_forms_batch(mixed[idx], t, t), want[idx])
+
+
+@pytest.mark.parametrize("t", _ZERO_REMAINDER_TIMES)
+def test_forms_batch_stack_done_after_the_first_step(t):
+    # after the first step (k = 1) a row is done iff grow x <= shrink, and
+    # then its value is shrink; at x = 0 (integer y) the remainder is 0 too
+    grow, shrink = math.exp(t), math.exp(-t)
+    small = [2.0 ** -j for j in range(1, 63) if grow * 2.0 ** -j <= shrink]
+    y = np.array([0.0, -0.0, 1.0, -1.0, 5.0, -2.0 ** 40, 2.0 ** 53] + small + [-v for v in small])
+    want = [shortest_forms_vector(v, t, t)[0] for v in y.tolist()]
+    got = shortest_forms_batch(y, t, t)
+    assert np.array_equal(got, want)
+    assert np.all(got == shrink)

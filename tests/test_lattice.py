@@ -1,4 +1,3 @@
-import builtins
 import itertools
 import math
 
@@ -20,7 +19,7 @@ from dirichlet_lab.lattice import (
     trichotomy,
 )
 
-from oracles import brute_force_shortest_supnorm, exact_supnorm, integer_det
+from oracles import brute_force_shortest_supnorm, compensated_sum, exact_supnorm, integer_det
 
 
 def _reduced(basis):
@@ -318,15 +317,6 @@ def test_reduction_is_lll_reduced_by_an_exact_unimodular_transform():
         reduce_basis(LatticeBasis(np.eye(3)), start=np.eye(2, dtype=int))
 
 
-def _compensated_sum(items, start=0):
-    """The builtin sum as Python 3.12 and later run it: float items are added
-    with compensation (math.fsum stands in for its Neumaier sum)."""
-    items = list(items)
-    if items and all(type(x) is float for x in items):
-        return math.fsum([start, *items])
-    return builtins.sum(items, start)
-
-
 def test_scalar_reduction_does_not_depend_on_the_builtin_sum(monkeypatch):
     # column 1 . column 0 = x + (4.5 - 2^(e - 60)) - x with x = 2^e: added
     # left to right, the 2^(e - 60) is lost beside x, so mu_10 = 1.5 and
@@ -339,7 +329,7 @@ def test_scalar_reduction_does_not_depend_on_the_builtin_sum(monkeypatch):
     plain = [(lattice._gram_schmidt(M.T.tolist()), reduce_basis(LatticeBasis(M)))
              for M in cases]
     assert all(mu[1] == [1.5] for (mu, _), _ in plain)
-    monkeypatch.setattr(lattice, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(lattice, "sum", compensated_sum, raising=False)
     assert lattice.sum([1e16, 1.0, -1e16]) == 1.0
     for M, (profile, T) in zip(cases, plain):
         assert lattice._gram_schmidt(M.T.tolist()) == profile
