@@ -319,12 +319,12 @@ def _cmd_decay(v):
     passed = (None if scan.alpha is None or scan.alpha_theory is None
               else scan.alpha >= scan.alpha_theory)
     lines = [
+        *("t=%s slope=%s" % (list(t), slope) for t, slope in scan.slopes.items()),
         "pooled decay: alpha=%s c2=%s (zero cells excluded: %d)"
         % (scan.alpha, scan.c2, scan.excluded_zero_cells),
         "per-eps max fraction: %s" % (list(scan.column_max),),
         "per-eps span over t:  %s" % (list(scan.column_span),),
-        "nondivergence: alpha_theory=%s pass=%s"
-        % (scan.alpha_theory, passed),
+        "nondivergence: alpha_theory=%s pass=%s" % (scan.alpha_theory, passed),
     ]
     yield [asdict(c) for c in scan.cells], lines
 

@@ -46,6 +46,7 @@ from .flows import (
     LinearFormSystem,
     WeightVector,
     _check_flow_skew,
+    _convergents,
     flowed_bases,
     flowed_basis,  # not called here: the benchmark's flowed_basis probe looks it up here
     random_forms,
@@ -81,10 +82,6 @@ _EQUIDIST_GRID_LIMIT = 2.0 ** -12
 _HAAR_Y_MAX = 1.0e3
 # rows per step of haar_sample_k2; any size gives the same bits
 _HAAR_SLICE = _rng.BLOCK
-# q values and systems per numpy step of the counterexample's near-vector
-# scan; its working set is about one tile x chunk of doubles
-_NEAR_VECTOR_CHUNK = 4096
-_NEAR_VECTOR_TILE = 8
 
 
 def _region_counts(lam: np.ndarray, eps: float, margin: float) -> tuple:
@@ -582,47 +579,35 @@ def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
 def _near_vectors(bases: np.ndarray, Y: np.ndarray, s: float, u: float,
                   eps: float) -> tuple:
     """(q, distance) arrays: per system of the stack Y (N, 2, 1) with flowed
-    bases (N, 3, 3), the first q >= 1 with q e^-(s+u) < eps whose flowed
-    lattice vector sits within sup-distance eps of e^u e_1, or (0, inf).
+    bases (N, 3, 3), the least q >= 1 with q e^-(s+u) < eps and
+    e^s |y2 q - rint(y2 q)| < eps, and the sup-distance of its lattice vector
+    (1 - rint(y1 q), -rint(y2 q), q) from e^u e_1; (0, inf) when no q
+    passes or that distance is not below eps.
 
-    The scan takes _NEAR_VECTOR_TILE systems and _NEAR_VECTOR_CHUNK values
-    of q at a time.  Numpy tests e^s |y2 q - rint(y2 q)| < eps on the whole
-    tile; the (system, q) pairs that pass are checked in q order per system,
-    each with its own 3x3 product, and a system leaves the tile once one
-    passes.  So the first passing q and its distance do not depend on the
-    tile or chunk size.
+    In the window 1/eps^2 < e^u < 2 eps, Dirichlet's theorem for y2 alone
+    gives such a q (eps^2 e^u > 1); the least one is a best approximation
+    of the second kind, so a convergent denominator of y2 (Lagrange;
+    Khinchin, Continued Fractions, section 6), and only those are tried,
+    with a full scan's float test.  The first coordinate, off by at most
+    e^u / 2 < eps, never rejects the winner.
     """
-    n = len(bases)
-    y1, y2 = Y[:, 0, 0], Y[:, 1, 0]
-    grow2 = math.exp(s)
-    shrink3 = math.exp(-(s + u))
-    target = np.array([math.exp(u), 0.0, 0.0])
-    found_q = np.zeros(n, dtype=np.int64)
-    found_dist = np.full(n, math.inf)
-    for lo in range(0, n, _NEAR_VECTOR_TILE):
-        active = np.arange(lo, min(lo + _NEAR_VECTOR_TILE, n))
-        start = 1
-        while active.size:
-            qs = np.arange(start, start + _NEAR_VECTOR_CHUNK, dtype=float)
-            qs = qs[qs * shrink3 < eps]
-            off = np.multiply.outer(y2[active], qs)
-            off -= np.rint(off)
-            np.abs(off, out=off)
-            off *= grow2
-            rows, cols = np.nonzero(off < eps)
-            system, q = active[rows], qs[cols]
-            coeff = np.stack([1.0 - np.rint(y1[system] * q), -np.rint(y2[system] * q), q], axis=1)
-            dist = np.max(np.abs(np.matmul(bases[system], coeff[..., None])[..., 0] - target),
-                          axis=1)
-            hits = np.flatnonzero(dist < eps)
-            # candidates run system by system, q ascending: keep each first hit
-            winners, first = np.unique(system[hits], return_index=True)
-            found_q[winners] = q[hits[first]]
-            found_dist[winners] = dist[hits[first]]
-            if qs.size < _NEAR_VECTOR_CHUNK:
+    grow2, shrink3 = math.exp(s), math.exp(-(s + u))
+    found_q = np.zeros(len(Y), dtype=np.int64)
+    for index, y2 in enumerate(Y[:, 1, 0].tolist()):
+        for _, q in _convergents(Fraction(y2) % 1):
+            if not q * shrink3 < eps:
                 break
-            active = active[found_q[active] == 0]
-            start += _NEAR_VECTOR_CHUNK
+            if grow2 * abs(y2 * q - round(y2 * q)) < eps:
+                found_q[index] = q
+                break
+    won = np.flatnonzero(found_q)
+    q = found_q[won].astype(float)
+    coeff = np.stack([1.0 - np.rint(Y[won, 0, 0] * q), -np.rint(Y[won, 1, 0] * q), q], axis=1)
+    dist = np.max(np.abs(np.matmul(bases[won], coeff[..., None])[..., 0]
+                         - np.array([math.exp(u), 0.0, 0.0])), axis=1)
+    found_dist = np.full(len(Y), math.inf)
+    found_dist[won[dist < eps]] = dist[dist < eps]
+    found_q[won[~(dist < eps)]] = 0
     return found_q, found_dist
 
 
@@ -639,14 +624,15 @@ def no_drift_counterexample(
     The window 1/eps^2 < e^u < 2 eps (possible only when eps > 2^{-1/3})
     makes three things happen for EVERY 2x1 system Y and every s:
 
-    (a) the flowed lattice contains e^u e_1 as a primitive vector,
+    (a) e^u e_1 is a primitive lattice vector, the first basis column,
     (b) its shortest vector is shorter than eps: lambda1_below_eps holds
         iff shortest_with_region places lambda1 OUTSIDE (lambda1 < eps -
         DEFAULT_MARGIN), so a BOUNDARY case reads false and fails all_pass,
-    (c) a nonzero lattice vector sits within sup-distance eps of
-        +-e^u e_1 (found here by an explicit Dirichlet scan in q).
+    (c) a nonzero lattice vector sits within sup-distance eps of e^u e_1,
+        by Dirichlet's theorem for y2 alone; _near_vectors finds its least
+        q among the convergent denominators of y2 (Lagrange).
 
-    (c) implies (b) — the scan's vector differs from +-e^u e_1 by a
+    (c) implies (b) — the near vector differs from e^u e_1 by a
     lattice vector of length < eps — and lambda1 <= that distance +
     DEFAULT_MARGIN is asserted on every case.
 
@@ -663,16 +649,12 @@ def no_drift_counterexample(
     """
     eu, weights = _counterexample_window(eps, u, s_list, systems)
     Y = np.stack([random_forms(seed + index, 2, 1, scale=3.0).Y for index in range(systems)])
-    target = np.array([eu, 0.0, 0.0])
     by_s, starts = [], [None] * systems
     for t in weights:
         s = t.t[1]
         bases = flowed_bases(Y, t)
-        # (a): the rounded float coefficients of e^u e_1 rebuild it within
-        # 1e-9 e^u and have gcd 1
-        coeff = np.rint(np.linalg.solve(bases, target)).astype(np.int64)
-        residual = np.max(np.abs(np.matmul(bases, coeff[..., None])[..., 0] - target), axis=1)
-        primitive = ((residual <= 1e-9 * eu) & (np.gcd.reduce(coeff, axis=1) == 1)).tolist()
+        # (a), within 1e-9 e^u: np.exp and math.exp may differ by an ulp
+        primitive = (np.max(np.abs(bases[:, :, 0] - (eu, 0.0, 0.0)), axis=1) <= 1e-9 * eu).tolist()
         lams = []
         for index, basis in enumerate(bases):
             sv, region = shortest_with_region(LatticeBasis(basis), eps=eps, start=starts[index])

@@ -464,6 +464,18 @@ class Solvability(enum.Enum):
     BOUNDARY = "boundary"
 
 
+def _convergents(x: Fraction):
+    """Convergents (p, q) of a Fraction x >= 0 in order, (floor x, 1) first and
+    x last, by Euclid (the first two share q = 1 when x - floor x > 1/2)."""
+    num, den = x.numerator, x.denominator
+    h_prev, k_prev, h, k = 0, 1, 1, 0   # two virtual convergents before a0
+    while den != 0:
+        a_dig = num // den
+        num, den = den, num - a_dig * den
+        h_prev, k_prev, h, k = h, k, a_dig * h + h_prev, a_dig * k + k_prev
+        yield h, k
+
+
 def shortest_forms_vector(y: float | Fraction, t_left: float, t_right: float
                           ) -> tuple[float, tuple[int, int] | None]:
     """Exact shortest data for the k=2 forms lattice via convergents.
@@ -486,18 +498,12 @@ def shortest_forms_vector(y: float | Fraction, t_left: float, t_right: float
     x = yf - shift                      # in [0, 1)
     best = grow                         # the (1, 0) column
     best_pq: tuple[int, int] | None = None
-    num, den = x.numerator, x.denominator
-    h_prev, k_prev, h, k = 0, 1, 1, 0   # two virtual convergents before a0
-    while den != 0:
-        a_dig = num // den
-        num, den = den, num - a_dig * den
-        h_prev, k_prev, h, k = h, k, a_dig * h + h_prev, a_dig * k + k_prev
-        d = abs(x * k - h)
-        f = max(grow * float(d), shrink * float(k))
+    for h, k in _convergents(x):
+        f = max(grow * float(abs(x * k - h)), shrink * float(k))
         if f < best:
             best = f
             best_pq = (shift * k + h, k)
-        if d == 0 or shrink * float(k) >= best:
+        if shrink * float(k) >= best:
             break
     return best, best_pq
 

@@ -110,6 +110,25 @@ def exterior_matrix(A, grade):
     return subsets, out
 
 
+def continued_fraction_convergents(x: Fraction) -> list:
+    """Convergents (p, q) of a Fraction x >= 0: partial quotients by floor and
+    reciprocal, each convergent the truncated continued fraction evaluated
+    from the bottom up as a Fraction (in lowest terms, as convergents are)."""
+    digits, r = [], x
+    while True:
+        digits.append(math.floor(r))
+        if r == digits[-1]:
+            break
+        r = 1 / (r - digits[-1])
+    out = []
+    for n in range(1, len(digits) + 1):
+        value = Fraction(digits[n - 1])
+        for a in reversed(digits[: n - 1]):
+            value = a + 1 / value
+        out.append((value.numerator, value.denominator))
+    return out
+
+
 def near_vector_scan(basis, y1, y2, s, u, eps):
     """The counterexample's near-vector scan as one scalar loop over q.
 

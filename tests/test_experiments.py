@@ -662,42 +662,32 @@ def test_counterexample_fixed_vector_coefficients():
 
 def _near_vector_stacks():
     """(systems, s, u) groups, each scanned as one stack."""
-    u = math.log(1.5)
-    forms = [random_forms(index, 2, 1, scale=3.0) for index in range(50)]
-    for s in range(3, 13):
-        yield forms, s, u
+    # system 161's least q at s = 11.5 is 100 840
+    forms = [random_forms(index, 2, 1, scale=3.0) for index in [*range(25), 161]]
+    # in the window at eps 0.9, on a dense s grid up to the precision cap:
+    # e^u = 1.5, and e^u = 1.79 at the window's edge 2 eps
+    for u in (math.log(1.5), 0.5822156):
+        for s in (x / 2 for x in range(1, 24)):
+            yield forms, s, u
     # outside the window: no q at all (0.9 e^0.1 < 1); q up to 6 but none
-    # close enough in the second coordinate; e^u > 2 eps, so the first
-    # coordinate rejects some q that pass the second
-    for y, s, u in (((0.4, 0.29), 0.05, 0.05), ((0.4, 0.29), 2.0, 0.05),
-                    ((0.4, 0.21), 3.0, 1.2)):
-        yield [LinearFormSystem(np.array([[y[0]], [y[1]]]))], s, u
+    # close enough in the second coordinate
+    for s, u in ((0.05, 0.05), (2.0, 0.05)):
+        yield [LinearFormSystem(np.array([[0.4], [0.29]]))], s, u
 
 
-def test_near_vector_scan_matches_the_scalar_loop(monkeypatch):
+def test_near_vector_scan_matches_the_scalar_loop():
     eps = 0.9
     found = []
     for forms, s, u in _near_vector_stacks():
         t = WeightVector(2, 1, (u, s, s + u))
         Y = np.stack([f.Y for f in forms])
-        bases = flowed_bases(Y, t)
         expected = [near_vector_scan(flowed_basis(f, t), float(f.Y[0, 0]), float(f.Y[1, 0]),
                                      s, u, eps) for f in forms]
-        q, dist = _near_vectors(bases, Y, s, u, eps)
+        q, dist = _near_vectors(flowed_bases(Y, t), Y, s, u, eps)
         assert list(zip(q.tolist(), dist.tolist())) == expected
         found.extend(e[0] for e in expected)
-        # chunks of 7 and tiles of 3 put chunk and tile boundaries inside
-        # the scan; the stack keeps the systems whose scan ends by q = 2000
-        near = [i for i, e in enumerate(expected) if e[0] <= 2000]
-        with monkeypatch.context() as m:
-            m.setattr(experiments, "_NEAR_VECTOR_CHUNK", 7)
-            m.setattr(experiments, "_NEAR_VECTOR_TILE", 3)
-            q, dist = _near_vectors(bases[near], Y[near], s, u, eps)
-        assert list(zip(q.tolist(), dist.tolist())) == [expected[i] for i in near]
-    assert found[-3:-1] == [0, 0]
-    q = np.arange(1, found[-1])
-    assert np.any(math.exp(3.0) * np.abs(0.21 * q - np.rint(0.21 * q)) < eps)
-    assert max(found) > experiments._NEAR_VECTOR_CHUNK
+    assert found[-2:] == [0, 0]
+    assert max(found) > 10 ** 5
 
 
 @pytest.mark.parametrize("seed, s_list", [
@@ -729,12 +719,10 @@ def test_counterexample_refuses_past_the_precision_cap():
     assert no_drift_counterexample(0.9, u, [11.5], systems=2).all_pass
 
 
-def test_counterexample_working_set_is_about_one_tile():
-    # Traced peak of one call with 200 systems at s = 3..8, where each
-    # scan is one chunk of 4096 q.  Tiles of 8 systems peak at 0.7 MB, the
-    # per-case scan at 0.4 MB; one untiled 200 x 4096 scan peaks at
-    # 12.5 MB.  1.5 MB leaves room for numpy versions and fails if the
-    # scan's working set grows past a few tiles.
+def test_counterexample_working_set_stays_small():
+    # Traced peak of one call with 200 systems at s = 3..8: 0.4 MB; a
+    # stacked scan of 200 systems x 4096 q would peak at 12.5 MB.  1.5 MB
+    # leaves room for numpy versions and fails if such a scan comes back.
     args = (0.9, math.log(1.5), (3, 4, 5, 6, 7, 8))
     no_drift_counterexample(*args, systems=200)  # caches and imports
     tracemalloc.start()

@@ -21,6 +21,7 @@ from dirichlet_lab.flows import (
     Solvability,
     Verdict,
     WeightVector,
+    _convergents,
     _forms_lambda1,
     ba_quality,
     di_classify,
@@ -47,7 +48,7 @@ from dirichlet_lab.lattice import (
     trichotomy,
 )
 
-from oracles import ba_quality_scan
+from oracles import ba_quality_scan, continued_fraction_convergents
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +284,28 @@ def test_exact_carrier_changes_deep_flow_answer():
     assert pq is not None and pq[1] == 10 ** 6
     lam_float, _ = shortest_forms_vector(float(exact), 28.0, 28.0)
     assert lam_float > 0.1
+
+
+_RANDOM_FLOATS = np.random.default_rng(32).uniform(-3.0, 3.0, 12).tolist()
+
+
+@pytest.mark.parametrize("x", [
+    *(pytest.param(Fraction(n), id="integer-%d" % n) for n in (0, 1, 7)),
+    # dyadics: the expansion ends after a few digits
+    *(pytest.param(x, id="dyadic-%s" % x)
+      for x in (Fraction(1, 2), Fraction(3, 8), Fraction(5, 1024), Fraction(0.75))),
+    # a1 = 1: the first two convergents share q = 1
+    *(pytest.param(x, id="above-half-%s" % x)
+      for x in (Fraction(2, 3), Fraction(0.9), Fraction(0.6180339887498949))),
+    *(pytest.param(Fraction(y) % 1, id="float-%d" % i) for i, y in enumerate(_RANDOM_FLOATS)),
+])
+def test_convergents_match_the_continued_fraction(x):
+    got = list(_convergents(x))
+    assert got == continued_fraction_convergents(x)
+    assert all(abs(x - Fraction(p, q)) < Fraction(1, q * q) for p, q in got)
+    assert Fraction(*got[-1]) == x
+    if 1 / 2 < x < 1:
+        assert [q for _, q in got[:2]] == [1, 1]
 
 
 def test_forms_shortest_matches_generic_enumeration():

@@ -855,6 +855,11 @@ def test_cli_decay_checks_the_nondivergence_exponent(rundir, capsys):
     lines = capsys.readouterr().out.splitlines()
     # Veronese n=2: one variable, degree 2, so alpha_theory = 1/2
     assert "nondivergence: alpha_theory=0.5 pass=True" in lines
+    # the per-t slope, stdout only: the payload holds the cells
+    slope = lines[0]
+    assert slope.startswith("t=[6.0, 3.0, 3.0] slope=")
+    assert float(slope.split("slope=")[1]) > 0.4
+    assert "slope" not in (rundir / "runs" / "decay" / "report.jsonl").read_text()
 
 
 # one small run per subcommand
