@@ -14,8 +14,11 @@ takes one conversion (``_Param._convert``; argparse converts nothing), so
 a malformed value is a one-line ``error:``.  Numbers, scalar or list, read
 ``config``'s one grammar (``_num``, ``_num_list``), and a token with one
 leading ``-`` is a value, so ``--t -0,1`` and ``--y0 -1/2`` are numbers.
-A config key the table lacks, or a repeated key whose flag does not
-repeat, is an error.
+A table holds only what its run reads: ``--seed`` belongs to the seven
+subcommands that draw random numbers (escape, decay, equidist,
+counterexample and the three testers), and ``--eps`` is one number except
+where the run reads a grid (escape, decay, good-test).  A config key the
+table lacks, or a repeated key whose flag does not repeat, is an error.
 The parser gives parameters, and a -h action, to the invoked subcommand
 only (build_parser(argv)); the others are only listed.  Its help and
 errors are the full parser's.
@@ -23,8 +26,9 @@ Handlers validate, then compute; --dry-run stops after validation and
 prints the plan.  Validation runs every input check the run makes, weight
 limits, scan budgets and dimensions included, through the library's own
 checks, so --dry-run exits 2 or 3 exactly when the run would; only a ball
-the sampled support misses (EmptySupportError) and map values that are not
-finite at the sampled points (ParameterError) show up in the run alone.
+the sampled support misses (EmptySupportError), map values that are not
+finite at the sampled points (ParameterError) and a lattice reduction that
+does not converge (CapacityError, exit 3) show up in the run alone.
 Runs write report.jsonl / report.csv / config.resolved into --output,
 else $DIRICHLET_LAB_OUTDIR/<experiment>, else ./runs/<experiment>.
 Exit codes: 0 success, 2 bad arguments, 3 capacity exceeded.
@@ -163,10 +167,9 @@ class _Command(NamedTuple):
     params: tuple
 
 
-_COMMON = (
-    _Param("seed", int, 0, help="RNG seed (default 0)"),
-    _Param("output", help="run directory (default $%s/<experiment>)" % _ENV_OUTDIR),
-)
+_COMMON = (_Param("output", help="run directory (default $%s/<experiment>)" % _ENV_OUTDIR),)
+# the subcommands that draw random numbers only
+_SEED = _Param("seed", int, 0, help="RNG seed (default 0)")
 # sampling subcommands only, and never read from or written to a config file
 _WORKERS = _Param("workers", int, 1, help="sampling threads; any N gives identical output")
 
@@ -206,7 +209,8 @@ def _run(args: argparse.Namespace) -> int:
             items = value if param.kind == "append" else (value,)
             entries.extend((param.key, value_text(item, " ")) for item in items)
     config = RunConfig(experiment, entries)
-    _check_seed(values["seed"])
+    if "seed" in values:
+        _check_seed(values["seed"])
     _check_workers(values["workers"])
     steps = command.handler(SimpleNamespace(**values))
     next(steps)  # inputs valid
@@ -230,22 +234,15 @@ def _run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _one_eps(v, experiment: str) -> float:
-    if len(v.eps) != 1:
-        raise ParameterError("%s takes exactly one eps value" % experiment)
-    return v.eps[0]
-
-
 def _cmd_check(v):
-    eps = _one_eps(v, "check")
     Y = parse_forms(v.Y, v.m, v.n)
     t = parse_weight_vector(v.t, v.m, v.n)
-    _direct_bounds(Y, t, eps, v.weak_q)
+    _direct_bounds(Y, t, v.eps, v.weak_q)
     yield
-    witness = dirichlet_solvable_direct(Y, t, eps, weak_q=v.weak_q)
+    witness = dirichlet_solvable_direct(Y, t, v.eps, weak_q=v.weak_q)
     record = {
         "experiment": "check", "m": v.m, "n": v.n, "Y": v.Y,
-        "t": list(t.t), "eps": eps, "weak_q": v.weak_q,
+        "t": list(t.t), "eps": v.eps, "weak_q": v.weak_q,
         "solvable": witness is not None,
         "witness_p": list(witness.p) if witness else None,
         "witness_q": list(witness.q) if witness else None,
@@ -274,12 +271,11 @@ def _cmd_trajectory(v):
 
 
 def _cmd_di(v):
-    eps = _one_eps(v, "di")
     Y = parse_forms(v.Y, v.m, v.n)
     family = parse_trajectory(v.trajectory, v.m, v.n)
-    _di_tested(family, eps, v.horizon, v.margin)
+    _di_tested(family, v.eps, v.horizon, v.margin)
     yield
-    report = di_classify(Y, family, eps, v.horizon, margin=v.margin)
+    report = di_classify(Y, family, v.eps, v.horizon, margin=v.margin)
     lines = [
         "verdict: %s" % report.verdict.value,
         "last not-solvable norm: %s" % (report.last_not_solvable_norm,),
@@ -330,10 +326,9 @@ def _cmd_decay(v):
 
 
 def _cmd_equidist(v):
-    eps = _one_eps(v, "equidist")
-    _equidist_weights(v.interval, v.y0, v.flow_time, eps, v.samples, v.margin)
+    _equidist_weights(v.interval, v.y0, v.flow_time, v.eps, v.samples, v.margin)
     yield
-    report = equidist_test_k2(v.interval, v.y0, v.flow_time, eps,
+    report = equidist_test_k2(v.interval, v.y0, v.flow_time, v.eps,
                               samples=v.samples, seed=v.seed,
                               margin=v.margin, workers=v.workers)
     lines = [
@@ -344,10 +339,9 @@ def _cmd_equidist(v):
 
 
 def _cmd_counterexample(v):
-    eps = _one_eps(v, "counterexample")
-    _counterexample_window(eps, v.u, v.s, v.systems)
+    _counterexample_window(v.eps, v.u, v.s, v.systems)
     yield
-    record = no_drift_counterexample(eps, v.u, v.s, systems=v.systems, seed=v.seed)
+    record = no_drift_counterexample(v.eps, v.u, v.s, systems=v.systems, seed=v.seed)
     lines = [
         "cases: %d  all_pass: %s  max lambda1: %.6g"
         % (len(record.cases), record.all_pass, record.max_lambda1),
@@ -448,7 +442,7 @@ _FORMS = (
 )
 _FAMILY = _Param("trajectory", required=True, kind="append", flag="family",
                  help="'ray central t=..', 'ray r=.. s=.. t=..', or repeated 'explicit ..'")
-_EPS = _Param("eps", _num, required=True, kind="list")
+_EPS = _Param("eps", _num, required=True)
 _MARGIN = _Param("margin", _num, DEFAULT_MARGIN)
 _DEPTH = _Param("depth", int, DEFAULT_IFS_DEPTH)
 _MAP = _Param("map", required=True)
@@ -463,7 +457,7 @@ def _ball_params(noun: str = "ball") -> tuple:
 
 _SCAN = (_MAP, _MEASURE) + _ball_params() + (
     _Param("t", required=True, kind="append", help="weight vector; repeatable"),
-    _EPS, _Param("samples", int, 20_000), _MARGIN, _DEPTH,
+    _EPS._replace(kind="list"), _Param("samples", int, 20_000), _MARGIN, _DEPTH, _SEED,
 )
 _SCAN_COLUMNS = "CSV columns: experiment;seed;t;floor_t;norm_t;eps;fraction;ci;n;boundary_n"
 
@@ -502,7 +496,7 @@ _COMMANDS = {
             _Param("interval", _num_list, required=True, help="lo,hi"),
             _Param("y0", _num, 0.0),
             _Param("flow_time", _num, required=True),
-            _EPS, _Param("samples", int, 100_000), _MARGIN,
+            _EPS, _Param("samples", int, 100_000), _MARGIN, _SEED,
         )),
     "counterexample": _Command(
         "frozen-coordinate construction, m=2 n=1",
@@ -515,7 +509,7 @@ _COMMANDS = {
                    help="frozen first weight; needs 1/eps^2 < e^u < 2*eps"),
             _Param("s", _num_list, required=True,
                    help="comma-separated list of drifting parameters"),
-            _Param("systems", int, 100),
+            _Param("systems", int, 100), _SEED,
         )),
     "good-test": _Command(
         "(C, alpha)-good estimate for one map coordinate",
@@ -524,8 +518,8 @@ _COMMANDS = {
         (_MAP, _MEASURE) + _ball_params() + (
             _Param("coord", int, 1, help="1-based map coordinate (default 1)"),
             _Param("alpha", _num, required=True),
-            _EPS._replace(help="sublevel grid"),
-            _Param("samples", int, 100_000), _DEPTH,
+            _EPS._replace(kind="list", help="sublevel grid"),
+            _Param("samples", int, 100_000), _DEPTH, _SEED,
         )),
     "federer-test": _Command(
         "empirical doubling ratio nu(3B)/nu(B)",
@@ -536,12 +530,13 @@ _COMMANDS = {
             _Param("samples", int, 200_000), _DEPTH,
             _Param("center_fraction", _num, 0.2),
             _Param("radius_range", _num_list, (0.8, 1.0), help="lo,hi inside (0, 1]"),
+            _SEED,
         )),
     "nonplanar-test": _Command(
         "affine-independence rank test for (1, f)",
         "CSV columns: experiment;seed;nonplanar;sigma_min;points_used", True,
         _cmd_nonplanar_test,
-        (_MAP, _MEASURE) + _ball_params() + (_Param("samples", int, 20_000), _DEPTH)),
+        (_MAP, _MEASURE) + _ball_params() + (_Param("samples", int, 20_000), _DEPTH, _SEED)),
     "ba": _Command(
         "badly-approximable quality inf over a q box",
         "CSV columns: experiment;m;n;Y;r;s;q_max;quality", False, _cmd_ba,

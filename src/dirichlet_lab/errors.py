@@ -11,7 +11,7 @@ class ParameterError(ValueError):
 
 
 class DegenerateBasisError(ParameterError):
-    """Basis reduction failed to make progress; input is numerically singular."""
+    """Gram-Schmidt collapsed, or no well-conditioned basis was drawn: singular input."""
 
 
 class EmptySupportError(ParameterError):

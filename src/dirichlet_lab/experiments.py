@@ -166,7 +166,10 @@ class EscapeCell:
 
 def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple:
     """(eps grid as floats, scan cap), once every eps is in (0, 1), samples
-    >= 1, and every t has m = 1, the map's n, and a flow skew within the cap."""
+    >= 1, and t_list is nonempty with every t of m = 1, the map's n, and a
+    flow skew within the cap."""
+    if not t_list:
+        raise ParameterError("need at least one weight vector")
     grid = tuple(float(e) for e in eps_grid)
     if not grid or any(not (0.0 < e < 1.0) for e in grid):
         raise ParameterError("eps values must lie in (0, 1)")
@@ -263,7 +266,8 @@ def nondiv_decay_scan(
     """Escape table over t_list x eps_grid plus a log-log decay fit.
 
     Cells with zero observed hits cannot enter the log fit; they are
-    excluded and counted.  The pooled fit reports (c2, alpha) with
+    excluded and counted.  A fit over fewer than two distinct eps is None.
+    The pooled fit reports (c2, alpha) with
     fraction <= c2 * eps^alpha as the empirical law; the per-eps column
     max and span quantify uniformity in t.
 
@@ -274,8 +278,6 @@ def nondiv_decay_scan(
     rest on.
     """
     t_list = tuple(t_list)
-    if not t_list:
-        raise ParameterError("need at least one weight vector")
     cells = _escape_cells(mapping, measure, ball, t_list, eps_grid, samples,
                           seed, depth, margin, "decay-scan", workers)
     grid = tuple(float(e) for e in eps_grid)
@@ -293,14 +295,14 @@ def nondiv_decay_scan(
                 ys.append(math.log(c.fraction))
             else:
                 excluded += 1
-        if len(xs) >= 2:
+        if len(set(xs)) >= 2:
             slope, _ = np.polyfit(xs, ys, 1)
             slopes[key] = float(slope)
         else:
             slopes[key] = None
         pooled_x.extend(xs)
         pooled_y.extend(ys)
-    if len(pooled_x) >= 2:
+    if len(set(pooled_x)) >= 2:
         alpha, intercept = np.polyfit(pooled_x, pooled_y, 1)
         alpha = float(alpha)
         c2 = float(math.exp(intercept))

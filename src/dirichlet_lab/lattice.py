@@ -180,8 +180,8 @@ def reduce_basis(basis: LatticeBasis, start=None) -> np.ndarray:
     while i < k:
         iters += 1
         if iters > _REDUCE_ITER_CAP:
-            raise DegenerateBasisError("basis reduction did not converge within %d iterations"
-                                       % _REDUCE_ITER_CAP)
+            raise CapacityError("basis reduction did not converge within %d iterations"
+                                % _REDUCE_ITER_CAP)
         mu, norms2 = _gram_schmidt(B[: i + 1])
         for j in range(i - 1, -1, -1):
             r = round(mu[i][j])
@@ -413,8 +413,8 @@ def _lll_batch(B: np.ndarray, start=None) -> np.ndarray:
         done, keep = np.flatnonzero(~swapped), np.flatnonzero(swapped)
         out[:, :, index[done]] = np.stack([u.take(done, axis=1) for u in T], 1)
         B, T, index = B.take(keep, axis=2), [u.take(keep, axis=1) for u in T], index[keep]
-    raise DegenerateBasisError("batched reduction did not converge within %d sweeps"
-                               % _REDUCE_ITER_CAP)
+    raise CapacityError("batched reduction did not converge within %d sweeps"
+                        % _REDUCE_ITER_CAP)
 
 
 def shortest_supnorm_batch(bases: np.ndarray, cap: float = math.inf) -> np.ndarray:

@@ -210,6 +210,16 @@ def test_escape_validation():
                      (0.5,), samples=100, seed=0)
 
 
+@pytest.mark.parametrize("scan", [escape_table, nondiv_decay_scan])
+def test_an_empty_t_list_is_refused_before_sampling(monkeypatch, scan):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(experiments, "_collect_in_ball", no_sampling)
+    with pytest.raises(ParameterError, match="need at least one weight vector"):
+        scan(V2, LEB01, BALL_V2, (), (0.5,), samples=100, seed=0)
+
+
 def test_escape_runs_up_to_the_precision_cap():
     # flow skew 18 + 6 = 24 is the cap itself; n = 3 at this t used to be
     # refused for its q-grid size
@@ -249,6 +259,17 @@ def test_escape_and_decay_along_a_t_list_equal_cold_runs_per_t(monkeypatch, mapp
     scan = nondiv_decay_scan(mapping, LEB01, BALL_V2, weights, eps, samples=1500, seed=3)
     assert [asdict(c) for c in scan.cells] == [dict(asdict(c), experiment="decay-scan")
                                                for c in cold]
+
+
+def test_decay_scan_fits_nothing_through_one_eps():
+    # two t at one eps, or one t given twice: each fit has one distinct
+    # log eps, so there is no slope to report
+    t = WeightVector(1, 2, (2.0, 1.0, 1.0))
+    for tl, eps in (((t, WeightVector(1, 2, (4.0, 2.0, 2.0))), (0.9,)), ((t, t), (0.9,))):
+        scan = nondiv_decay_scan(V2, LEB01, BALL_V2, tl, eps, samples=200, seed=0)
+        assert all(cell.fraction > 0.0 for cell in scan.cells)
+        assert scan.alpha is None and scan.c2 is None
+        assert set(scan.slopes.values()) == {None}
 
 
 def test_decay_scan_frozen_small_run():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dirichlet_lab import cli
-from dirichlet_lab.cli import _Param, main
+from dirichlet_lab import cli, lattice
+from dirichlet_lab.cli import main
 from dirichlet_lab.config import (
     RunConfig,
     _num,
@@ -655,7 +655,7 @@ def test_only_help_is_a_single_dash_option():
     (["ba", "--Y", "0.5", "--r", "nan", "--s", "1", "--q-max", "5"], 2),
     (["ba", "--m", "1", "--n", "2", "--Y", "0.5,0.3", "--r", "1", "--s", "nan,nan",
       "--q-max", "5"], 2),
-    (["check", "--Y", "0.5", "--t", "1,1", "--eps", "0.5", "--seed", "x"], 2),
+    (_COUNTEREXAMPLE + ["--s", "3", "--seed", "x"], 2),
     (_COUNTEREXAMPLE + ["--s", "3,x"], 2),
     (["escape"] + _ESCAPE_FLAGS + ["--samples", "50", "--workers", "x"], 2),
     (["equidist", "--interval", "0,1/0", "--flow-time", "3", "--eps", "0.5",
@@ -703,7 +703,7 @@ def test_only_help_is_a_single_dash_option():
         "counterexample-past-precision-cap-dry-run", "equidist-interval-width-overflow",
         "equidist-translate-overflow", "constants-threshold-underflow",
         "escape-ifs-depth-over-cap", "config-not-utf8", "ba-nan-r", "ba-nan-s",
-        "check-seed-not-integer", "counterexample-s-not-numbers", "escape-workers-not-integer",
+        "counterexample-seed-not-integer", "counterexample-s-not-numbers", "escape-workers-not-integer",
         "equidist-interval-divides-by-zero", "config-switch-not-boolean",
         "di-infinite-margin", "check-infinite-eps", "counterexample-u-overflow",
         "good-test-nan-alpha", "check-t-dash-leading", "check-eps-minus-infinity",
@@ -749,6 +749,22 @@ def test_cli_map_values_that_overflow_stop_the_run(rundir, capsys, argv):
     assert not (rundir / "runs").exists()
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["escape"] + _ESCAPE_FLAGS + ["--samples", "100"],
+     "error: batched reduction did not converge within 1 sweeps"),
+    (["trajectory"] + _ONE_BY_TWO + ["--Y", "0.5,0.3", "--family", "ray r=1 s=0.5,0.5 t=2:1:3"],
+     "error: basis reduction did not converge within 1 iterations"),
+], ids=["escape", "trajectory"])
+def test_cli_reduction_that_does_not_converge_exits_3(rundir, capsys, monkeypatch, argv, err):
+    # only the run reduces lattices, so --dry-run passes the plan
+    monkeypatch.setattr(lattice, "_REDUCE_ITER_CAP", 1)
+    assert main(argv + ["--dry-run"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [err]
+    assert not (rundir / "runs").exists()
+
+
 # Value pools for the generic dry-run test: (usual, unusual) texts, the
 # unusual ones out of range, malformed, or too large for a budget.  A
 # parameter draws from the pool under its key, else from the pool of its
@@ -788,7 +804,7 @@ def _cli_argv(draw):
     never left to stand, since some are costly sizes."""
     name = draw(st.sampled_from(sorted(cli._COMMANDS)))
     command = cli._COMMANDS[name]
-    params = command.params + (_Param("seed", int),)
+    params = command.params
     if command.sampling:
         params += (cli._WORKERS,)
     odd = draw(st.sampled_from((None,) + params))
@@ -880,6 +896,44 @@ _SMALL_RUNS = {
 }
 
 
+# the subcommands that draw random numbers, and those that read one eps
+_SEEDED = ("escape", "decay", "equidist", "counterexample", "good-test", "federer-test",
+           "nonplanar-test")
+_ONE_EPS = ("check", "di", "equidist", "counterexample")
+
+
+def _help(name, capsys) -> str:
+    assert main([name, "--help"]) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_declares_only_the_flags_its_run_reads(tmp_path, rundir, capsys):
+    # --seed: exactly the subcommands that draw random numbers, and each of
+    # them reads it (seeds 0 and 1 give different records)
+    assert [name for name in cli._COMMANDS if "--seed" in _help(name, capsys)] \
+        == list(_SEEDED)
+    for name in _SEEDED:
+        records = []
+        for seed in ("0", "1"):
+            out = tmp_path / name / seed
+            assert main([name] + _SMALL_RUNS[name] + ["--seed", seed, "--output", str(out)]) == 0
+            lines = (out / "report.jsonl").read_text().splitlines()[3:]
+            records.append([{key: value for key, value in json.loads(line).items()
+                             if key != "seed"} for line in lines])
+        assert records[0] != records[1], name
+    capsys.readouterr()
+    assert main(["check"] + _SMALL_RUNS["check"] + ["--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    # --eps: one number where the run reads one
+    for name in _ONE_EPS:
+        text = _help(name, capsys)
+        assert "[--eps EPS]" in text and "[EPS ...]" not in text, name
+        argv = [name] + _SMALL_RUNS[name] + ["--eps", "0.1", "0.2"]
+        assert main(argv) == 2, name
+        assert "unrecognized arguments: 0.2" in capsys.readouterr().err, name
+    assert not (rundir / "runs").exists()
+
+
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_cli_help_lists_the_csv_columns_a_run_writes(name, rundir, capsys):
     description = cli._COMMANDS[name].description
@@ -892,27 +946,33 @@ def test_cli_help_lists_the_csv_columns_a_run_writes(name, rundir, capsys):
 
 
 _CHECK_CFG = "[run]\nexperiment = check\nY = 0.5\nt = 1,1\neps = 0.3\n"
+_CONFIGS = {
+    "check": _CHECK_CFG,
+    "counterexample": "[run]\nexperiment = counterexample\neps = 0.9\nu = 0.4054651\n"
+                      "s = 3\nsystems = 2\n",
+}
 
 
-@pytest.mark.parametrize("extra,fragment", [
-    ("foo = 1", "unknown config key 'foo' for check"),
-    ("seed = abc", "bad value for --seed: 'abc'"),
-    ("t = 9,9", "config key 't' given more than once"),
-    ("Y = 0.25", "config key 'Y' given more than once"),
-    ("samples = 10", "unknown config key 'samples' for check"),
-    ("trajectory = explicit 1 1", "unknown config key 'trajectory' for check"),
-    ("workers = 2", "unknown config key 'workers' for check"),
+@pytest.mark.parametrize("name,extra,fragment", [
+    ("check", "foo = 1", "unknown config key 'foo' for check"),
+    ("counterexample", "seed = abc", "bad value for --seed: 'abc'"),
+    ("check", "t = 9,9", "config key 't' given more than once"),
+    ("check", "Y = 0.25", "config key 'Y' given more than once"),
+    ("check", "samples = 10", "unknown config key 'samples' for check"),
+    ("check", "trajectory = explicit 1 1", "unknown config key 'trajectory' for check"),
+    ("check", "workers = 2", "unknown config key 'workers' for check"),
+    ("check", "seed = 0", "unknown config key 'seed' for check"),
 ], ids=["unknown-key", "seed-not-integer", "repeated-t", "repeated-Y",
-        "samples-not-read", "trajectory-not-read", "workers-not-a-key"])
-def test_cli_config_key_the_run_cannot_use_is_an_error(rundir, capsys, extra, fragment):
-    (rundir / "check.cfg").write_text(_CHECK_CFG + extra + "\n")
-    assert main(["check", "--config", "check.cfg"]) == 2
+        "samples-not-read", "trajectory-not-read", "workers-not-a-key", "seed-not-read"])
+def test_cli_config_key_the_run_cannot_use_is_an_error(rundir, capsys, name, extra, fragment):
+    (rundir / "run.cfg").write_text(_CONFIGS[name] + extra + "\n")
+    assert main([name, "--config", "run.cfg"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not (rundir / "runs").exists()
     # without the extra line the same file runs
-    (rundir / "check.cfg").write_text(_CHECK_CFG)
-    assert main(["check", "--config", "check.cfg"]) == 0
+    (rundir / "run.cfg").write_text(_CONFIGS[name])
+    assert main([name, "--config", "run.cfg"]) == 0
     capsys.readouterr()
 
 
@@ -927,7 +987,8 @@ def test_readme_config_example_is_a_valid_plan(rundir, capsys):
 
 
 # Per subcommand: flags, and the config.resolved text of the plan that
-# --dry-run prints for them (with --seed 7 --output out).  Option order is
+# --dry-run prints for them (with --output out, and --seed 7 where the
+# subcommand draws random numbers).  Option order is
 # the order of the subcommand's parameter table; omitted flags pin defaults.
 _PLANS = {
     'check': (
@@ -935,7 +996,6 @@ _PLANS = {
         """\
 [run]
 experiment = check
-seed = 7
 output = out
 eps = 0.5
 m = 1
@@ -949,7 +1009,6 @@ weak_q = true
         """\
 [run]
 experiment = trajectory
-seed = 7
 output = out
 trajectory = ray central t=1:1:4
 m = 1
@@ -961,7 +1020,6 @@ Y = 1/3
         """\
 [run]
 experiment = di
-seed = 7
 output = out
 eps = 0.5
 margin = 1e-07
@@ -1085,7 +1143,6 @@ depth = 20
         """\
 [run]
 experiment = ba
-seed = 7
 output = out
 m = 1
 n = 1
@@ -1099,7 +1156,6 @@ q_max = 200
         """\
 [run]
 experiment = constants
-seed = 7
 output = out
 max_n = 4
 """),
@@ -1126,7 +1182,7 @@ def _config_from_flags(command: str, argv: list) -> str:
 @pytest.mark.parametrize("command", list(_PLANS))
 def test_cli_plan_pinned_for_flags_and_config(rundir, capsys, command):
     flags, body = _PLANS[command]
-    argv = shlex.split(flags) + ["--seed", "7", "--output", "out"]
+    argv = shlex.split(flags) + ["--seed", "7"] * (command in _SEEDED) + ["--output", "out"]
     expected = ("dry-run: plan resolved, nothing computed or written\n"
                 "would write: out/report.jsonl\n" + body)
     assert main([command] + argv + ["--dry-run"]) == 0

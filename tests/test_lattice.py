@@ -233,6 +233,20 @@ def test_node_cap_raises_capacity_error(monkeypatch):
         shortest_vector_supnorm(basis)
 
 
+def test_a_reduction_that_does_not_converge_is_a_capacity_failure(monkeypatch):
+    # the short column comes second, so LLL swaps in its first sweep and
+    # needs a second one; past the budget that is a capacity, not a
+    # singular input
+    basis = LatticeBasis(np.array([[1000.0, 0.3], [0.0, 0.001]]))
+    reduce_basis(basis)
+    lattice._lll_batch(basis.columns[:, :, None].copy())
+    monkeypatch.setattr(lattice, "_REDUCE_ITER_CAP", 1)
+    with pytest.raises(CapacityError, match="did not converge within 1 iterations"):
+        reduce_basis(basis)
+    with pytest.raises(CapacityError, match="did not converge within 1 sweeps"):
+        lattice._lll_batch(basis.columns[:, :, None].copy())
+
+
 def test_random_unimodular_deterministic_and_tight():
     a = random_unimodular(seed=0, k=2, spread=1.0)
     b = random_unimodular(seed=0, k=2, spread=1.0)
