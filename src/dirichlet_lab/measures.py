@@ -15,6 +15,7 @@ Sampling is deterministic in (spec, seed) and block-sharded through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,9 @@ _TAG_IFS_ADDRESS = 37
 _TAG_BALL_GEOMETRY = 41
 
 DEFAULT_IFS_DEPTH = 20
+# most cylinders in sample's within= table: L is the largest level with
+# maps^L <= this, so the table is a few kB beside a block of addresses
+_CYLINDER_TABLE = 4096
 # deepest IFS address whose one-block draw gen.random((rng.BLOCK, depth)) fits 128 MB
 MAX_IFS_DEPTH = 128 * 2 ** 20 // (8 * _rng.BLOCK)
 NONPLANAR_SVD_FLOOR = 1e-8
@@ -219,6 +223,7 @@ def sample(
     depth: int = DEFAULT_IFS_DEPTH,
     workers: int = 1,
     start: int = 0,
+    within: Ball | None = None,
 ) -> np.ndarray:
     """Stream positions start .. start + count - 1, shape (count, measure.d).
 
@@ -228,6 +233,11 @@ def sample(
     deepest level up, starting at the deepest digit's fixed point so that an
     eventually-constant address lands exactly on the attractor.  Changing any
     of this changes every sampled IFS point.
+
+    With ``within`` a ball, an IFS row whose top address digits name a
+    cylinder that provably misses the ball (_ball_reach) is not evaluated
+    and comes back NaN, which Ball.contains rejects; every other row is
+    the same bits as without it.  Box rows are all evaluated.
     """
     _check_sample(measure, count, depth)
     if isinstance(measure, LebesgueBox):
@@ -245,20 +255,78 @@ def sample(
         cdf /= cdf[-1]  # as in gen.choice(len(ratios), size, p=probs): the same digits
         fixed_t = trans_t / (1.0 - ratios)
         zero = np.min_scalar_type(ratios.size - 1).type(0)  # uint8 digits up to 256 maps
+        lead, near = (0, None) if within is None else _ball_reach(measure, within, depth)
+        # the first digit most significant; float32, so that a BLAS product
+        # sums the top-digit index, an integer below maps^L <= 2^24, exactly
+        place = np.zeros(depth, dtype=np.float32)
+        place[:lead] = ratios.size ** np.arange(lead - 1, -1, -1)
         tag = _TAG_IFS_ADDRESS
 
         def draw(gen, c):
             u = gen.random((c, depth))  # below cdf[-1] = 1, which never counts
-            digits = sum((u >= b for b in cdf[:-1]), zero).T.copy()  # (depth, c)
-            x = fixed_t.take(digits[depth - 1], axis=1)  # (d, c)
+            if near is not None:
+                top = sum((u >= b) @ place for b in cdf[:-1])
+                alive = np.flatnonzero(near.take(top.astype(np.intp)))
+                u = u[alive]
+            digits = sum((u >= b for b in cdf[:-1]), zero).T.copy()  # (depth, rows)
+            x = fixed_t.take(digits[depth - 1], axis=1)  # (d, rows)
             for level in range(depth - 2, -1, -1):
                 a = digits[level]
                 x = ratios.take(a) * x + trans_t.take(a, axis=1)
-            return x.T
+            if near is None:
+                return x.T
+            out = np.full((c, x.shape[0]), np.nan)
+            out[alive] = x.T
+            return out
 
     else:
         raise ParameterError("unknown measure spec %r" % (measure,))
     return _rng.sample_batched(draw, count, seed, tag=tag, workers=workers, start=start)
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_reach(measure: MeasureSpec, ball: Ball, depth: int) -> tuple:
+    """(L, near): near[a] is False only if no point the sampler can draw
+    with top L address digits a (read base maps, first digit most
+    significant) passes ball.contains.  A box is one cylinder, L = 0.
+
+    H is the box spanned by the maps' fixed points.  f_i(x) = fix_i +
+    r_i (x - fix_i), 0 < r_i < 1, maps H into H, so the exact point of an
+    address lies in the cylinder box f_a0 ... f_a(L-1)(H) of its top L
+    digits when L <= depth; L is the largest such level with maps^L <=
+    _CYLINDER_TABLE.  A cylinder is kept if its computed box comes within
+    radius + delta of the center, with u = 2^-53, M the largest |coordinate|
+    over H and the ball, and
+        delta = 4 sqrt(d) (2 e + 5 (d + 2) u M),
+    e = 2 u M (1 + 1/(1 - r_max)) for an IFS (the start point's two
+    roundings, then at most 2 u M per Horner level, damped by r_max; the
+    table's corners take the same operations) and e = 6 u M for a box
+    (lo + (hi - lo) U); 5 (d + 2) u M covers the roundings of contains and
+    of the table's own distance, and 4 is a safety factor.  The table is
+    built once per (measure, ball, depth) objects.
+    """
+    u = 2.0 ** -53
+    center = np.array(ball.center)
+    if isinstance(measure, LebesgueBox):
+        level, lo, hi = 0, np.array([measure.lower]), np.array([measure.upper])
+        M, spread = float(max(np.abs(lo).max(), np.abs(hi).max())), 6.0
+    else:
+        ratios = np.array(measure.ratios)
+        trans = np.array(measure.translations)  # (maps, d)
+        fixed = trans / (1.0 - ratios)[:, None]
+        level = 0
+        while level < depth and ratios.size ** (level + 1) <= _CYLINDER_TABLE:
+            level += 1
+        lo, hi = fixed.min(axis=0)[None], fixed.max(axis=0)[None]
+        M, spread = float(np.abs(fixed).max()), 2.0 * (1.0 + 1.0 / (1.0 - float(ratios.max())))
+        for _ in range(level):  # the new first digit indexes the outer axis
+            lo = (ratios[:, None, None] * lo + trans[:, None]).reshape(-1, center.size)
+            hi = (ratios[:, None, None] * hi + trans[:, None]).reshape(-1, center.size)
+    d = center.size
+    M = max(M, float(np.abs(center).max()) + ball.radius)
+    delta = 4.0 * math.sqrt(d) * (2.0 * spread + 5.0 * (d + 2)) * u * M
+    gap = np.maximum(np.maximum(lo - center, center - hi), 0.0)
+    return level, np.sqrt(np.sum(gap * gap, axis=1)) <= ball.radius + delta
 
 
 # ---------------------------------------------------------------------------

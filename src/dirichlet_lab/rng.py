@@ -9,7 +9,7 @@ results.  A block's rows do not depend on how many of them are drawn, so
 any window of a stream can be drawn on its own and equals the same slice
 of a longer run.  Rejection sampling (:func:`first_kept`) draws each pass
 as a window of whole blocks, each block once, and filters in stream
-order, so the accepted subsequence is reproducible.
+order, so the accepted subsequence is reproducible whatever the pass sizes.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .errors import EmptySupportError, ParameterError
 BLOCK = 4096
 # a rejection sampler gives up after this many draws per row it must keep
 _MAX_DRAWS_PER_ROW = 1000
+# most rows of one rejection pass sized by the observed rate (unless the
+# missing rows alone need more): a low rate then asks for 2 MB of doubles
+# per coordinate at a time, not for its whole estimate at once
+_PASS_CAP = 2 ** 18
 
 _T = TypeVar("_T")
 
@@ -106,16 +110,29 @@ def first_kept(
 
     ``window(start, size)`` returns stream positions ``start .. start + size
     - 1`` and ``keep(rows)`` a boolean mask over them.  Each pass draws the
-    whole blocks after the last one drawn, as many as the missing rows
-    would fill if every row were kept, so no block is drawn twice.
+    whole blocks after the last one drawn, so no block is drawn twice.  The
+    first pass draws as many as the missing rows would fill if every row
+    were kept; a later one as many as they need at the rate kept so far, or
+    twice the pass before while nothing is kept, at most max(the first
+    rule, _PASS_CAP rows).  No pass draws past ceil(_MAX_DRAWS_PER_ROW
+    count / BLOCK) blocks: fewer than ``count`` kept rows in that many
+    blocks raise EmptySupportError.  Pass sizes change no kept row.
     """
+    budget = -(-_MAX_DRAWS_PER_ROW * count // BLOCK) * BLOCK
     kept = []
-    have = drawn = 0
+    have = drawn = size = 0
     while have < count:
-        if drawn >= _MAX_DRAWS_PER_ROW * count:
+        if drawn >= budget:
             raise EmptySupportError("kept %d of %d needed samples after %d draws"
                                     % (have, count, drawn))
-        size = -(-(count - have) // BLOCK) * BLOCK
+        least = -(-(count - have) // BLOCK) * BLOCK
+        if drawn == 0:
+            want = least
+        elif have == 0:
+            want = 2 * size
+        else:
+            want = -(-(count - have) * drawn // have)
+        size = min(-(-want // BLOCK) * BLOCK, max(least, _PASS_CAP), budget - drawn)
         rows = window(drawn, size)
         drawn += size
         kept.append(rows[keep(rows)])

@@ -214,3 +214,24 @@ def invariant_thin_grid_k2(r: float, n: int = 400) -> float:
     length = np.minimum(ends[0][1], ends[1][1]) - np.maximum(ends[0][0], ends[1][0])
     i2 = 4.0 * h * h * float(np.sum(np.maximum(length, 0.0)))
     return (12.0 * r * r - 1.5 * i2) / math.pi ** 2
+
+
+def first_in_ball(measure, ball, count, seed, depth):
+    """_collect_in_ball one whole block at a time, without pruning.
+
+    Draws unpruned sample windows of one block each, keeps the rows that
+    ball.contains accepts, and returns the first ``count`` in stream order;
+    EmptySupportError once ceil(1000 count / BLOCK) blocks keep fewer.
+    """
+    from dirichlet_lab.errors import EmptySupportError
+    from dirichlet_lab.measures import sample
+    from dirichlet_lab.rng import BLOCK
+
+    kept, have = [], 0
+    for block in range(-(-1000 * count // BLOCK)):
+        rows = sample(measure, seed, BLOCK, depth=depth, start=block * BLOCK)
+        kept.append(rows[ball.contains(rows)])
+        have += kept[-1].shape[0]
+        if have >= count:
+            return np.concatenate(kept)[:count]
+    raise EmptySupportError("kept %d of %d" % (have, count))

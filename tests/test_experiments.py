@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from dirichlet_lab import experiments, lattice
+from dirichlet_lab import experiments, lattice, rng
 from dirichlet_lab.errors import CapacityError, EmptySupportError, ParameterError
 from dirichlet_lab.experiments import (
     CounterexampleRecord,
@@ -53,7 +55,7 @@ from dirichlet_lab.measures import (
 )
 from dirichlet_lab.rng import BLOCK
 
-from oracles import counterexample_cases, invariant_thin_grid_k2, near_vector_scan
+from oracles import counterexample_cases, first_in_ball, invariant_thin_grid_k2, near_vector_scan
 
 V2 = MapSpec.veronese(2)
 LEB01 = LebesgueBox((0.0,), (1.0,))
@@ -136,10 +138,25 @@ def test_collect_in_ball_deterministic_and_inside():
 
 
 def test_collect_in_ball_empty_support():
-    gap = Ball((0.5,), 0.05)  # inside the removed middle third
+    # a ball that reaches [0, 1] only on [1 - 2^-30, 1]: the budget of
+    # ceil(1000 * 100 / BLOCK) = 25 blocks runs out
+    edge = Ball((1.5,), 0.5 + 2.0 ** -30)
     with pytest.raises(EmptySupportError,
                        match="^kept 0 of 100 needed samples after 102400 draws$"):
-        _collect_in_ball(CANTOR, gap, 100, seed=0, depth=20)
+        _collect_in_ball(LEB01, edge, 100, seed=0, depth=20)
+
+
+@pytest.mark.parametrize("measure,ball", [
+    (CANTOR, Ball((0.5,), 0.05)),  # inside the removed middle third
+    (LEB01, Ball((1.5,), 0.5 - 2.0 ** -30)),
+], ids=["cantor-gap", "beside-the-box"])
+def test_a_proven_miss_is_refused_before_any_draw(monkeypatch, measure, ball):
+    drawn = []
+    monkeypatch.setattr(experiments._rng, "stream",
+                        lambda *args, **kwargs: drawn.append(args) or None)
+    with pytest.raises(EmptySupportError, match="misses the support of the measure"):
+        _collect_in_ball(measure, ball, 100, seed=0, depth=20)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -168,6 +185,91 @@ def test_collect_in_ball_draws_each_position_once(monkeypatch):
                for start, size in windows)
     ends = [0] + [start + size for start, size in windows]
     assert [start for start, _ in windows] == ends[:-1]
+
+
+@st.composite
+def _ifs_and_ball(draw):
+    """An IFS of 2-5 maps in R^1 or R^2 and a ball near its attractor: around
+    one of its sampled points, or with another exactly on the ball's edge."""
+    maps, d = draw(st.integers(2, 5)), draw(st.sampled_from((1, 2)))
+    ratios = draw(st.lists(st.floats(0.05, 0.95), min_size=maps, max_size=maps))
+    trans = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+                          min_size=maps, max_size=maps))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=maps, max_size=maps))
+    measure = SelfSimilarIFS(ratios, trans, [w / sum(weights) for w in weights])
+    depth = draw(st.integers(1, 30))
+    points = sample(measure, 99, 2, depth=depth)
+    center = points[0] + np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=d,
+                                                max_size=d)))
+    if draw(st.booleans()):  # points[1] lies on the edge, as contains computes it
+        diff = points[1] - center
+        radius = float(np.sqrt(np.sum(diff * diff)))
+    else:
+        radius = draw(st.sampled_from((1e-3, 0.01, 0.05, 0.2, 1.0)))
+    return measure, Ball(tuple(center), max(radius, 1e-6)), depth
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_ifs_and_ball(), count=st.integers(1, 30), seed=st.integers(0, 3))
+def test_pruned_collection_equals_the_unpruned_oracle(case, count, seed):
+    # sample's within= prunes cylinders and first_kept sizes passes by the
+    # rate; neither may change a kept row or when the budget runs out
+    measure, ball, depth = case
+    try:
+        want = first_in_ball(measure, ball, count, seed, depth)
+    except EmptySupportError:
+        want = None
+    try:
+        got = _collect_in_ball(measure, ball, count, seed, depth)
+    except EmptySupportError:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("depth", [2, 3, 5])
+def test_a_cantor_ball_tangent_at_two_thirds_keeps_its_edge(depth):
+    # address (1, 0, 0, ...) lands exactly on 2/3, the ball's right edge
+    ball = Ball((0.6,), 2 / 3 - 0.6)
+    got = _collect_in_ball(CANTOR, ball, 3, seed=1, depth=depth)
+    assert np.array_equal(got, first_in_ball(CANTOR, ball, 3, 1, depth))
+    assert np.all(got == 2 / 3)
+
+
+def test_first_kept_rows_do_not_depend_on_pass_sizes(monkeypatch):
+    sizes = []
+
+    def window(start, size):
+        sizes.append(size)
+        return sample(LEB01, 4, size, start=start)
+
+    def keep(rows):
+        return rows[:, 0] < 0.003
+
+    default = rng.first_kept(window, keep, 700)
+    assert max(sizes) > BLOCK
+    for cap in (BLOCK, 3 * BLOCK):
+        monkeypatch.setattr(rng, "_PASS_CAP", cap)
+        sizes.clear()
+        assert np.array_equal(rng.first_kept(window, keep, 700), default)
+        assert max(sizes) == cap
+
+
+def test_collect_in_ball_holds_one_capped_pass_at_a_time():
+    # acceptance 1e-3: after the first block, the observed rate asks for
+    # about 2 million rows, and the cap holds each pass to 2^18.  A pass
+    # of 2 MB, its blocks before they are joined, and the temporaries of
+    # Ball.contains stay well within eight passes' worth.
+    ball = Ball((0.5,), 5e-4)
+    _collect_in_ball(LEB01, ball, 50, seed=0, depth=20)  # caches and imports
+    tracemalloc.start()
+    try:
+        _collect_in_ball(LEB01, ball, 2000, seed=0, depth=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * rng._PASS_CAP
 
 
 @pytest.mark.parametrize("points,digest", [
@@ -240,7 +342,8 @@ def test_escape_runs_up_to_the_precision_cap():
     (MapSpec.veronese(3), ((18, 6, 6, 6), (12, 6, 3, 3), (9, 3, 3, 3))),
 ], ids=["ray", "reversed", "off-ray", "k4"])
 def test_escape_and_decay_along_a_t_list_equal_cold_runs_per_t(monkeypatch, mapping, t_list):
-    # every t after the first starts from the previous t's transforms, and
+    # the first t starts from the transform of the kept point nearest the
+    # ball's center, every t after it from the previous t's transforms, and
     # the cells are those of one cold run per t
     weights = tuple(WeightVector(1, mapping.n, tuple(map(float, t))) for t in t_list)
     eps = (0.05, 0.1, 0.2, 0.4)
@@ -254,22 +357,29 @@ def test_escape_and_decay_along_a_t_list_equal_cold_runs_per_t(monkeypatch, mapp
 
     monkeypatch.setattr(experiments, "_lambda1_rows_batch", recording)
     assert escape_table(mapping, LEB01, BALL_V2, weights, eps, samples=1500, seed=3) == tuple(cold)
-    assert starts[0] is None and all(start.shape == (mapping.n + 1,) * 2 + (1500,)
-                                     for start in starts[1:])
+    pts = _collect_in_ball(LEB01, BALL_V2, 1500, seed=3, depth=20)
+    nearest = mapping.evaluate(pts[np.argmin(np.abs(pts[:, 0] - 0.5))][None])
+    _, center_T = lattice._shortest_batch(flowed_bases(nearest[:, None], weights[0]), 1.0)
+    assert np.array_equal(starts[0], np.repeat(center_T, 1500, axis=2))
+    assert all(start.shape == (mapping.n + 1,) * 2 + (1500,) for start in starts)
     scan = nondiv_decay_scan(mapping, LEB01, BALL_V2, weights, eps, samples=1500, seed=3)
     assert [asdict(c) for c in scan.cells] == [dict(asdict(c), experiment="decay-scan")
                                                for c in cold]
 
 
 def test_decay_scan_fits_nothing_through_one_eps():
-    # two t at one eps, or one t given twice: each fit has one distinct
-    # log eps, so there is no slope to report
+    # two t at one eps: each fit has one distinct log eps, so there is no
+    # slope to report; one t given twice is refused before sampling
     t = WeightVector(1, 2, (2.0, 1.0, 1.0))
-    for tl, eps in (((t, WeightVector(1, 2, (4.0, 2.0, 2.0))), (0.9,)), ((t, t), (0.9,))):
-        scan = nondiv_decay_scan(V2, LEB01, BALL_V2, tl, eps, samples=200, seed=0)
-        assert all(cell.fraction > 0.0 for cell in scan.cells)
-        assert scan.alpha is None and scan.c2 is None
-        assert set(scan.slopes.values()) == {None}
+    scan = nondiv_decay_scan(V2, LEB01, BALL_V2, (t, WeightVector(1, 2, (4.0, 2.0, 2.0))),
+                             (0.9,), samples=200, seed=0)
+    assert all(cell.fraction > 0.0 for cell in scan.cells)
+    assert scan.alpha is None and scan.c2 is None
+    assert set(scan.slopes.values()) == {None}
+    for scan in (escape_table, nondiv_decay_scan):
+        with pytest.raises(ParameterError, match="a weight vector is given twice"):
+            scan(V2, LEB01, BALL_V2, (t, WeightVector(1, 2, (2, 1, 1))), (0.9,),
+                 samples=200, seed=0)
 
 
 def test_decay_scan_frozen_small_run():

@@ -435,6 +435,36 @@ def test_cli_workers_identical_output(rundir, monkeypatch, capsys):
     assert a[2:] == b[2:]          # everything but the timestamp line
 
 
+def test_cli_cantor_escape_is_identical_across_workers(rundir, monkeypatch, capsys):
+    # about one draw in 22 lands in the ball, so the second pass spans
+    # 15 blocks and the thread pool splits them
+    base = ["escape", "--map", "veronese n=2", "--measure", _CANTOR,
+            "--ball-center", "0.7407407", "--ball-radius", "0.01", "--t", "6,3,3",
+            "--eps", "0.4", "0.1", "--samples", "3000"]
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DIRICHLET_LAB_OUTDIR", str(rundir / ("out" + workers)))
+        assert main(base + ["--workers", workers]) == 0
+        lines = (rundir / ("out" + workers) / "escape" / "report.jsonl").read_text()
+        reports.append([line for line in lines.splitlines()
+                        if not line.startswith('{"timestamp": ')])
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+def test_cli_a_ball_off_the_support_exits_before_drawing(rundir, capsys, monkeypatch):
+    # the ball lies in the removed middle third: refused at run time (the
+    # dry run cannot see it) without one block of the stream
+    argv = ["escape", "--map", "veronese n=2", "--measure", _CANTOR, "--ball-center", "0.5",
+            "--ball-radius", "0.1", "--t", "6,3,3", "--eps", "0.4", "--samples", "2000"]
+    assert main(argv + ["--dry-run"]) == 0
+    monkeypatch.setattr("dirichlet_lab.rng.stream", None)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the ball (center (0.5,), radius 0.1) misses the support of the "
+                   "measure"]
+
+
 def test_cli_equidist_and_ba(rundir, capsys):
     assert main(["equidist", "--interval", "0,1", "--flow-time", "3",
                  "--eps", "0.5", "--samples", "5000"]) == 0
@@ -678,6 +708,8 @@ def test_only_help_is_a_single_dash_option():
     (["trajectory", "--Y", "0.5", "--family", "ray central t=1:1e-300:1000000000000"], 2),
     (["good-test", "--map", "poly d=1 n=1 f1=1e300*1e300*x1"] + _GOOD_FLAGS[2:]
      + ["--alpha", "0.5", "--eps", "0.1"], 2),
+    (["escape"] + _ESCAPE_FLAGS + ["--t", "6,3,3", "--samples", "50"], 2),
+    (["decay"] + _ESCAPE_FLAGS + ["0.2", "--t", "6.0,3,3.0", "--samples", "50"], 2),
 ], ids=["negative-seed", "zero-workers", "escape-zero-samples",
         "decay-negative-samples", "flow-time-overflow", "one-number-radius-range",
         "negative-seed-dry-run", "zero-workers-dry-run", "counterexample-huge-u",
@@ -710,7 +742,8 @@ def test_only_help_is_a_single_dash_option():
         "counterexample-s-exponent-unbounded", "escape-poly-d-unbounded",
         "escape-veronese-n-unbounded", "escape-poly-n-unbounded", "check-Y-overflow",
         "good-test-coefficient-overflow", "trajectory-ray-count-unbounded",
-        "good-test-coefficient-product-overflow"])
+        "good-test-coefficient-product-overflow", "escape-t-given-twice",
+        "decay-t-given-twice"])
 def test_cli_bad_input_is_an_error_not_a_crash(rundir, capsys, argv, code):
     # --dry-run validates what the run validates: with and without it the
     # input exits with the same code and the same one error line
