@@ -111,8 +111,10 @@ def _collect_in_ball(
 ) -> np.ndarray:
     """First ``count`` support samples inside the ball, in stream order.
 
-    Each pass evaluates only the IFS rows whose cylinders can reach the
-    ball (sample's ``within``).  A ball that no cylinder, or no point of the
+    Each pass is a window of whole blocks, and ``sample(within=ball)``
+    returns only the IFS rows whose cylinders can reach the ball, so
+    Ball.contains tests only those.  A ball that no cylinder (at a depth
+    within the cylinder table, no address's point), or no point of the
     box, can reach is refused before any draw (EmptySupportError).
     """
     _check_sample(measure, count, depth)

@@ -225,63 +225,91 @@ def sample(
     start: int = 0,
     within: Ball | None = None,
 ) -> np.ndarray:
-    """Stream positions start .. start + count - 1, shape (count, measure.d).
+    """The points of stream positions start .. start + count - 1, shape
+    (count, measure.d), or only some of them with ``within``.
 
     Fixed like ``rng.BLOCK``: an IFS block of c points is one call
     ``gen.random((c, depth))``, a digit counts the normalised cdf entries <= u
-    (as ``gen.choice`` does), and x -> r x + b multiplies, then adds, from the
-    deepest level up, starting at the deepest digit's fixed point so that an
-    eventually-constant address lands exactly on the attractor.  Changing any
-    of this changes every sampled IFS point.
+    (as ``gen.choice`` does), and the point of the digits is _address_points.
+    Changing any of this changes every sampled IFS point.
 
-    With ``within`` a ball, an IFS row whose top address digits name a
-    cylinder that provably misses the ball (_ball_reach) is not evaluated
-    and comes back NaN, which Ball.contains rejects; every other row is
-    the same bits as without it.  Box rows are all evaluated.
+    With ``within`` a ball, ``start`` must be a multiple of ``rng.BLOCK``
+    (else ParameterError), and an IFS window returns only its candidate
+    rows: those whose top address digits name a cylinder that can reach the
+    ball (_ball_reach), in stream order, each the same bits as without
+    ``within``.  A box window returns every row.
     """
     _check_sample(measure, count, depth)
+    if within is not None and start % _rng.BLOCK:
+        raise ParameterError("a window with within= must start at a multiple of %d, "
+                             "not at %d" % (_rng.BLOCK, start))
     if isinstance(measure, LebesgueBox):
         lo = np.array(measure.lower)
         hi = np.array(measure.upper)
-        tag = _TAG_BOX
 
         def draw(gen, c):
             return gen.uniform(lo, hi, size=(c, lo.size))
 
-    elif isinstance(measure, SelfSimilarIFS):
-        ratios = np.array(measure.ratios)
-        trans_t = np.array(measure.translations).T  # (d, maps)
-        cdf = np.cumsum(measure.probs)
-        cdf /= cdf[-1]  # as in gen.choice(len(ratios), size, p=probs): the same digits
-        fixed_t = trans_t / (1.0 - ratios)
-        zero = np.min_scalar_type(ratios.size - 1).type(0)  # uint8 digits up to 256 maps
-        lead, near = (0, None) if within is None else _ball_reach(measure, within, depth)
-        # the first digit most significant; float32, so that a BLAS product
-        # sums the top-digit index, an integer below maps^L <= 2^24, exactly
-        place = np.zeros(depth, dtype=np.float32)
-        place[:lead] = ratios.size ** np.arange(lead - 1, -1, -1)
-        tag = _TAG_IFS_ADDRESS
-
-        def draw(gen, c):
-            u = gen.random((c, depth))  # below cdf[-1] = 1, which never counts
-            if near is not None:
-                top = sum((u >= b) @ place for b in cdf[:-1])
-                alive = np.flatnonzero(near.take(top.astype(np.intp)))
-                u = u[alive]
-            digits = sum((u >= b for b in cdf[:-1]), zero).T.copy()  # (depth, rows)
-            x = fixed_t.take(digits[depth - 1], axis=1)  # (d, rows)
-            for level in range(depth - 2, -1, -1):
-                a = digits[level]
-                x = ratios.take(a) * x + trans_t.take(a, axis=1)
-            if near is None:
-                return x.T
-            out = np.full((c, x.shape[0]), np.nan)
-            out[alive] = x.T
-            return out
-
-    else:
+        return _rng.sample_batched(draw, count, seed, tag=_TAG_BOX, workers=workers,
+                                   start=start)
+    if not isinstance(measure, SelfSimilarIFS):
         raise ParameterError("unknown measure spec %r" % (measure,))
-    return _rng.sample_batched(draw, count, seed, tag=tag, workers=workers, start=start)
+    maps = len(measure.ratios)
+    cdf = np.cumsum(measure.probs)
+    cdf /= cdf[-1]  # as in gen.choice(maps, size, p=probs): the same digits
+    zero = np.min_scalar_type(maps - 1).type(0)  # uint8 digits up to 256 maps
+    lead, near = (0, None) if within is None else _ball_reach(measure, within, depth)
+    # the first digit most significant; float32, so that a BLAS product
+    # sums the top-digit index, an integer below maps^L <= 2^24, exactly
+    place = np.zeros(depth, dtype=np.float32)
+    place[:lead] = maps ** np.arange(lead - 1, -1, -1)
+
+    def draw(gen, c):
+        u = gen.random((c, depth))  # below cdf[-1] = 1, which never counts
+        if near is not None:
+            top = sum((u >= b) @ place for b in cdf[:-1]).astype(np.intp)
+            u = u.compress(near.take(top), axis=0)
+        return sum((u >= b for b in cdf[:-1]), zero)
+
+    # a window's digits are held at once: at most 128 MB of them (one byte
+    # each up to 256 maps) per pass, as in one block's draw at MAX_IFS_DEPTH
+    step = _rng.BLOCK * max(1, 8 * MAX_IFS_DEPTH // depth)
+    parts = []
+    for lo in range(start, start + count, step):
+        digits = _rng.sample_batched(draw, min(step, start + count - lo), seed,
+                                     tag=_TAG_IFS_ADDRESS, workers=workers, start=lo)
+        parts.append(_address_points(measure, digits, workers))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _address_points(measure: SelfSimilarIFS, digits: np.ndarray,
+                    workers: int = 1) -> np.ndarray:
+    """The points of the IFS addresses in the rows of ``digits``, first
+    digit first: shape (rows, measure.d).
+
+    x -> r x + b multiplies, then adds, from the deepest level up, starting
+    at the deepest digit's fixed point, so that an eventually-constant
+    address lands exactly on the attractor.  Rows are independent, so they
+    are taken ``rng.BLOCK`` at a time (split over ``workers`` threads) and
+    the bits do not depend on how many rows there are.
+    """
+    ratios = np.array(measure.ratios)
+    trans_t = np.array(measure.translations).T  # (d, maps)
+    fixed_t = trans_t / (1.0 - ratios)
+    rows, depth = digits.shape
+    out = np.empty((rows, measure.d))
+
+    def one(i):
+        part = digits[i * _rng.BLOCK:(i + 1) * _rng.BLOCK]
+        x = fixed_t.take(part[:, depth - 1], axis=1)  # (d, rows)
+        for level in range(depth - 2, -1, -1):
+            a = part[:, level].astype(np.intp)
+            x *= ratios.take(a)
+            x += trans_t.take(a, axis=1)
+        out[i * _rng.BLOCK:(i + 1) * _rng.BLOCK] = x.T
+
+    _rng.map_blocks(one, -(-rows // _rng.BLOCK), workers=workers)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -290,13 +318,15 @@ def _ball_reach(measure: MeasureSpec, ball: Ball, depth: int) -> tuple:
     with top L address digits a (read base maps, first digit most
     significant) passes ball.contains.  A box is one cylinder, L = 0.
 
-    H is the box spanned by the maps' fixed points.  f_i(x) = fix_i +
-    r_i (x - fix_i), 0 < r_i < 1, maps H into H, so the exact point of an
-    address lies in the cylinder box f_a0 ... f_a(L-1)(H) of its top L
-    digits when L <= depth; L is the largest such level with maps^L <=
-    _CYLINDER_TABLE.  A cylinder is kept if its computed box comes within
-    radius + delta of the center, with u = 2^-53, M the largest |coordinate|
-    over H and the ball, and
+    L is the largest level with L <= depth and maps^L <= _CYLINDER_TABLE.
+    At L = depth each entry is one whole address, and near is ball.contains
+    of its point, computed by _address_points as the sampler computes it.
+    Below depth, H is the box spanned by the maps' fixed points.  f_i(x) =
+    fix_i + r_i (x - fix_i), 0 < r_i < 1, maps H into H, so the exact point
+    of an address lies in the cylinder box f_a0 ... f_a(L-1)(H) of its top L
+    digits.  A cylinder is kept if its computed box comes within radius +
+    delta of the center, with u = 2^-53, M the largest |coordinate| over H
+    and the ball, and
         delta = 4 sqrt(d) (2 e + 5 (d + 2) u M),
     e = 2 u M (1 + 1/(1 - r_max)) for an IFS (the start point's two
     roundings, then at most 2 u M per Horner level, damped by r_max; the
@@ -312,11 +342,14 @@ def _ball_reach(measure: MeasureSpec, ball: Ball, depth: int) -> tuple:
         M, spread = float(max(np.abs(lo).max(), np.abs(hi).max())), 6.0
     else:
         ratios = np.array(measure.ratios)
-        trans = np.array(measure.translations)  # (maps, d)
-        fixed = trans / (1.0 - ratios)[:, None]
         level = 0
         while level < depth and ratios.size ** (level + 1) <= _CYLINDER_TABLE:
             level += 1
+        if level == depth:  # every address, the first digit most significant
+            digits = np.indices((ratios.size,) * depth).reshape(depth, -1).T
+            return level, ball.contains(_address_points(measure, digits))
+        trans = np.array(measure.translations)  # (maps, d)
+        fixed = trans / (1.0 - ratios)[:, None]
         lo, hi = fixed.min(axis=0)[None], fixed.max(axis=0)[None]
         M, spread = float(np.abs(fixed).max()), 2.0 * (1.0 + 1.0 / (1.0 - float(ratios.max())))
         for _ in range(level):  # the new first digit indexes the outer axis

@@ -76,12 +76,15 @@ def sample_batched(
     workers: int = 1,
     start: int = 0,
 ) -> np.ndarray:
-    """Stream positions ``start .. start + total - 1``, concatenated.
+    """The rows of stream positions ``start .. start + total - 1``, concatenated.
 
-    ``draw(rng, count)`` returns an array whose first axis has length
-    ``count`` and whose rows do not depend on ``count``.  Position ``i``
-    lives in block ``i // BLOCK``; only the blocks that overlap the window
-    are drawn, each up to the window's end, and sliced from its start.
+    ``draw(rng, count)`` returns the rows of a block's first ``count``
+    positions, in order, and a row does not depend on ``count``.  Position
+    ``i`` lives in block ``i // BLOCK``; only the blocks that overlap the
+    window are drawn, each up to the window's end, and sliced from its
+    start.  A ``draw`` may instead return only some of its positions' rows,
+    each chosen by its own value; its window must then start at a multiple
+    of ``BLOCK``, so that no block is sliced.
     """
     if total < 0:
         raise ParameterError("total must be nonnegative")
@@ -108,15 +111,17 @@ def first_kept(
 ) -> np.ndarray:
     """The first ``count`` rows of a stream that ``keep`` accepts, in stream order.
 
-    ``window(start, size)`` returns stream positions ``start .. start + size
-    - 1`` and ``keep(rows)`` a boolean mask over them.  Each pass draws the
-    whole blocks after the last one drawn, so no block is drawn twice.  The
-    first pass draws as many as the missing rows would fill if every row
-    were kept; a later one as many as they need at the rate kept so far, or
-    twice the pass before while nothing is kept, at most max(the first
-    rule, _PASS_CAP rows).  No pass draws past ceil(_MAX_DRAWS_PER_ROW
-    count / BLOCK) blocks: fewer than ``count`` kept rows in that many
-    blocks raise EmptySupportError.  Pass sizes change no kept row.
+    ``window(start, size)`` returns the rows of stream positions ``start ..
+    start + size - 1`` in order, or only those of them that ``keep`` may
+    accept, and ``keep(rows)`` a boolean mask over them.  Draws below count
+    positions, not returned rows.  Each pass draws the whole blocks after
+    the last one drawn, so no block is drawn twice.  The first pass draws as
+    many as the missing rows would fill if every row were kept; a later one
+    as many as they need at the rate kept so far, or twice the pass before
+    while nothing is kept, at most max(the first rule, _PASS_CAP rows).  No
+    pass draws past ceil(_MAX_DRAWS_PER_ROW count / BLOCK) blocks: fewer
+    than ``count`` kept rows in that many blocks raise EmptySupportError.
+    Pass sizes change no kept row.
     """
     budget = -(-_MAX_DRAWS_PER_ROW * count // BLOCK) * BLOCK
     kept = []

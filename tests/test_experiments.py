@@ -159,6 +159,18 @@ def test_a_proven_miss_is_refused_before_any_draw(monkeypatch, measure, ball):
     assert drawn == []
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_shallow_miss_is_refused_before_any_draw(monkeypatch, depth):
+    # at depth <= L the cylinder table holds each address's exact point:
+    # 0 and 1 at depth 1, and 0, 1/3, 2/3, 1 at depth 2, all outside the ball
+    drawn = []
+    monkeypatch.setattr(experiments._rng, "stream",
+                        lambda *args, **kwargs: drawn.append(args) or None)
+    with pytest.raises(EmptySupportError, match="misses the support of the measure"):
+        _collect_in_ball(CANTOR, CANTOR_BALL, 10_000, seed=0, depth=depth)
+    assert drawn == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_collect_in_ball_is_the_in_ball_prefix_of_one_run(workers):
     # count 5000 makes each pass 5000 draws, so passes straddle blocks
@@ -172,10 +184,10 @@ def test_collect_in_ball_is_the_in_ball_prefix_of_one_run(workers):
 def test_collect_in_ball_draws_each_position_once(monkeypatch):
     windows = []
 
-    def counting_sample(*args, **kwargs):
-        pts = sample(*args, **kwargs)
-        windows.append((kwargs["start"], pts.shape[0]))
-        return pts
+    def counting_sample(measure, seed, count, **kwargs):
+        # the window asked for, not the candidate rows it returns
+        windows.append((kwargs["start"], count))
+        return sample(measure, seed, count, **kwargs)
 
     monkeypatch.setattr(experiments, "sample", counting_sample)
     _collect_in_ball(CANTOR, CANTOR_BALL, 5000, seed=0, depth=20)

@@ -1,6 +1,7 @@
 """Tests for config parsing, report writing, and the CLI."""
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -450,6 +451,20 @@ def test_cli_cantor_escape_is_identical_across_workers(rundir, monkeypatch, caps
                         if not line.startswith('{"timestamp": ')])
     capsys.readouterr()
     assert reports[0] == reports[1]
+
+
+def test_cli_cantor_escape_records_are_pinned(rundir, capsys):
+    # perfbench's escape-cantor command at 2000 samples: the records, not
+    # the timestamp or config lines, are the bits the sampling layer fixes
+    argv = ["escape", "--map", "veronese n=2", "--measure", _CANTOR,
+            "--ball-center", "0.7407407", "--ball-radius", "0.01", "--t", "6,3,3",
+            "--eps", "0.4", "0.2", "0.1", "0.05", "--samples", "2000", "--workers", "1",
+            "--seed", "0"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = (rundir / "runs" / "escape" / "report.jsonl").read_text().splitlines()
+    assert (hashlib.sha256("\n".join(lines[3:]).encode()).hexdigest()
+            == "f36d26e3e2f031a42c54b80b3aab2cdd3a41d2f93c4a5200e5d0d699dd64f725")
 
 
 def test_cli_a_ball_off_the_support_exits_before_drawing(rundir, capsys, monkeypatch):

@@ -144,25 +144,33 @@ def _generator_of(doubles) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+# (ratios, translations, probs): 1 to 3 dimensions, 2 to 4 maps
+IFS_SHAPES = [
+    ((0.25, 0.3, 0.2), ((0.0,), (0.35,), (0.8,)), (0.2, 0.5, 0.3)),
+    ((1 / 3, 1 / 3), ((0.0,), (2 / 3,)), (0.5, 0.5)),
+    ((0.4, 0.3), ((0.0, 0.1), (0.6, 0.65)), (0.7, 0.3)),
+    ((0.2, 0.3, 0.25, 0.1), ((0.0, 0.0), (0.65, 0.0), (0.0, 0.7), (0.8, 0.85)),
+     (0.25, 0.5, 0.125, 0.125)),
+    # cdf [0.5, 0.5, 1.0]: a tie, and the middle map is never drawn
+    ((0.3, 0.2, 0.25), ((0.0, 0.0, 0.0), (0.4, 0.1, 0.5), (0.7, 0.7, 0.7)),
+     (0.5, 1e-17, 0.5)),
+    ((0.2, 0.2, 0.2, 0.2), ((0.0, 0.0, 0.0), (0.7, 0.0, 0.3), (0.0, 0.75, 0.1),
+                            (0.5, 0.5, 0.8)), (0.1, 0.2, 0.3, 0.4)),
+]
+
+
 def test_ifs_digits_are_those_of_generator_choice(monkeypatch):
     # the digit draw must give the digits of gen.choice(len(ratios), size,
-    # p=probs) and leave the generator in the same state; the maps' images
-    # of [0, 1]^d are disjoint, so equal points mean equal digits
-    shapes = [
-        ((0.25, 0.3, 0.2), ((0.0,), (0.35,), (0.8,)), (0.2, 0.5, 0.3)),
-        ((1 / 3, 1 / 3), ((0.0,), (2 / 3,)), (0.5, 0.5)),
-        ((0.4, 0.3), ((0.0, 0.1), (0.6, 0.65)), (0.7, 0.3)),
-        ((0.2, 0.3, 0.25, 0.1), ((0.0, 0.0), (0.65, 0.0), (0.0, 0.7), (0.8, 0.85)),
-         (0.25, 0.5, 0.125, 0.125)),
-        # cdf [0.5, 0.5, 1.0]: a tie, and the middle map is never drawn
-        ((0.3, 0.2, 0.25), ((0.0, 0.0, 0.0), (0.4, 0.1, 0.5), (0.7, 0.7, 0.7)),
-         (0.5, 1e-17, 0.5)),
-        ((0.2, 0.2, 0.2, 0.2), ((0.0, 0.0, 0.0), (0.7, 0.0, 0.3), (0.0, 0.75, 0.1),
-                                (0.5, 0.5, 0.8)), (0.1, 0.2, 0.3, 0.4)),
-    ]
+    # p=probs) and leave the generator in the same state, and the points of
+    # those digits must be x -> r x + b from the deepest digit's fixed point
     draws = []
-    monkeypatch.setattr(measures._rng, "sample_batched", lambda draw, *a, **k: draws.append(draw))
-    for ratios, trans, probs in shapes:
+
+    def capture(draw, *args, **kwargs):
+        draws.append(draw)
+        return draw(np.random.default_rng(), 0)
+
+    monkeypatch.setattr(measures._rng, "sample_batched", capture)
+    for ratios, trans, probs in IFS_SHAPES:
         ifs = SelfSimilarIFS(ratios, trans, probs)
         r, b = np.array(ratios), np.array(trans)
         cdf = np.cumsum(probs) / np.cumsum(probs)[-1]  # normalised as gen.choice does
@@ -184,8 +192,60 @@ def test_ifs_digits_are_those_of_generator_choice(monkeypatch):
                 x = (b / (1.0 - r)[:, None])[digits[:, -1]]
                 for level in range(depth - 2, -1, -1):
                     x = r[digits[:, level]][:, None] * x + b[digits[:, level]]
-                np.testing.assert_array_equal(draws[0](gen, c), x)
+                got = draws[0](gen, c)
+                np.testing.assert_array_equal(got, digits)
                 assert gen.random() == ref.random()
+                np.testing.assert_array_equal(measures._address_points(ifs, got), x)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 20])
+@pytest.mark.parametrize("shape", IFS_SHAPES)
+def test_within_returns_the_rows_of_the_cylinders_that_reach_the_ball(shape, depth, workers):
+    # the candidate rows of a window from block 1 to partway into block 4 are
+    # the unpruned rows whose top L digits (gen.choice's) _ball_reach keeps
+    ratios, trans, probs = shape
+    ifs = SelfSimilarIFS(ratios, trans, probs)
+    ball = Ball(tuple(sample(ifs, 5, 1, depth=depth)[0]), 0.05)
+    block = measures._rng.BLOCK
+    start, count = block, 3 * block + 100
+    lead, near = measures._ball_reach(ifs, ball, depth)
+    keep = []
+    for b in range(1, 5):
+        gen = measures._rng.stream(5, b, tag=measures._TAG_IFS_ADDRESS)
+        digits = gen.choice(len(ratios), size=(min(block, start + count - b * block), depth),
+                            p=probs)
+        keep.append(near[digits[:, :lead] @ len(ratios) ** np.arange(lead - 1, -1, -1)])
+    keep = np.concatenate(keep)
+    want = sample(ifs, 5, count, depth=depth, start=start)[keep]
+    got = sample(ifs, 5, count, depth=depth, start=start, workers=workers, within=ball)
+    assert 0 < got.shape[0] and got.tobytes() == want.tobytes()
+
+
+def test_within_needs_a_window_that_starts_on_a_block():
+    with pytest.raises(ParameterError, match="must start at a multiple of 4096"):
+        sample(CANTOR, 0, 10, start=1, within=UNIT)
+
+
+def test_within_returns_every_row_of_a_box():
+    ball = Ball((0.25,), 0.01)
+    block = measures._rng.BLOCK
+    want = sample(LEB01, 3, 2 * block + 7, start=block)
+    assert np.array_equal(sample(LEB01, 3, 2 * block + 7, start=block, within=ball), want)
+
+
+def test_a_window_cut_into_passes_of_held_digits_keeps_its_rows(monkeypatch):
+    # at depth MAX_IFS_DEPTH a window holds the digits of 8 blocks at a time,
+    # as many bytes as one block's draw; the rows, with and without within=,
+    # must not move when the cap cuts a window of 9 blocks and a bit
+    block = measures._rng.BLOCK
+    ball = Ball((0.7407407,), 0.01)
+    whole = [sample(IFS2D, 4, 9 * block + 9, start=100),
+             sample(CANTOR, 4, 9 * block + 9, start=block, within=ball)]
+    monkeypatch.setattr(measures, "MAX_IFS_DEPTH", 20)
+    cut = [sample(IFS2D, 4, 9 * block + 9, start=100),
+           sample(CANTOR, 4, 9 * block + 9, start=block, within=ball)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, cut))
 
 
 def test_ifs_depth_is_capped_before_any_draw():
