@@ -23,12 +23,13 @@ The parser gives parameters, and a -h action, to the invoked subcommand
 only (build_parser(argv)); the others are only listed.  Its help and
 errors are the full parser's.
 Handlers validate, then compute; --dry-run stops after validation and
-prints the plan.  Validation runs every input check the run makes, weight
-limits, scan budgets and dimensions included, through the library's own
-checks, so --dry-run exits 2 or 3 exactly when the run would; only a ball
-the sampled support misses (EmptySupportError), map values that are not
-finite at the sampled points (ParameterError) and a lattice reduction that
-does not converge (CapacityError, exit 3) show up in the run alone.
+prints the plan.  Validation calls the library's own plan checks (for the
+five ball subcommands one, measures._check_ball, which refuses a ball that
+provably misses the support), so --dry-run exits 2 or 3 exactly when the
+run would; only too few draws in a ball the support reaches
+(EmptySupportError), map values that are not finite at the sampled points
+(ParameterError) and a lattice reduction that does not converge
+(CapacityError, exit 3) show up in the run alone.
 Runs write report.jsonl / report.csv / config.resolved into --output,
 else $DIRICHLET_LAB_OUTDIR/<experiment>, else ./runs/<experiment>.
 Exit codes: 0 success, 2 bad arguments, 3 capacity exceeded.
@@ -70,7 +71,7 @@ from .experiments import (
 )
 from .flows import (
     _ba_weights,
-    _check_lattice_reach,
+    _check_family,
     _di_tested,
     _direct_bounds,
     ba_quality,
@@ -83,8 +84,7 @@ from .measures import (
     DEFAULT_IFS_DEPTH,
     Ball,
     _cgood_grid,
-    _check_dims,
-    _check_sample,
+    _check_ball,
     _federer_radii,
     cgood_empirical,
     epsilon0_registry,
@@ -257,7 +257,7 @@ def _cmd_check(v):
 def _cmd_trajectory(v):
     Y = parse_forms(v.Y, v.m, v.n)
     family = parse_trajectory(v.trajectory, v.m, v.n)
-    _check_lattice_reach(family)
+    _check_family(Y, family)
     yield
     series = trajectory_lambda1(Y, family)
     records = [
@@ -283,15 +283,16 @@ def _cmd_di(v):
     yield report.to_records(), lines
 
 
+def _ball_inputs(v) -> tuple:
+    """(map, measure, ball) of a subcommand's --map, --measure and --ball-* flags."""
+    return parse_map(v.map), parse_measure(v.measure), Ball(v.ball_center, v.ball_radius)
+
+
 def _scan_inputs(v) -> dict:
     """Keyword arguments of escape_table / nondiv_decay_scan, checked up front."""
-    mapping = parse_map(v.map)
-    measure = parse_measure(v.measure)
-    ball = Ball(v.ball_center, v.ball_radius)
+    mapping, measure, ball = _ball_inputs(v)
     weights = [parse_weight_vector(txt, 1, mapping.n) for txt in v.t]
-    grid, _ = _escape_grid(v.eps, v.samples, weights, mapping.n, v.margin)
-    _check_dims(measure, ball, mapping)
-    _check_sample(measure, v.samples, v.depth)
+    grid, _ = _escape_grid(mapping, measure, ball, weights, v.eps, v.samples, v.depth, v.margin)
     return dict(mapping=mapping, measure=measure, ball=ball, t_list=weights,
                 eps_grid=grid, samples=v.samples,
                 seed=v.seed, depth=v.depth, margin=v.margin, workers=v.workers)
@@ -350,14 +351,11 @@ def _cmd_counterexample(v):
 
 
 def _cmd_good_test(v):
-    mapping = parse_map(v.map)
-    measure = parse_measure(v.measure)
-    ball = Ball(v.ball_center, v.ball_radius)
+    mapping, measure, ball = _ball_inputs(v)
     if not 1 <= v.coord <= mapping.n:
         raise ParameterError("--coord must be in 1..%d" % mapping.n)
     _cgood_grid(v.alpha, v.eps)
-    _check_dims(measure, ball, mapping)
-    _check_sample(measure, v.samples, v.depth)
+    _check_ball(measure, ball, v.samples, v.depth, mapping)
     yield
 
     def f(x):
@@ -380,8 +378,7 @@ def _cmd_federer_test(v):
     measure = parse_measure(v.measure)
     region = Ball(v.ball_center, v.ball_radius)
     _federer_radii(v.ball_count, v.radius_range, v.center_fraction)
-    _check_dims(measure, region)
-    _check_sample(measure, v.samples, v.depth)
+    _check_ball(measure, region, v.samples, v.depth)
     yield
     est = federer_empirical(measure, region, ball_count=v.ball_count,
                             samples=v.samples, seed=v.seed, depth=v.depth,
@@ -394,11 +391,8 @@ def _cmd_federer_test(v):
 
 
 def _cmd_nonplanar_test(v):
-    mapping = parse_map(v.map)
-    measure = parse_measure(v.measure)
-    ball = Ball(v.ball_center, v.ball_radius)
-    _check_dims(measure, ball, mapping)
-    _check_sample(measure, v.samples, v.depth, least=mapping.n + 1)
+    mapping, measure, ball = _ball_inputs(v)
+    _check_ball(measure, ball, v.samples, v.depth, mapping, least=mapping.n + 1)
     yield
     est = nonplanar_test(mapping, measure, ball, samples=v.samples,
                          seed=v.seed, depth=v.depth, workers=v.workers)

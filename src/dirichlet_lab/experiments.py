@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as _rng
-from .errors import CapacityError, EmptySupportError, ParameterError
+from .errors import CapacityError, ParameterError
 from .flows import (
     LinearFormSystem,
     WeightVector,
@@ -68,10 +68,8 @@ from .measures import (
     Ball,
     MapSpec,
     MeasureSpec,
-    _ball_reach,
     _binomial_half_width,
-    _check_dims,
-    _check_sample,
+    _check_ball,
     sample,
 )
 
@@ -115,12 +113,9 @@ def _collect_in_ball(
     returns only the IFS rows whose cylinders can reach the ball, so
     Ball.contains tests only those.  A ball that no cylinder (at a depth
     within the cylinder table, no address's point), or no point of the
-    box, can reach is refused before any draw (EmptySupportError).
+    box, can reach is refused before any draw (_check_ball).
     """
-    _check_sample(measure, count, depth)
-    if not _ball_reach(measure, ball, depth)[1].any():
-        raise EmptySupportError("the ball (center %s, radius %g) misses the support of "
-                                "the measure" % (ball.center, ball.radius))
+    _check_ball(measure, ball, count, depth)
 
     def window(start, size):
         return sample(measure, seed, size, depth=depth, workers=workers, start=start,
@@ -178,10 +173,12 @@ class EscapeCell:
     boundary_n: int
 
 
-def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple:
-    """(eps grid as floats, scan cap), once every eps is in (0, 1), samples
-    >= 1, and t_list is nonempty and repeats no t, with every t of m = 1,
-    the map's n, and a flow skew within the cap."""
+def _escape_grid(mapping: MapSpec, measure: MeasureSpec, ball: Ball, t_list, eps_grid,
+                 samples: int, depth: int, margin: float) -> tuple:
+    """(eps grid as floats, scan cap), the one plan of escape and decay: once
+    every eps is in (0, 1), samples >= 1, t_list is nonempty and repeats no
+    t, with every t of m = 1, the map's n, and a flow skew within the cap,
+    and _check_ball holds for the map and the ball."""
     if not t_list:
         raise ParameterError("need at least one weight vector")
     if len({t.t for t in t_list}) < len(t_list):
@@ -194,9 +191,10 @@ def _escape_grid(eps_grid, samples: int, t_list, n: int, margin: float) -> tuple
     _check_margin(margin)
     cap = max(grid) + 64.0 * margin
     for t in t_list:
-        if t.m != 1 or t.n != n:
-            raise ParameterError("weights must have m=1, n=%d" % n)
+        if t.m != 1 or t.n != mapping.n:
+            raise ParameterError("weights must have m=1, n=%d" % mapping.n)
         _check_flow_skew(t)
+    _check_ball(measure, ball, samples, depth, mapping)
     return grid, cap
 
 
@@ -226,8 +224,7 @@ def _escape_cells(
     center's own: a kept point's map values are finite and its lattice is
     one the batch reduces anyway, whatever the ball.
     """
-    grid, cap = _escape_grid(eps_grid, samples, t_list, mapping.n, margin)
-    _check_dims(measure, ball, mapping)
+    grid, cap = _escape_grid(mapping, measure, ball, t_list, eps_grid, samples, depth, margin)
     pts = _collect_in_ball(measure, ball, samples, seed, depth, workers=workers)
     rows = mapping.evaluate(pts)
     cells, T = [], None

@@ -274,6 +274,13 @@ def _check_sizes(Y: LinearFormSystem, t: WeightVector) -> None:
         raise ParameterError("Y is %dx%d but t is for m=%d, n=%d" % (Y.m, Y.n, t.m, t.n))
 
 
+def _check_family(Y: LinearFormSystem, family) -> None:
+    """_check_sizes and _check_lattice_reach of every weight of the family."""
+    for w in family:
+        _check_sizes(Y, w)
+    _check_lattice_reach(family)
+
+
 def flowed_bases(Y, t: WeightVector) -> np.ndarray:
     """g_t (I_m, Y; 0, I_n) for every system in a stack Y of shape (N, m, n).
 
@@ -571,8 +578,7 @@ def shortest_forms_batch(y, t_left: float, t_right: float) -> np.ndarray:
 
 def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:
     """(lambda1, p, q) of the flowed forms lattice and its shortest vector."""
-    _check_sizes(Y, t)
-    _check_lattice_reach((t,))
+    _check_family(Y, (t,))
     if Y.k == 2:
         lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
         # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
@@ -725,7 +731,8 @@ def trajectory_lambda1(
     Y: LinearFormSystem,
     family: tuple[WeightVector, ...],
 ) -> tuple[tuple[WeightVector, float], ...]:
-    """Shortest-vector length along the family, in family order."""
+    """Shortest-vector length along the family, in family order, after _check_family."""
+    _check_family(Y, family)
     return tuple((w, _forms_lambda1(Y, w)[0]) for w in family)
 
 

@@ -395,14 +395,35 @@ class Ball:
         return np.sqrt(np.sum(diff * diff, axis=1)) <= self.radius
 
 
-def _check_dims(measure: MeasureSpec, ball: Ball, mapping: MapSpec | None = None) -> None:
-    """The ball, and the map if given, live in the measure's dimension."""
+def _check_ball(measure: MeasureSpec, ball: Ball, count: int, depth: int,
+                mapping: MapSpec | None = None, least: int = 1) -> None:
+    """The plan of every ball run: the ball, and the map if given, live in
+    the measure's dimension, _check_sample holds, and some cylinder can
+    reach the ball (_ball_reach), else EmptySupportError before any draw."""
     if len(ball.center) != measure.d:
         raise ParameterError("ball center has %d coordinates, the measure lives in R^%d"
                              % (len(ball.center), measure.d))
     if mapping is not None and mapping.d != measure.d:
         raise ParameterError("map takes %d variables, the measure lives in R^%d"
                              % (mapping.d, measure.d))
+    _check_sample(measure, count, depth, least)
+    if not _ball_reach(measure, ball, depth)[1].any():
+        raise EmptySupportError("the ball (center %s, radius %g) misses the support of "
+                                "the measure" % (ball.center, ball.radius))
+
+
+def _drawn_in_ball(measure: MeasureSpec, ball: Ball, samples: int, seed: int, depth: int,
+                   workers: int, mapping: MapSpec | None = None, least: int = 1) -> np.ndarray:
+    """The in-ball points of the first ``samples`` draws, in stream order,
+    drawn with within=ball once _check_ball holds; EmptySupportError if
+    fewer than ``least``."""
+    _check_ball(measure, ball, samples, depth, mapping, least)
+    pts = sample(measure, seed, samples, depth=depth, workers=workers, within=ball)
+    inside = pts[ball.contains(pts)]
+    if inside.shape[0] < least:
+        raise EmptySupportError("%d of %d draws fell in the ball (center %s, radius %g), need %d"
+                                % (inside.shape[0], samples, ball.center, ball.radius, least))
+    return inside
 
 
 def _binomial_half_width(p: float, n: int) -> float:
@@ -451,18 +472,11 @@ def cgood_empirical(
     the returned C is the max over the grid of fraction * (sup/eps)^alpha.
     A 95% binomial half-width accompanies each fraction.  If f vanishes
     identically on the sampled support the inequality is vacuous and the
-    result is flagged degenerate (C = inf).
+    result is flagged degenerate (C = inf).  Points: _drawn_in_ball's.
     """
     grid = _cgood_grid(alpha, eps_grid)
-    _check_dims(measure, ball)
-    pts = sample(measure, seed, samples, depth=depth, workers=workers)
-    inside = pts[ball.contains(pts)]
+    inside = _drawn_in_ball(measure, ball, samples, seed, depth, workers)
     count = inside.shape[0]
-    if count == 0:
-        raise EmptySupportError(
-            "no support samples fell in the ball (center %s, radius %g, %d draws)"
-            % (ball.center, ball.radius, samples)
-        )
     args = inside[:, 0] if inside.shape[1] == 1 else inside
     vals = np.abs(np.asarray(f(args), dtype=float)).ravel()
     if vals.shape[0] != count:
@@ -524,10 +538,12 @@ def federer_empirical(
     region's center (so every tested 3B fits); radii are drawn inside
     radius_range times the largest admissible radius.  The estimate is a
     lower bound for the true Federer constant: only finitely many balls
-    are examined.
+    are examined.  _check_ball refuses a region the support provably misses.
     """
     lo_r, hi_r = _federer_radii(ball_count, radius_range, center_fraction)
-    _check_dims(measure, region)
+    _check_ball(measure, region, samples, depth)
+    # unpruned: the counts run over every drawn point, and only rounding
+    # separates a point just outside the region from a 3B reaching its edge
     pts = sample(measure, seed, samples, depth=depth, workers=workers)
     center = np.array(region.center)
     dist = np.sqrt(np.sum((pts - center) ** 2, axis=1))
@@ -586,20 +602,11 @@ def nonplanar_test(
 ) -> NonplanarResult:
     """Rank test: is (1, f_1, ..., f_n) affinely independent on the support?
 
-    Builds the (n+1)-column moment matrix at support samples inside the
-    ball and checks its smallest singular value after normalizing each
+    Builds the (n+1)-column moment matrix at _drawn_in_ball's n + 1 or more
+    points and checks its smallest singular value after normalizing each
     column to unit length (raw monomial columns are badly conditioned).
     """
-    _check_dims(measure, ball, mapping)
-    _check_sample(measure, samples, depth, least=mapping.n + 1)
-    pts = sample(measure, seed, samples, depth=depth, workers=workers)
-    mask = ball.contains(pts)
-    inside = pts[mask]
-    if inside.shape[0] < mapping.n + 1:
-        raise EmptySupportError(
-            "need at least %d support samples in the ball, got %d"
-            % (mapping.n + 1, inside.shape[0])
-        )
+    inside = _drawn_in_ball(measure, ball, samples, seed, depth, workers, mapping, mapping.n + 1)
     Y = mapping.evaluate(inside)
     M = np.hstack([np.ones((Y.shape[0], 1)), Y])
     norms = np.sqrt(np.sum(M * M, axis=0))

@@ -425,6 +425,18 @@ def test_the_lattice_route_refuses_past_the_precision_cap_at_k3():
     assert lam[0][1] == pytest.approx(math.exp(-60.0), rel=1e-12)
 
 
+def test_trajectory_checks_the_whole_family_before_it_reduces(monkeypatch):
+    # the last weight's skew 16 + 24 passes the cap 24: refused before the
+    # first weight's lattice is reduced
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("a lattice was reduced before the family was checked")
+
+    monkeypatch.setattr(lattice, "reduce_basis", no_reduction)
+    family = (WeightVector(2, 1, (1.0, 0.5, 1.5)), WeightVector(2, 1, (16.0, 8.0, 24.0)))
+    with pytest.raises(CapacityError, match="precision cap"):
+        trajectory_lambda1(random_forms(5, 2, 1), family)
+
+
 def test_classify_requires_stretch_coverage():
     with pytest.raises(ParameterError):
         di_classify(LinearFormSystem([[0.0]]), central_ray(1.0, 3),

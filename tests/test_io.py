@@ -468,16 +468,16 @@ def test_cli_cantor_escape_records_are_pinned(rundir, capsys):
 
 
 def test_cli_a_ball_off_the_support_exits_before_drawing(rundir, capsys, monkeypatch):
-    # the ball lies in the removed middle third: refused at run time (the
-    # dry run cannot see it) without one block of the stream
+    # the ball lies in the removed middle third: refused by the dry run and
+    # by the run, without one block of the stream
     argv = ["escape", "--map", "veronese n=2", "--measure", _CANTOR, "--ball-center", "0.5",
             "--ball-radius", "0.1", "--t", "6,3,3", "--eps", "0.4", "--samples", "2000"]
-    assert main(argv + ["--dry-run"]) == 0
     monkeypatch.setattr("dirichlet_lab.rng.stream", None)
+    assert main(argv + ["--dry-run"]) == 2
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: the ball (center (0.5,), radius 0.1) misses the support of the "
-                   "measure"]
+                   "measure"] * 2
 
 
 def test_cli_equidist_and_ba(rundir, capsys):
@@ -507,6 +507,68 @@ _SEVEN_FORMS = ["--m", "3", "--n", "4",
                 "--Y", "0.1,0.2,0.3,0.4;0.5,0.6,0.7,0.8;0.9,0.11,0.12,0.13",
                 "--family", "ray r=0.3333333333333333,0.3333333333333333,0.3333333333333334 "
                 "s=0.25,0.25,0.25,0.25 t=1:2:1"]
+
+
+# two balls that provably miss the support: the Cantor set's middle gap,
+# and an interval beside the box
+_OFF_SUPPORT = {
+    "cantor-gap": ["--measure", _CANTOR, "--ball-center", "0.5", "--ball-radius", "0.1"],
+    "beside-the-box": ["--measure", "lebesgue d=1 box=0,1", "--ball-center", "1.5",
+                       "--ball-radius", "0.25"],
+}
+_BALL_RUNS = {
+    "escape": ["--map", "veronese n=2", "--t", "6,3,3", "--eps", "0.4", "--samples", "2000"],
+    "decay": ["--map", "veronese n=2", "--t", "6,3,3", "--eps", "0.4", "0.2",
+              "--samples", "2000"],
+    "good-test": ["--map", "veronese n=2", "--alpha", "1", "--eps", "0.1",
+                  "--samples", "2000"],
+    "nonplanar-test": ["--map", "veronese n=2", "--samples", "2000"],
+    "federer-test": ["--samples", "2000", "--ball-count", "20"],
+}
+
+
+@pytest.mark.parametrize("ball", sorted(_OFF_SUPPORT))
+@pytest.mark.parametrize("name", sorted(_BALL_RUNS))
+def test_cli_every_ball_subcommand_refuses_a_ball_off_the_support(rundir, capsys,
+                                                                  monkeypatch, name, ball):
+    # one check (measures._check_ball) plans every ball run: the dry run and
+    # the run exit 2 with the same line, and neither draws
+    monkeypatch.setattr("dirichlet_lab.rng.stream", None)
+    argv = [name] + _OFF_SUPPORT[ball] + _BALL_RUNS[name]
+    errors = []
+    for extra in (["--dry-run"], []):
+        assert main(argv + extra) == 2
+        errors.append(capsys.readouterr().err.splitlines()[0])
+    center, radius = _OFF_SUPPORT[ball][3], _OFF_SUPPORT[ball][5]
+    assert errors == ["error: the ball (center (%s,), radius %s) misses the support of the "
+                      "measure" % (center, radius)] * 2
+    assert not (rundir / "runs").exists()
+
+
+# sha256 of the record lines (after the three header lines), recorded before
+# the testers drew through sample(within=ball): perfbench's decay-veronese
+# and equidist-k2 commands at a small size, and the two in-ball testers on
+# escape-cantor's ball
+@pytest.mark.parametrize("command,digest", [
+    ('decay --map "veronese n=2" --measure "lebesgue d=1 box=0,1" --ball-center 0.5 '
+     '--ball-radius 0.75 --t 6,3,3 --t 8,4,4 --t 10,5,5 --eps 0.05 0.1 0.2 0.4 '
+     '--samples 300 --workers 2',
+     "440afdae0452861ba96cc4c92b1e1e3460393ecaa1a895bb5c29a5164b333440"),
+    ("equidist --interval 0,1 --y0 0.3 --flow-time 9 --eps 0.5 --samples 5000 --workers 1",
+     "5a73b61bcd18af2d21b49bc7cbae09acd86b6243276e12092cc6520bd11cdf85"),
+    ('good-test --map "veronese n=2" --measure "%s" --ball-center 0.7407407 '
+     '--ball-radius 0.01 --alpha 0.5 --eps 0.1 0.3 0.736 0.741 0.75 --samples 200000'
+     % _CANTOR, "ff8caa8086d37aaaa873bc02f9770e802f34a54565f4aebb3eb4417eedd484d0"),
+    ('nonplanar-test --map "veronese n=2" --measure "%s" --ball-center 0.7407407 '
+     '--ball-radius 0.01 --samples 200000' % _CANTOR,
+     "c2e0f6b69566dfb989052904f38d1f85822b264eacd89141e3fb978cc2ab64f6"),
+], ids=["decay-veronese", "equidist-k2", "good-test-cantor", "nonplanar-test-cantor"])
+def test_cli_records_are_pinned(rundir, capsys, command, digest):
+    argv = shlex.split(command) + ["--seed", "0"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = (rundir / "runs" / argv[0] / "report.jsonl").read_text().splitlines()
+    assert hashlib.sha256("\n".join(lines[3:]).encode()).hexdigest() == digest
 
 
 def _escape_with_t(command, t):
