@@ -23,10 +23,11 @@ The parser gives parameters, and a -h action, to the invoked subcommand
 only (build_parser(argv)); the others are only listed.  Its help and
 errors are the full parser's.
 Handlers validate, then compute; --dry-run stops after validation and
-prints the plan.  Validation calls the library's own plan checks (for the
-five ball subcommands one, measures._check_ball, which refuses a ball that
-provably misses the support), so --dry-run exits 2 or 3 exactly when the
-run would; only too few draws in a ball the support reaches
+prints the plan.  Validation calls the library's own plan checks, which
+state each input rule once (the five ball subcommands share
+measures._check_ball, which refuses a ball, or federer-test's center
+part, that provably misses the support), so --dry-run exits 2 or 3
+exactly when the run would; only too few draws in a ball the support reaches
 (EmptySupportError), map values that are not finite at the sampled points
 (ParameterError) and a lattice reduction that does not converge
 (CapacityError, exit 3) show up in the run alone.
@@ -85,7 +86,7 @@ from .measures import (
     Ball,
     _cgood_grid,
     _check_ball,
-    _federer_radii,
+    _federer_plan,
     cgood_empirical,
     epsilon0_registry,
     federer_empirical,
@@ -273,7 +274,7 @@ def _cmd_trajectory(v):
 def _cmd_di(v):
     Y = parse_forms(v.Y, v.m, v.n)
     family = parse_trajectory(v.trajectory, v.m, v.n)
-    _di_tested(family, v.eps, v.horizon, v.margin)
+    _di_tested(Y, family, v.eps, v.horizon, v.margin)
     yield
     report = di_classify(Y, family, v.eps, v.horizon, margin=v.margin)
     lines = [
@@ -377,8 +378,8 @@ def _cmd_good_test(v):
 def _cmd_federer_test(v):
     measure = parse_measure(v.measure)
     region = Ball(v.ball_center, v.ball_radius)
-    _federer_radii(v.ball_count, v.radius_range, v.center_fraction)
-    _check_ball(measure, region, v.samples, v.depth)
+    _federer_plan(measure, region, v.ball_count, v.samples, v.depth, v.center_fraction,
+                  v.radius_range)
     yield
     est = federer_empirical(measure, region, ball_count=v.ball_count,
                             samples=v.samples, seed=v.seed, depth=v.depth,

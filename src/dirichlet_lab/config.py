@@ -282,8 +282,6 @@ def _ray(text: str, point) -> tuple:
     start, step = _num(start, "ray schedule"), _num(step, "ray schedule")
     if step <= 0 or not 1 <= count <= MAX_RAY_COUNT:
         raise ParameterError("need step > 0 and 1 <= count <= %d" % MAX_RAY_COUNT)
-    if start <= 0:
-        raise ParameterError("start must be positive when given")
     return tuple(point(start + j * step) for j in range(count))
 
 

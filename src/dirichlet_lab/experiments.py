@@ -46,6 +46,7 @@ from .flows import (
     LinearFormSystem,
     WeightVector,
     _check_flow_skew,
+    _check_lattice_eps,
     _convergents,
     flowed_bases,
     flowed_basis,  # not called here: the benchmark's flowed_basis probe looks it up here
@@ -176,18 +177,18 @@ class EscapeCell:
 def _escape_grid(mapping: MapSpec, measure: MeasureSpec, ball: Ball, t_list, eps_grid,
                  samples: int, depth: int, margin: float) -> tuple:
     """(eps grid as floats, scan cap), the one plan of escape and decay: once
-    every eps is in (0, 1), samples >= 1, t_list is nonempty and repeats no
-    t, with every t of m = 1, the map's n, and a flow skew within the cap,
-    and _check_ball holds for the map and the ball."""
+    t_list is nonempty and repeats no t, the grid is nonempty and passes
+    _check_lattice_eps, every t has m = 1, the map's n, and a flow skew
+    within the cap, and _check_ball holds for the samples, map and ball."""
     if not t_list:
         raise ParameterError("need at least one weight vector")
     if len({t.t for t in t_list}) < len(t_list):
         raise ParameterError("a weight vector is given twice")
     grid = tuple(float(e) for e in eps_grid)
-    if not grid or any(not (0.0 < e < 1.0) for e in grid):
-        raise ParameterError("eps values must lie in (0, 1)")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1, got %r" % (samples,))
+    if not grid:
+        raise ParameterError("need at least one eps value")
+    for eps in grid:
+        _check_lattice_eps(eps)
     _check_margin(margin)
     cap = max(grid) + 64.0 * margin
     for t in t_list:
@@ -477,7 +478,8 @@ def _invariant_thick_k2(eps: float, margin: float) -> float:
 
 def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples: int,
                       margin: float) -> tuple:
-    """((lo, hi), flow weights), once every equidist_test_k2 input is checked."""
+    """((lo, hi), flow weights), once every equidist_test_k2 input is checked,
+    eps by _check_lattice_eps and flow_time by WeightVector."""
     if len(interval) != 2:
         raise ParameterError("interval takes two numbers lo, hi")
     lo, hi = (float(x) for x in interval)
@@ -486,10 +488,7 @@ def _equidist_weights(interval, y0: float, flow_time: float, eps: float, samples
     if not all(map(math.isfinite, (lo, hi, y0, hi - lo, lo + y0, hi + y0))):
         raise ParameterError("interval, y0, hi - lo and the translates lo + y0, hi + y0 "
                              "must be finite")
-    if not (0.0 < eps < 1.0):
-        raise ParameterError("eps must lie in (0, 1)")
-    if flow_time <= 0:
-        raise ParameterError("flow_time must be positive")
+    _check_lattice_eps(eps)
     if samples < 1:
         raise ParameterError("samples must be >= 1, got %r" % (samples,))
     _check_margin(margin)
@@ -576,11 +575,10 @@ class CounterexampleRecord:
 
 
 def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
-    """(e^u, the weights (u, s, s + u) per s), once 0 < eps < 1,
-    1/eps^2 < e^u < 2 eps, every s > 0, systems >= 1 and each weight's flow
-    skew are checked."""
-    if not (0.0 < eps < 1.0):
-        raise ParameterError("eps must lie in (0, 1)")
+    """(e^u, the weights (u, s, s + u) per s), once _check_lattice_eps,
+    1/eps^2 < e^u < 2 eps, s_list nonempty, systems >= 1, WeightVector
+    (s > 0) and _check_flow_skew of each weight hold."""
+    _check_lattice_eps(eps)
     try:
         eu = math.exp(u)
     except OverflowError:
@@ -591,8 +589,8 @@ def _counterexample_window(eps: float, u: float, s_list, systems: int) -> tuple:
             "1/eps^2=%g, e^u=%g, 2*eps=%g" % (1.0 / eps ** 2, eu, 2.0 * eps)
         )
     s_list = tuple(float(s) for s in s_list)
-    if not s_list or any(s <= 0 for s in s_list):
-        raise ParameterError("s values must be positive")
+    if not s_list:
+        raise ParameterError("need at least one s value")
     if systems < 1:
         raise ParameterError("systems must be >= 1")
     weights = tuple(WeightVector(2, 1, (u, s, s + u)) for s in s_list)
@@ -719,13 +717,11 @@ def singular_profile(system: LinearFormSystem, t_grid) -> ProfileSeries:
 
     Interior strict local minima are annotated: dips are where the
     trajectory approaches the cusp and returns, the signature separating
-    generic from very-well-approximable inputs.
+    generic from very-well-approximable inputs.  WeightVector refuses a nonpositive s.
     """
     grid = tuple(float(s) for s in t_grid)
-    if not grid or any(s <= 0 for s in grid) or any(
-        b <= a for a, b in zip(grid, grid[1:])
-    ):
-        raise ParameterError("t_grid must be positive and strictly increasing")
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError("t_grid must be nonempty and strictly increasing")
     series = trajectory_lambda1(system, tuple(WeightVector(1, 1, (s, s)) for s in grid))
     values = tuple(lam for _, lam in series)
     minima = tuple(

@@ -103,7 +103,8 @@ class WeightVector:
         if len(t) != self.m + self.n:
             raise ParameterError("t must have length m + n = %d" % (self.m + self.n))
         if not all(math.isfinite(x) and x > 0 for x in t):
-            raise ParameterError("all weight entries must be positive and finite")
+            raise ParameterError("all weight entries must be positive and finite, got %r"
+                                 % (t,))
         left = math.fsum(t[: self.m])
         right = math.fsum(t[self.m:])
         if abs(left - right) > 1e-12 * max(1.0, left, right):
@@ -133,8 +134,6 @@ class WeightVector:
     @classmethod
     def central(cls, m: int, n: int, scale: float) -> "WeightVector":
         """Point on the central ray: (scale/m,...,scale/m, scale/n,...,scale/n)."""
-        if scale <= 0:
-            raise ParameterError("scale must be positive")
         return cls(m, n, (scale / m,) * m + (scale / n,) * n)
 
     @classmethod
@@ -143,8 +142,6 @@ class WeightVector:
         r = tuple(float(x) for x in r)
         s = tuple(float(x) for x in s)
         _check_unit_weights(r, s)
-        if scale <= 0:
-            raise ParameterError("scale must be positive")
         return cls(len(r), len(s), tuple(x * scale for x in r + s))
 
 
@@ -155,13 +152,6 @@ def _check_flow_skew(t: WeightVector) -> None:
     if skew > MAX_FLOW_SKEW:
         raise CapacityError("flow skew %g exceeds the float precision cap %g"
                             % (skew, MAX_FLOW_SKEW))
-
-
-def _check_lattice_reach(family) -> None:
-    """_check_flow_skew of each weight at k >= 3; k = 2 takes exact convergents."""
-    for w in family:
-        if w.k > 2:
-            _check_flow_skew(w)
 
 
 def _check_unit_weights(r, s):
@@ -275,10 +265,12 @@ def _check_sizes(Y: LinearFormSystem, t: WeightVector) -> None:
 
 
 def _check_family(Y: LinearFormSystem, family) -> None:
-    """_check_sizes and _check_lattice_reach of every weight of the family."""
+    """Each weight of the family fits Y (_check_sizes) and, at k >= 3, passes
+    _check_flow_skew; k = 2 takes exact convergents."""
     for w in family:
         _check_sizes(Y, w)
-    _check_lattice_reach(family)
+        if w.k > 2:
+            _check_flow_skew(w)
 
 
 def flowed_bases(Y, t: WeightVector) -> np.ndarray:
@@ -577,8 +569,8 @@ def shortest_forms_batch(y, t_left: float, t_right: float) -> np.ndarray:
 
 
 def _forms_lambda1(Y: LinearFormSystem, t: WeightVector) -> tuple:
-    """(lambda1, p, q) of the flowed forms lattice and its shortest vector."""
-    _check_family(Y, (t,))
+    """(lambda1, p, q) of the flowed forms lattice and its shortest vector;
+    the caller has made _check_family."""
     if Y.k == 2:
         lam, pq = shortest_forms_vector(Y.entry(0, 0), t.t[0], t.t[1])
         # pq is None only for the q=0 column, whose norm e^t exceeds 1 > eps
@@ -623,6 +615,7 @@ def dirichlet_solvable_lattice(
     margin band.
     """
     _check_lattice_eps(eps)
+    _check_family(Y, (t,))
     status, _ = _lattice_status(Y, t, eps, margin)
     return status
 
@@ -678,12 +671,12 @@ class DIReport:
         return rows
 
 
-def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float,
-               margin: float) -> list:
+def _di_tested(Y: LinearFormSystem, family: tuple[WeightVector, ...], eps: float,
+               horizon_norm: float, margin: float) -> list:
     """The family's weights with norm <= horizon, once the horizon is
     positive, the family nonempty, its tested part reaches the final
     stretch (norms >= 0.9 * horizon), eps suits the lattice route, the
-    margin is >= 0 and every tested weight is in reach (_check_lattice_reach)."""
+    margin is >= 0 and _check_family holds for Y and the tested part."""
     if horizon_norm <= 0:
         raise ParameterError("horizon_norm must be positive")
     if not family:
@@ -697,7 +690,7 @@ def _di_tested(family: tuple[WeightVector, ...], eps: float, horizon_norm: float
         )
     _check_lattice_eps(eps)
     _check_margin(margin)
-    _check_lattice_reach(tested)
+    _check_family(Y, tested)
     return tested
 
 
@@ -710,7 +703,7 @@ def di_classify(
 ) -> DIReport:
     """Evaluate solvability at every family t with norm <= horizon."""
     records = []
-    for w in _di_tested(family, eps, horizon_norm, margin):  # family order, deterministic
+    for w in _di_tested(Y, family, eps, horizon_norm, margin):  # family order, deterministic
         status, witness = _lattice_status(Y, w, eps, margin)
         records.append(DIRecord(t=w, status=status, witness=witness))
 

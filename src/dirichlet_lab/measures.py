@@ -207,7 +207,7 @@ def _check_sample(measure: MeasureSpec, count: int, depth: int, least: int = 1) 
     """The count and IFS depth checks of ``sample``, for a caller that needs
     at least ``least`` points."""
     if count < least:
-        raise ParameterError("count must be >= %d" % least)
+        raise ParameterError("samples must be >= %d, got %r" % (least, count))
     if isinstance(measure, SelfSimilarIFS):
         if depth < 1:
             raise ParameterError("depth must be >= 1")
@@ -506,9 +506,11 @@ class FedererEstimate:
     worst_radius: float
 
 
-def _federer_radii(ball_count: int, radius_range, center_fraction: float) -> tuple:
-    """(lo, hi) of radius_range, once ball_count >= 1, 0 < lo <= hi <= 1 and
-    0 < center_fraction <= 1."""
+def _federer_plan(measure: MeasureSpec, region: Ball, ball_count: int, samples: int,
+                  depth: int, center_fraction: float, radius_range) -> tuple:
+    """(lo, hi) of radius_range, once ball_count >= 1, 0 < center_fraction
+    <= 1, 0 < lo <= hi <= 1, and _check_ball holds for the region and then
+    for its center part (radius center_fraction * region.radius)."""
     if ball_count < 1:
         raise ParameterError("ball_count must be >= 1")
     if not 0.0 < center_fraction <= 1.0:
@@ -518,6 +520,8 @@ def _federer_radii(ball_count: int, radius_range, center_fraction: float) -> tup
     lo_r, hi_r = radius_range
     if not (0.0 < lo_r <= hi_r <= 1.0):
         raise ParameterError("radius_range must satisfy 0 < lo <= hi <= 1")
+    _check_ball(measure, region, samples, depth)
+    _check_ball(measure, Ball(region.center, center_fraction * region.radius), samples, depth)
     return lo_r, hi_r
 
 
@@ -538,10 +542,11 @@ def federer_empirical(
     region's center (so every tested 3B fits); radii are drawn inside
     radius_range times the largest admissible radius.  The estimate is a
     lower bound for the true Federer constant: only finitely many balls
-    are examined.  _check_ball refuses a region the support provably misses.
+    are examined.  A region, or its center part, that the support provably
+    misses is refused before any draw (_federer_plan).
     """
-    lo_r, hi_r = _federer_radii(ball_count, radius_range, center_fraction)
-    _check_ball(measure, region, samples, depth)
+    lo_r, hi_r = _federer_plan(measure, region, ball_count, samples, depth, center_fraction,
+                               radius_range)
     # unpruned: the counts run over every drawn point, and only rounding
     # separates a point just outside the region from a 3B reaching its edge
     pts = sample(measure, seed, samples, depth=depth, workers=workers)

@@ -39,7 +39,7 @@ from dirichlet_lab.flows import (
     trajectory_lambda1,
     witness_holds,
 )
-from dirichlet_lab import lattice
+from dirichlet_lab import flows, lattice
 from dirichlet_lab.lattice import (
     DEFAULT_MARGIN,
     MAX_DIM,
@@ -435,6 +435,18 @@ def test_trajectory_checks_the_whole_family_before_it_reduces(monkeypatch):
     family = (WeightVector(2, 1, (1.0, 0.5, 1.5)), WeightVector(2, 1, (16.0, 8.0, 24.0)))
     with pytest.raises(CapacityError, match="precision cap"):
         trajectory_lambda1(random_forms(5, 2, 1), family)
+
+
+def test_classify_checks_the_whole_family_before_it_reduces(monkeypatch):
+    # the second weight does not fit Y: refused by di's plan before the
+    # first weight's lambda1 is computed
+    def no_lambda1(*args, **kwargs):
+        raise AssertionError("a lambda1 was computed before the family was checked")
+
+    monkeypatch.setattr(flows, "shortest_forms_vector", no_lambda1)
+    family = (WeightVector(1, 1, (1.0, 1.0)), WeightVector(1, 2, (2.0, 1.0, 1.0)))
+    with pytest.raises(ParameterError, match="Y is 1x1 but t is for m=1, n=2"):
+        di_classify(LinearFormSystem([[0.5]]), family, eps=0.5, horizon_norm=2.0)
 
 
 def test_classify_requires_stretch_coverage():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dirichlet_lab import cli, lattice
+from dirichlet_lab import cli, lattice, rng
 from dirichlet_lab.cli import main
 from dirichlet_lab.config import (
     RunConfig,
@@ -545,26 +545,82 @@ def test_cli_every_ball_subcommand_refuses_a_ball_off_the_support(rundir, capsys
     assert not (rundir / "runs").exists()
 
 
+_EQUIDIST_SMALL = ["equidist", "--interval", "0,1", "--flow-time", "3", "--eps", "0.5",
+                   "--samples", "100"]
+_ESCAPE_SMALL = ["escape"] + _ESCAPE_FLAGS + ["--samples", "100"]
+_WEIGHTS_NOT_POSITIVE = "all weight entries must be positive and finite, got %s"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (_EQUIDIST_SMALL + ["--flow-time", "-1"], _WEIGHTS_NOT_POSITIVE % "(-1.0, -1.0)"),
+    (_EQUIDIST_SMALL + ["--eps", "1.5"], "lattice route requires 0 < eps < 1, got 1.5"),
+    (_EQUIDIST_SMALL + ["--samples", "0"], "samples must be >= 1, got 0"),
+    (_COUNTEREXAMPLE + ["--s", "-3", "--systems", "2"],
+     _WEIGHTS_NOT_POSITIVE % "(0.4054651, -3.0, -2.5945349)"),
+    (["counterexample", "--eps", "1.2", "--u", "0.4054651", "--s", "3", "--systems", "2"],
+     "lattice route requires 0 < eps < 1, got 1.2"),
+    (_ESCAPE_SMALL + ["--samples", "0"], "samples must be >= 1, got 0"),
+    (_ESCAPE_SMALL + ["--eps", "1.4"], "lattice route requires 0 < eps < 1, got 1.4"),
+    (["good-test"] + _GOOD_FLAGS + ["--alpha", "1", "--eps", "0.1", "--samples", "0"],
+     "samples must be >= 1, got 0"),
+    (["nonplanar-test"] + _GOOD_FLAGS + ["--samples", "2"], "samples must be >= 3, got 2"),
+    (["trajectory", "--Y", "0.5", "--family", "ray central t=-1:1:3"],
+     _WEIGHTS_NOT_POSITIVE % "(-1.0, -1.0)"),
+    (["trajectory", "--Y", "0.5", "--family", "ray r=1 s=1 t=0:1:3"],
+     _WEIGHTS_NOT_POSITIVE % "(0.0, 0.0)"),
+    (["di", "--Y", "1/3", "--family", "ray central t=1:1:5", "--horizon", "5", "--eps", "1.0"],
+     "lattice route requires 0 < eps < 1, got 1.0"),
+    # the region reaches the Cantor set, its center part (radius 0.09) lies
+    # in the middle gap
+    (["federer-test", "--measure", _CANTOR, "--ball-center", "0.5", "--ball-radius", "0.45",
+      "--samples", "100000", "--ball-count", "50"],
+     "the ball (center (0.5,), radius 0.09) misses the support of the measure"),
+], ids=["equidist-flow-time", "equidist-eps", "equidist-samples", "counterexample-s",
+        "counterexample-eps", "escape-samples", "escape-eps", "good-test-samples",
+        "nonplanar-test-samples", "trajectory-central-start", "trajectory-weighted-start",
+        "di-eps", "federer-test-center-part"])
+def test_cli_refused_inputs_exit_before_drawing(rundir, capsys, monkeypatch, argv, error):
+    # each rule's one owner refuses the input in the plan: exit 2 and the
+    # same line with and without --dry-run, and no block of the stream drawn
+    monkeypatch.setattr("dirichlet_lab.rng.stream", None)
+    for extra in (["--dry-run"], []):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err.splitlines()[0] == "error: " + error
+    assert not (rundir / "runs").exists()
+
+
 # sha256 of the record lines (after the three header lines), recorded before
 # the testers drew through sample(within=ball): perfbench's decay-veronese
 # and equidist-k2 commands at a small size, and the two in-ball testers on
-# escape-cantor's ball
+# escape-cantor's ball; and recorded before the forms-family checks moved
+# into the plans of trajectory and di: a k = 3 family, whose lambda1 values
+# are re-anchored in Fractions, and a k = 2 one
+_ROOTS = "--m 1 --n 2 --Y 0.41421356,1.73205081 --family 'ray central t=1:0.5:30'"
+
+
 @pytest.mark.parametrize("command,digest", [
     ('decay --map "veronese n=2" --measure "lebesgue d=1 box=0,1" --ball-center 0.5 '
      '--ball-radius 0.75 --t 6,3,3 --t 8,4,4 --t 10,5,5 --eps 0.05 0.1 0.2 0.4 '
-     '--samples 300 --workers 2',
+     '--samples 300 --workers 2 --seed 0',
      "440afdae0452861ba96cc4c92b1e1e3460393ecaa1a895bb5c29a5164b333440"),
-    ("equidist --interval 0,1 --y0 0.3 --flow-time 9 --eps 0.5 --samples 5000 --workers 1",
-     "5a73b61bcd18af2d21b49bc7cbae09acd86b6243276e12092cc6520bd11cdf85"),
+    ("equidist --interval 0,1 --y0 0.3 --flow-time 9 --eps 0.5 --samples 5000 --workers 1 "
+     "--seed 0", "5a73b61bcd18af2d21b49bc7cbae09acd86b6243276e12092cc6520bd11cdf85"),
     ('good-test --map "veronese n=2" --measure "%s" --ball-center 0.7407407 '
-     '--ball-radius 0.01 --alpha 0.5 --eps 0.1 0.3 0.736 0.741 0.75 --samples 200000'
-     % _CANTOR, "ff8caa8086d37aaaa873bc02f9770e802f34a54565f4aebb3eb4417eedd484d0"),
+     '--ball-radius 0.01 --alpha 0.5 --eps 0.1 0.3 0.736 0.741 0.75 --samples 200000 '
+     '--seed 0' % _CANTOR, "ff8caa8086d37aaaa873bc02f9770e802f34a54565f4aebb3eb4417eedd484d0"),
     ('nonplanar-test --map "veronese n=2" --measure "%s" --ball-center 0.7407407 '
-     '--ball-radius 0.01 --samples 200000' % _CANTOR,
+     '--ball-radius 0.01 --samples 200000 --seed 0' % _CANTOR,
      "c2e0f6b69566dfb989052904f38d1f85822b264eacd89141e3fb978cc2ab64f6"),
-], ids=["decay-veronese", "equidist-k2", "good-test-cantor", "nonplanar-test-cantor"])
+    ("trajectory " + _ROOTS,
+     "040831abed0cc877cc1e52477140c793d0d3a85f53012d095ee3393e968dc820"),
+    ("di %s --horizon 14 --eps 0.6" % _ROOTS,
+     "abb3e5fb6f0e4d381bf9157b9ffd403dd6d38891fae04a217ec22a665299e4e5"),
+    ("di --Y 0.6180339887 --family 'ray central t=0.5:0.1:200' --horizon 20 --eps 0.85",
+     "1add53607ed8bcc869b91014ce0aeb54a968b4498d9c254a8844822fe22c16cf"),
+], ids=["decay-veronese", "equidist-k2", "good-test-cantor", "nonplanar-test-cantor",
+        "trajectory-k3", "di-k3", "di-golden-k2"])
 def test_cli_records_are_pinned(rundir, capsys, command, digest):
-    argv = shlex.split(command) + ["--seed", "0"]
+    argv = shlex.split(command)
     assert main(argv) == 0
     capsys.readouterr()
     lines = (rundir / "runs" / argv[0] / "report.jsonl").read_text().splitlines()
@@ -951,7 +1007,7 @@ _PARSER = cli.build_parser()
 @given(argv=_cli_argv())
 def test_cli_dry_run_fails_like_the_run(rundir, capsys, monkeypatch, argv):
     # same exit code and first error line with and without --dry-run
-    run, raised = cli._run, []
+    run, raised, stream, streams = cli._run, [], rng.stream, []
 
     def recording_run(args):
         try:
@@ -960,17 +1016,24 @@ def test_cli_dry_run_fails_like_the_run(rundir, capsys, monkeypatch, argv):
             raised.append(exc)
             raise
 
+    def counting_stream(*args, **kwargs):
+        streams.append(args)
+        return stream(*args, **kwargs)
+
     outcomes = []
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_run", recording_run)
+        patch.setattr(rng, "stream", counting_stream)
         # one parser serves every example: building it is most of a run's time
         patch.setattr(cli, "build_parser", lambda *_: _PARSER)
         for extra in (["--dry-run"], []):
+            streams.clear()
             code = main(argv + extra)
             err = capsys.readouterr().err.splitlines()
             outcomes.append((code, next((line for line in err if "error:" in line), None)))
-    if raised and isinstance(raised[-1], EmptySupportError):
-        # a ball the sampled support misses shows only by sampling
+    if raised and isinstance(raised[-1], EmptySupportError) and streams:
+        # a ball the sampled support misses shows only by sampling: the
+        # run drew before it raised; one raised before any draw is the plan's
         assert outcomes[0] == (0, None)
     else:
         assert outcomes[0] == outcomes[1]
